@@ -368,11 +368,18 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueThroughput);
 
+/// A bus endpoint that only counts deliveries.
+struct CountingNode {
+  std::uint64_t received = 0;
+  void receive(const dist::Message&) { ++received; }
+};
+
 void BM_BusBroadcast(benchmark::State& state) {
-  dist::BroadcastBus bus;
+  dist::BroadcastBus<CountingNode> bus;
   constexpr int kNodes = 50;
+  std::vector<CountingNode> nodes(kNodes);
   for (model::ChargerIndex i = 0; i < kNodes; ++i) {
-    bus.register_node(i, [](const dist::Message&) {});
+    bus.register_node(i, &nodes[static_cast<std::size_t>(i)]);
   }
   for (model::ChargerIndex i = 0; i < kNodes; ++i) {
     std::vector<model::ChargerIndex> neighbors;

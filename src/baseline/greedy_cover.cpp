@@ -20,15 +20,15 @@ model::Schedule schedule_greedy_cover_over(const model::Network& net,
     if (dominant.empty()) continue;
 
     std::optional<double> previous;
+    core::SlotPolicies policies;
     for (model::SlotIndex k = first_slot; k < net.horizon(); ++k) {
-      const std::vector<core::Policy> policies = core::make_slot_policies(net, i, dominant, k);
+      core::make_slot_policies(net, i, dominant, k, policies);
       int best = -1;
       std::size_t best_cover = 0;
       bool best_is_previous = false;
       for (std::size_t q = 0; q < policies.size(); ++q) {
-        const std::size_t cover = policies[q].tasks.size();
-        const bool is_previous =
-            previous.has_value() && policies[q].orientation == *previous;
+        const std::size_t cover = policies.policy_tasks(q).size();
+        const bool is_previous = previous.has_value() && policies.orientation[q] == *previous;
         if (cover > best_cover || (cover == best_cover && is_previous && !best_is_previous)) {
           best_cover = cover;
           best = static_cast<int>(q);
@@ -36,8 +36,8 @@ model::Schedule schedule_greedy_cover_over(const model::Network& net,
         }
       }
       if (best >= 0) {
-        schedule.assign(i, k, policies[static_cast<std::size_t>(best)].orientation);
-        previous = policies[static_cast<std::size_t>(best)].orientation;
+        schedule.assign(i, k, policies.orientation[static_cast<std::size_t>(best)]);
+        previous = policies.orientation[static_cast<std::size_t>(best)];
       }
     }
   }

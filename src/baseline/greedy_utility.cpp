@@ -1,5 +1,6 @@
 #include "baseline/greedy_utility.hpp"
 
+#include <span>
 #include <vector>
 
 #include "core/dominant_sets.hpp"
@@ -25,17 +26,19 @@ model::Schedule schedule_greedy_utility_over(const model::Network& net,
       energy.assign(initial_energy.begin(), initial_energy.end());
     }
 
+    core::SlotPolicies policies;
     for (model::SlotIndex k = first_slot; k < net.horizon(); ++k) {
-      const std::vector<core::Policy> policies = core::make_slot_policies(net, i, dominant, k);
+      core::make_slot_policies(net, i, dominant, k, policies);
       int best = -1;
       double best_gain = 0.0;
       for (std::size_t q = 0; q < policies.size(); ++q) {
+        const std::span<const model::TaskIndex> tasks = policies.policy_tasks(q);
+        const std::span<const double> delta = policies.policy_energy(q);
         double gain = 0.0;
-        for (std::size_t t = 0; t < policies[q].tasks.size(); ++t) {
-          const auto j = static_cast<std::size_t>(policies[q].tasks[t]);
-          gain += net.weighted_task_utility(static_cast<model::TaskIndex>(j),
-                                            energy[j] + policies[q].slot_energy[t]) -
-                  net.weighted_task_utility(static_cast<model::TaskIndex>(j), energy[j]);
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+          const auto j = static_cast<std::size_t>(tasks[t]);
+          gain += net.weighted_task_utility(tasks[t], energy[j] + delta[t]) -
+                  net.weighted_task_utility(tasks[t], energy[j]);
         }
         if (gain > best_gain) {
           best_gain = gain;
@@ -43,10 +46,12 @@ model::Schedule schedule_greedy_utility_over(const model::Network& net,
         }
       }
       if (best >= 0) {
-        const core::Policy& policy = policies[static_cast<std::size_t>(best)];
-        schedule.assign(i, k, policy.orientation);
-        for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-          energy[static_cast<std::size_t>(policy.tasks[t])] += policy.slot_energy[t];
+        const auto q = static_cast<std::size_t>(best);
+        schedule.assign(i, k, policies.orientation[q]);
+        const std::span<const model::TaskIndex> tasks = policies.policy_tasks(q);
+        const std::span<const double> delta = policies.policy_energy(q);
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+          energy[static_cast<std::size_t>(tasks[t])] += delta[t];
         }
       }
     }

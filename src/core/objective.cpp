@@ -1,6 +1,8 @@
 #include "core/objective.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -68,16 +70,17 @@ void PolicyPartition::finalize(const model::Network& net) {
   }
 }
 
-std::vector<Policy> make_slot_policies(const model::Network& net, model::ChargerIndex i,
-                                       const std::vector<DominantTaskSet>& dominant,
-                                       model::SlotIndex slot) {
+void make_slot_policies(const model::Network& net, model::ChargerIndex i,
+                        const std::vector<DominantTaskSet>& dominant, model::SlotIndex slot,
+                        SlotPolicies& out) {
   const double slot_seconds = net.time().slot_seconds;
   const bool deadlines = net.has_deadlines();
-  std::vector<Policy> policies;
-  policies.reserve(dominant.size());
+  out.orientation.clear();
+  out.tasks.clear();
+  out.energy.clear();
+  out.row_offsets.assign(1, 0);
   for (const DominantTaskSet& set : dominant) {
-    Policy policy;
-    policy.orientation = set.orientation;
+    const std::size_t begin = out.tasks.size();
     for (model::TaskIndex j : set.tasks) {
       if (net.tasks()[static_cast<std::size_t>(j)].active(slot)) {
         double energy = net.potential_power(i, j) * slot_seconds;
@@ -92,19 +95,27 @@ std::vector<Policy> make_slot_policies(const model::Network& net, model::Charger
           if (factor == 0.0) continue;
           if (factor != 1.0) energy *= factor;
         }
-        policy.tasks.push_back(j);
-        policy.slot_energy.push_back(energy);
+        out.tasks.push_back(j);
+        out.energy.push_back(energy);
       }
     }
-    if (policy.tasks.empty()) continue;
-    // Deduplicate policies whose active task sets coincide (frequent once
-    // inactive tasks are dropped); the first witness orientation wins.
-    const bool duplicate =
-        std::any_of(policies.begin(), policies.end(),
-                    [&](const Policy& other) { return other.tasks == policy.tasks; });
-    if (!duplicate) policies.push_back(std::move(policy));
+    const std::span<const model::TaskIndex> rows(out.tasks.data() + begin,
+                                                 out.tasks.size() - begin);
+    // Drop empty policies and deduplicate policies whose active task sets
+    // coincide (frequent once inactive tasks are dropped); the first witness
+    // orientation wins.
+    bool keep = !rows.empty();
+    for (std::size_t q = 0; keep && q < out.size(); ++q) {
+      keep = !std::ranges::equal(out.policy_tasks(q), rows);
+    }
+    if (!keep) {
+      out.tasks.resize(begin);
+      out.energy.resize(begin);
+      continue;
+    }
+    out.orientation.push_back(set.orientation);
+    out.row_offsets.push_back(static_cast<std::int32_t>(out.tasks.size()));
   }
-  return policies;
 }
 
 namespace {
@@ -245,10 +256,13 @@ std::vector<PolicyPartition> build_partitions(const model::Network& net,
 }
 
 MarginalEngine::MarginalEngine(const model::Network& net, Config config,
-                               std::span<const double> initial_energy)
+                               std::span<const double> initial_energy,
+                               std::shared_ptr<const kernels::UtilityTable> table)
     : net_(&net),
       config_(config),
-      table_(kernels::UtilityTable::from(net)),
+      table_(table != nullptr ? std::move(table)
+                              : std::make_shared<const kernels::UtilityTable>(
+                                    kernels::UtilityTable::from(net))),
       // Latched once: a long-lived engine must not change evaluation path
       // mid-run under a concurrent toggle flip (results are bit-identical
       // either way, but the latch keeps the choice observable and stable).
@@ -260,6 +274,9 @@ MarginalEngine::MarginalEngine(const model::Network& net, Config config,
   energy_.assign(static_cast<std::size_t>(config_.samples) * m, 0.0);
   sample_version_.assign(static_cast<std::size_t>(config_.samples) * m, 0);
   task_version_.assign(m, 0);
+  const auto n = static_cast<std::size_t>(net.charger_count());
+  panel_colors_.assign(n * static_cast<std::size_t>(config_.samples), 0);
+  panel_slot_.assign(n, -1);
   if (!initial_energy.empty()) {
     for (int s = 0; s < config_.samples; ++s) {
       for (std::size_t j = 0; j < m; ++j) {
@@ -269,6 +286,17 @@ MarginalEngine::MarginalEngine(const model::Network& net, Config config,
   }
 }
 
+namespace {
+
+/// hashed % colors, with the division skipped for power-of-two panels (the
+/// paper's C = 4): there the remainder is the low bits, so both forms agree.
+int reduce_color(std::uint64_t hashed, int colors) {
+  const auto c = static_cast<std::uint64_t>(colors);
+  return static_cast<int>((c & (c - 1)) == 0 ? hashed & (c - 1) : hashed % c);
+}
+
+}  // namespace
+
 int MarginalEngine::panel_color(std::uint64_t seed, int sample, model::ChargerIndex i,
                                 model::SlotIndex k, int colors) {
   if (colors <= 1) return 0;
@@ -276,8 +304,7 @@ int MarginalEngine::panel_color(std::uint64_t seed, int sample, model::ChargerIn
   state ^= static_cast<std::uint64_t>(sample) * 0x9e3779b97f4a7c15ULL;
   state ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(k));
-  const std::uint64_t hashed = util::splitmix64(state);
-  return static_cast<int>(hashed % static_cast<std::uint64_t>(colors));
+  return reduce_color(util::splitmix64(state), colors);
 }
 
 int MarginalEngine::final_color(std::uint64_t seed, model::ChargerIndex i,
@@ -288,8 +315,7 @@ int MarginalEngine::final_color(std::uint64_t seed, model::ChargerIndex i,
   std::uint64_t state = seed ^ 0x5851f42d4c957f2dULL;
   state ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(k));
-  const std::uint64_t hashed = util::splitmix64(state);
-  return static_cast<int>(hashed % static_cast<std::uint64_t>(colors));
+  return reduce_color(util::splitmix64(state), colors);
 }
 
 double MarginalEngine::gain_in_sample(int s, const kernels::RowView& rows) const {
@@ -299,7 +325,7 @@ double MarginalEngine::gain_in_sample(int s, const kernels::RowView& rows) const
   if (use_kernels_) {
     // Compute-wide / reduce-in-order kernel; bit-identical to the reference
     // fold below (see core/kernels.hpp).
-    return kernels::row_term_sum(table_, energy, rows);
+    return kernels::row_term_sum(*table_, energy, rows);
   }
   double gain = 0.0;
   for (std::size_t t = 0; t < rows.size(); ++t) {
@@ -372,7 +398,7 @@ void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c
                                        partition.col_weight, partition.col_required};
     thread_local std::vector<double> col_terms;
     col_terms.resize(matching.size() * cols);
-    kernels::row_terms_panel(table_, energy_.data(), m, matching, column_rows,
+    kernels::row_terms_panel(*table_, energy_.data(), m, matching, column_rows,
                              col_terms.data());
     // Segmented gather-fold: policy q's inner sum visits its rows in row
     // order (each row's term read through the column map — bit-identical,
@@ -400,18 +426,52 @@ void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c
 double MarginalEngine::commit(model::ChargerIndex i, model::SlotIndex k,
                               std::span<const model::TaskIndex> tasks,
                               std::span<const double> slot_energy, int c) {
-  const auto m = static_cast<std::size_t>(net_->task_count());
+  // Every sample's gain reads only that sample's energies, so pricing all
+  // matching samples before accumulating any of them is the same arithmetic
+  // as interleaving the two per sample.
+  const int* colors = commit_panel(i, k);
   double total = 0.0;
+  for (int s = 0; s < config_.samples; ++s) {
+    if (colors[s] != c) continue;
+    total += gain_in_sample(s, kernels::RowView{tasks, slot_energy, {}, {}});
+  }
+  commit_no_gain(i, k, tasks, slot_energy, c);
+  return total / static_cast<double>(config_.samples);
+}
+
+const int* MarginalEngine::commit_panel(model::ChargerIndex i, model::SlotIndex k) {
+  if (i < 0 || i >= net_->charger_count()) {
+    throw std::out_of_range("MarginalEngine: commit by charger " + std::to_string(i) +
+                            " outside the network");
+  }
+  const auto row = static_cast<std::size_t>(i) * static_cast<std::size_t>(config_.samples);
+  if (panel_slot_[static_cast<std::size_t>(i)] != k) {
+    for (int s = 0; s < config_.samples; ++s) {
+      panel_colors_[row + static_cast<std::size_t>(s)] =
+          panel_color(config_.seed, s, i, k, config_.colors);
+    }
+    panel_slot_[static_cast<std::size_t>(i)] = k;
+  }
+  return panel_colors_.data() + row;
+}
+
+void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
+                                    std::span<const model::TaskIndex> tasks,
+                                    std::span<const double> slot_energy, int c,
+                                    std::span<const std::uint8_t> tracked) {
+  const auto m = static_cast<std::size_t>(net_->task_count());
+  const int* colors = commit_panel(i, k);
   bool applied = false;
   for (int s = 0; s < config_.samples; ++s) {
-    if (panel_color(config_.seed, s, i, k, config_.colors) != c) continue;
-    total += gain_in_sample(s, kernels::RowView{tasks, slot_energy, {}, {}});
+    if (colors[s] != c) continue;
     double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
     std::uint64_t* versions = sample_version_.data() + static_cast<std::size_t>(s) * m;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const auto j = static_cast<std::size_t>(tasks[t]);
       const double before = energy[j];
       const double after = before + slot_energy[t];
+      energy[j] = after;
+      if (!tracked.empty() && tracked[j] == 0) continue;
       // Only rows whose *utility* moved in this sample de-certify cached
       // marginals. Utility shapes are concave and non-decreasing, so
       // u(before) == u(after) with before < after means u is flat on
@@ -423,33 +483,6 @@ double MarginalEngine::commit(model::ChargerIndex i, model::SlotIndex k,
         ++versions[j];
         ++task_version_[j];
       }
-      energy[j] = after;
-    }
-    applied = true;
-  }
-  if (applied) ++commit_count_;
-  return total / static_cast<double>(config_.samples);
-}
-
-void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
-                                    std::span<const model::TaskIndex> tasks,
-                                    std::span<const double> slot_energy, int c) {
-  const auto m = static_cast<std::size_t>(net_->task_count());
-  bool applied = false;
-  for (int s = 0; s < config_.samples; ++s) {
-    if (panel_color(config_.seed, s, i, k, config_.colors) != c) continue;
-    double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
-    std::uint64_t* versions = sample_version_.data() + static_cast<std::size_t>(s) * m;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const auto j = static_cast<std::size_t>(tasks[t]);
-      const double before = energy[j];
-      const double after = before + slot_energy[t];
-      // Same utility-filtered bump rule as commit(); see the comment there.
-      if (weighted_utility(tasks[t], after) != weighted_utility(tasks[t], before)) {
-        ++versions[j];
-        ++task_version_[j];
-      }
-      energy[j] = after;
     }
     applied = true;
   }
@@ -469,7 +502,7 @@ void MarginalEngine::row_terms(int s, const kernels::RowView& rows, double* out)
   const auto m = static_cast<std::size_t>(net_->task_count());
   const double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
   if (use_kernels_) {
-    kernels::row_terms(table_, energy, rows, out);
+    kernels::row_terms(*table_, energy, rows, out);
     return;
   }
   for (std::size_t t = 0; t < rows.size(); ++t) {

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -152,12 +153,34 @@ std::vector<PolicyPartition> build_partitions(const model::Network& net,
                                               model::SlotIndex first_slot,
                                               const std::vector<model::TaskIndex>& candidates);
 
-/// Filters one charger's dominant sets to the tasks active at `slot`,
-/// deduplicating policies with identical active sets. Exposed for the
-/// distributed scheduler, which builds partitions per node.
-std::vector<Policy> make_slot_policies(const model::Network& net, model::ChargerIndex i,
-                                       const std::vector<DominantTaskSet>& dominant,
-                                       model::SlotIndex slot);
+/// The policies of one (charger, slot) in CSR form: policy q's rows are
+/// [row_offsets[q], row_offsets[q + 1]) of `tasks`/`energy`. Refilled in
+/// place, so a caller that builds slot after slot stops allocating once its
+/// buffers are warm.
+struct SlotPolicies {
+  std::vector<double> orientation;        ///< per policy
+  std::vector<std::int32_t> row_offsets;  ///< size() + 1 entries
+  std::vector<model::TaskIndex> tasks;    ///< per row, ascending within a policy
+  std::vector<double> energy;             ///< per row: P_r(s_i, o_j) * T_s (J)
+
+  std::size_t size() const { return orientation.size(); }
+  std::span<const model::TaskIndex> policy_tasks(std::size_t q) const {
+    const auto begin = static_cast<std::size_t>(row_offsets[q]);
+    return {tasks.data() + begin, static_cast<std::size_t>(row_offsets[q + 1]) - begin};
+  }
+  std::span<const double> policy_energy(std::size_t q) const {
+    const auto begin = static_cast<std::size_t>(row_offsets[q]);
+    return {energy.data() + begin, static_cast<std::size_t>(row_offsets[q + 1]) - begin};
+  }
+};
+
+/// Filters one charger's dominant sets to the tasks active at `slot` into
+/// `out`, deduplicating policies with identical active sets. Exposed for the
+/// distributed scheduler, which builds partitions per node, and the
+/// per-charger greedy baselines.
+void make_slot_policies(const model::Network& net, model::ChargerIndex i,
+                        const std::vector<DominantTaskSet>& dominant, model::SlotIndex slot,
+                        SlotPolicies& out);
 
 /// Incremental estimator of the expected utility after S-C tuple sampling.
 class MarginalEngine {
@@ -170,9 +193,12 @@ class MarginalEngine {
   };
 
   /// `initial_energy`, when non-empty, must have one entry per task of the
-  /// network: energy already harvested (online re-planning).
+  /// network: energy already harvested (online re-planning). `table` is the
+  /// network's SoA utility table; engines of one online session share one
+  /// instead of each building its own (null = build it here).
   MarginalEngine(const model::Network& net, Config config,
-                 std::span<const double> initial_energy = {});
+                 std::span<const double> initial_energy = {},
+                 std::shared_ptr<const kernels::UtilityTable> table = nullptr);
 
   /// Color assigned to partition (charger i, slot k) in panel sample `s`.
   /// Pure function of (seed, s, i, k) so independent engines agree.
@@ -224,7 +250,8 @@ class MarginalEngine {
   void partition_marginals(const PolicyPartition& partition, int c,
                            std::span<const int> sample_colors, double* out) const;
 
-  /// Commits the S-C tuple; returns the realized marginal.
+  /// Commits the S-C tuple; returns the realized marginal. Every commit form
+  /// throws std::out_of_range when `i` is not a charger of the network.
   double commit(model::ChargerIndex i, model::SlotIndex k, const Policy& policy, int c) {
     return commit(i, k, policy.tasks, policy.slot_energy, c);
   }
@@ -240,16 +267,18 @@ class MarginalEngine {
   /// bit the value they already hold, so only the energy accumulation and
   /// the version bumps remain to be done. Identical state trajectory to
   /// commit(), zero row_term work.
+  ///
+  /// Also the remote-commit entry of the distributed nodes, which apply a
+  /// neighbor's committed tuple and never need its gain. There `tracked`
+  /// (one flag per task: the receiver's coverable tasks, the only ones its
+  /// marginals read) limits the utility flatness test and version bumps to
+  /// flagged rows, and the versions of every other task stop being
+  /// maintained. Energy accumulates for every row either way, so
+  /// expected_value() keeps its bits. Empty `tracked` = every task.
   void commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
                       std::span<const model::TaskIndex> tasks,
-                      std::span<const double> slot_energy, int c);
-
-  /// Applies the effect of another charger's committed tuple (distributed
-  /// case): identical to commit but named for clarity at call sites.
-  double apply_remote_commit(model::ChargerIndex i, model::SlotIndex k,
-                             const Policy& policy, int c) {
-    return commit(i, k, policy, c);
-  }
+                      std::span<const double> slot_energy, int c,
+                      std::span<const std::uint8_t> tracked = {});
 
   /// Current estimate of F(Q) (panel average of the weighted utility).
   double expected_value() const;
@@ -323,22 +352,28 @@ class MarginalEngine {
  private:
   double gain_in_sample(int s, const kernels::RowView& rows) const;
 
+  /// panel_color(seed(), s, i, k, colors()) for every sample s, memoized per
+  /// charger: a charger commits in up to C color stages of one slot.
+  const int* commit_panel(model::ChargerIndex i, model::SlotIndex k);
+
   /// Network::weighted_task_utility through the SoA table when the kernel
   /// path is latched; bit-identical by the UtilityTable contract.
   double weighted_utility(model::TaskIndex j, double x) const {
-    return use_kernels_ ? table_.weighted_utility(j, x)
+    return use_kernels_ ? table_->weighted_utility(j, x)
                         : net_->weighted_task_utility(j, x);
   }
 
   const model::Network* net_;
   Config config_;
-  kernels::UtilityTable table_;  // SoA utility columns for the kernel path
+  std::shared_ptr<const kernels::UtilityTable> table_;  // SoA utility columns
   bool use_kernels_ = false;     // latched once at construction
   // energy_[s * m + j]: accumulated relaxed energy of task j in sample s.
   std::vector<double> energy_;
   std::vector<std::uint64_t> sample_version_;  // [s * m + j] dirty counters
   std::vector<std::uint64_t> task_version_;    // per-task sums over samples
   std::uint64_t commit_count_ = 0;
+  std::vector<int> panel_colors_;             // [i * S + s], see commit_panel
+  std::vector<model::SlotIndex> panel_slot_;  // [i]: slot of panel_colors_, -1 none
   mutable std::atomic<std::uint64_t> row_term_count_{0};
   mutable std::atomic<std::uint64_t> marginal_count_{0};
 };

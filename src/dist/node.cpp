@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace haste::dist {
 
@@ -13,10 +14,26 @@ constexpr double kTieSlack = 1e-12;
 
 ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
                          core::MarginalEngine::Config engine_config,
-                         core::TabularMode mode)
-    : net_(&net), id_(id), engine_config_(engine_config), mode_(mode) {
+                         core::TabularMode mode,
+                         std::shared_ptr<const core::kernels::UtilityTable> table)
+    : net_(&net),
+      id_(id),
+      engine_config_(engine_config),
+      mode_(mode),
+      table_(table != nullptr ? std::move(table)
+                              : std::make_shared<const core::kernels::UtilityTable>(
+                                    core::kernels::UtilityTable::from(net))),
+      neighbors_(net.neighbors(id)) {
   previous_orientation_.assign(static_cast<std::size_t>(std::max(1, engine_config.colors)),
                                std::nullopt);
+  neighbor_position_.assign(static_cast<std::size_t>(net.charger_count()), -1);
+  for (std::size_t p = 0; p < neighbors_.size(); ++p) {
+    neighbor_position_[static_cast<std::size_t>(neighbors_[p])] = static_cast<std::int32_t>(p);
+  }
+  neighbor_tasks_.resize(neighbors_.size());
+  neighbor_value_.assign(neighbors_.size(), 0.0);
+  neighbor_heard_.assign(neighbors_.size(), 0);
+  neighbor_decided_.assign(neighbors_.size(), 0);
 }
 
 Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks,
@@ -29,9 +46,12 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
     cached_known_ = known_tasks;
     dominant_cached_ = true;
   }
-  engine_.emplace(*net_, engine_config_, initial_energy);
-  selections_.clear();
-  neighbor_tasks_.clear();
+  engine_.emplace(*net_, engine_config_, initial_energy, table_);
+  selections_.assign(static_cast<std::size_t>(net_->horizon()) *
+                         static_cast<std::size_t>(engine_->colors()),
+                     std::nullopt);
+  for (std::vector<model::TaskIndex>& tasks : neighbor_tasks_) tasks.clear();
+  loaded_slot_ = -1;
   std::fill(previous_orientation_.begin(), previous_orientation_.end(), std::nullopt);
 
   // HELLO: announce which known tasks this charger can cover, with the
@@ -39,11 +59,13 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
   Message hello;
   hello.sender = id_;
   hello.command = Command::kHello;
+  coverable_.assign(static_cast<std::size_t>(net_->task_count()), 0);
   for (model::TaskIndex j : known_tasks) {
     const double p = net_->potential_power(id_, j);
     if (p > 0.0) {
       hello.policy.tasks.push_back(j);
       hello.policy.slot_energy.push_back(p * net_->time().slot_seconds);
+      coverable_[static_cast<std::size_t>(j)] = 1;
     }
   }
 
@@ -118,64 +140,76 @@ void ChargerNode::prewarm_columns(const std::vector<model::TaskIndex>& tasks) {
   }
 }
 
-bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
-  stage_slot_ = slot;
-  stage_color_ = color;
-  stage_policies_ = core::make_slot_policies(*net_, id_, dominant_, slot);
-  stage_cache_.assign(stage_policies_.size(), PolicyTermCache{});
-  stage_samples_.clear();
+void ChargerNode::load_slot(model::SlotIndex slot) {
+  loaded_slot_ = slot;
+  core::make_slot_policies(*net_, id_, dominant_, slot, slot_policies_);
+  slot_colors_.resize(static_cast<std::size_t>(engine_->samples()));
   for (int s = 0; s < engine_->samples(); ++s) {
-    if (core::MarginalEngine::panel_color(engine_config_.seed, s, id_, slot,
-                                          engine_->colors()) == color) {
-      stage_samples_.push_back(s);
-    }
+    slot_colors_[static_cast<std::size_t>(s)] = core::MarginalEngine::panel_color(
+        engine_config_.seed, s, id_, slot, engine_->colors());
   }
-  // Row -> plan-column map for this stage's policies. Dominant-set tasks are
+  // Row -> plan-column map for the slot's policies. Dominant-set tasks are
   // always in the HELLO coverable set, but register stragglers defensively
   // with never-priced stamps (engine versions can be anything by now).
-  stage_policy_col_.clear();
-  stage_policy_row0_.assign(stage_policies_.size(), 0);
+  slot_row_col_.clear();
   if (mode_ == core::TabularMode::kIncremental) {
     const auto samples = static_cast<std::size_t>(engine_->samples());
-    for (std::size_t q = 0; q < stage_policies_.size(); ++q) {
-      stage_policy_row0_[q] = stage_policy_col_.size();
-      const core::Policy& policy = stage_policies_[q];
-      for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-        const model::TaskIndex task = policy.tasks[t];
-        const double delta = policy.slot_energy[t];
-        std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
-        if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
-          // Tardy rows carry a deadline-discounted slot_energy that deviates
-          // from the HELLO column's base delta; a column's cached terms are
-          // only reusable at the delta they were priced with, so mismatched
-          // rows get overflow columns keyed (task, delta). Linear scan: only
-          // tardy rows reach here, and each tardy (task, slot) pair
-          // contributes at most one distinct delta per plan.
-          col = -1;
-          for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
-            if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
-              col = static_cast<std::ptrdiff_t>(c);
-              break;
-            }
+    for (std::size_t row = 0; row < slot_policies_.tasks.size(); ++row) {
+      const model::TaskIndex task = slot_policies_.tasks[row];
+      const double delta = slot_policies_.energy[row];
+      std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
+      if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
+        // Tardy rows carry a deadline-discounted slot_energy that deviates
+        // from the HELLO column's base delta; a column's cached terms are
+        // only reusable at the delta they were priced with, so mismatched
+        // rows get overflow columns keyed (task, delta). Linear scan: only
+        // tardy rows reach here, and each tardy (task, slot) pair
+        // contributes at most one distinct delta per plan.
+        col = -1;
+        for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
+          if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
+            col = static_cast<std::ptrdiff_t>(c);
+            break;
           }
         }
-        if (col < 0) {
-          col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
-          if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
-            plan_col_of_[static_cast<std::size_t>(task)] = col;
-          }
-          plan_col_task_.push_back(task);
-          plan_col_delta_.push_back(delta);
-          plan_terms_.resize(plan_terms_.size() + samples, 0.0);
-          plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
-        }
-        stage_policy_col_.push_back(static_cast<std::size_t>(col));
       }
+      if (col < 0) {
+        col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
+        if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
+          plan_col_of_[static_cast<std::size_t>(task)] = col;
+        }
+        plan_col_task_.push_back(task);
+        plan_col_delta_.push_back(delta);
+        plan_terms_.resize(plan_terms_.size() + samples, 0.0);
+        plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
+      }
+      slot_row_col_.push_back(static_cast<std::size_t>(col));
     }
   }
-  neighbor_values_.clear();
-  neighbor_decided_.clear();
-  if (stage_policies_.empty()) {
+  slot_neighbors_.clear();
+  for (std::size_t p = 0; p < neighbors_.size(); ++p) {
+    const std::vector<model::TaskIndex>& tasks = neighbor_tasks_[p];
+    const bool participates =
+        std::any_of(tasks.begin(), tasks.end(), [&](model::TaskIndex t) {
+          return net_->tasks()[static_cast<std::size_t>(t)].active(slot) &&
+                 net_->tardiness_factor(t, slot) > 0.0;
+        });
+    if (participates) slot_neighbors_.push_back(static_cast<std::int32_t>(p));
+  }
+}
+
+bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
+  if (slot != loaded_slot_) load_slot(slot);
+  stage_slot_ = slot;
+  stage_color_ = color;
+  stage_cache_.assign(slot_policies_.size(), PolicyTermCache{});
+  stage_samples_.clear();
+  for (int s = 0; s < engine_->samples(); ++s) {
+    if (slot_colors_[static_cast<std::size_t>(s)] == color) stage_samples_.push_back(s);
+  }
+  std::fill(neighbor_heard_.begin(), neighbor_heard_.end(), 0);
+  std::fill(neighbor_decided_.begin(), neighbor_decided_.end(), 0);
+  if (slot_policies_.size() == 0) {
     decided_ = true;
     best_policy_ = -1;
     best_marginal_ = 0.0;
@@ -187,19 +221,20 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
 }
 
 double ChargerNode::refresh_policy(std::size_t q) {
-  const core::Policy& policy = stage_policies_[q];
-  const std::size_t rows = policy.tasks.size();
+  const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(q);
+  const std::span<const double> energy = slot_policies_.policy_energy(q);
   const auto samples = static_cast<std::size_t>(engine_->samples());
-  const std::size_t* row_col = stage_policy_col_.data() + stage_policy_row0_[q];
+  const std::size_t* row_col =
+      slot_row_col_.data() + static_cast<std::size_t>(slot_policies_.row_offsets[q]);
   double total = 0.0;
   for (std::size_t si = 0; si < stage_samples_.size(); ++si) {
     const int s = stage_samples_[si];
     double inner = 0.0;
-    for (std::size_t t = 0; t < rows; ++t) {
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
       const std::size_t idx = row_col[t] * samples + static_cast<std::size_t>(s);
-      const std::uint64_t version = engine_->sample_version(s, policy.tasks[t]);
+      const std::uint64_t version = engine_->sample_version(s, tasks[t]);
       if (plan_versions_[idx] != version) {
-        plan_terms_[idx] = engine_->row_term(s, policy.tasks[t], policy.slot_energy[t]);
+        plan_terms_[idx] = engine_->row_term(s, tasks[t], energy[t]);
         plan_versions_[idx] = version;
       }
       inner += plan_terms_[idx];
@@ -215,8 +250,7 @@ void ChargerNode::recompute_best() {
   const std::optional<double>& previous =
       previous_orientation_[static_cast<std::size_t>(stage_color_)];
   bool best_is_previous = false;
-  for (std::size_t q = 0; q < stage_policies_.size(); ++q) {
-    const core::Policy& policy = stage_policies_[q];
+  for (std::size_t q = 0; q < slot_policies_.size(); ++q) {
     double m = 0.0;
     if (mode_ == core::TabularMode::kIncremental) {
       PolicyTermCache& cache = stage_cache_[q];
@@ -243,15 +277,18 @@ void ChargerNode::recompute_best() {
       // since it was computed (checking versions is O(|tasks|) counter reads;
       // a re-evaluation is utility-function calls per panel sample).
       PolicyTermCache& cache = stage_cache_[q];
-      const std::uint64_t stamp = engine_->version_sum(policy.tasks);
+      const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(q);
+      const std::uint64_t stamp = engine_->version_sum(tasks);
       if (!cache.valid || cache.stamp != stamp) {
-        cache.marginal = engine_->marginal(id_, stage_slot_, policy, stage_color_);
+        cache.marginal = engine_->marginal(id_, stage_slot_, tasks,
+                                           slot_policies_.policy_energy(q), stage_color_);
         cache.stamp = stamp;
         cache.valid = true;
       }
       m = cache.marginal;
     }
-    const bool is_previous = previous.has_value() && policy.orientation == *previous;
+    const bool is_previous =
+        previous.has_value() && slot_policies_.orientation[q] == *previous;
     bool better = false;
     if (best_policy_ < 0) {
       better = m > 0.0;
@@ -288,25 +325,28 @@ std::optional<Message> ChargerNode::make_value_message() {
 void ChargerNode::receive(const Message& message) {
   switch (message.command) {
     case Command::kHello: {
-      neighbor_tasks_[message.sender] = message.policy.tasks;
+      const std::int32_t p = neighbor_position(message.sender);
+      if (p >= 0) neighbor_tasks_[static_cast<std::size_t>(p)] = message.policy.tasks;
+      loaded_slot_ = -1;  // slot participation reads the announcements
       return;
     }
     case Command::kValue: {
       if (message.slot != stage_slot_ || message.color != stage_color_) return;
-      neighbor_values_[message.sender] = message.marginal;
-      if (message.marginal <= 0.0) neighbor_decided_[message.sender] = true;
+      const std::int32_t p = neighbor_position(message.sender);
+      if (p < 0) return;
+      neighbor_value_[static_cast<std::size_t>(p)] = message.marginal;
+      neighbor_heard_[static_cast<std::size_t>(p)] = 1;
+      if (message.marginal <= 0.0) neighbor_decided_[static_cast<std::size_t>(p)] = 1;
       return;
     }
     case Command::kUpdate: {
       // Apply the neighbor's committed tuple to the local view and
       // re-evaluate; the stage check matters because UPDATEs always concern
       // the current stage, but be defensive.
-      core::Policy policy;
-      policy.orientation = message.policy.orientation;
-      policy.tasks = message.policy.tasks;
-      policy.slot_energy = message.policy.slot_energy;
-      engine_->apply_remote_commit(message.sender, message.slot, policy, message.color);
-      neighbor_decided_[message.sender] = true;
+      engine_->commit_no_gain(message.sender, message.slot, message.policy.tasks,
+                              message.policy.slot_energy, message.color, coverable_);
+      const std::int32_t p = neighbor_position(message.sender);
+      if (p >= 0) neighbor_decided_[static_cast<std::size_t>(p)] = 1;
       if (!decided_ && message.slot == stage_slot_ && message.color == stage_color_) {
         recompute_best();
       }
@@ -315,32 +355,15 @@ void ChargerNode::receive(const Message& message) {
   }
 }
 
-bool ChargerNode::neighbor_participates(model::ChargerIndex j, model::SlotIndex slot) const {
-  const auto it = neighbor_tasks_.find(j);
-  if (it == neighbor_tasks_.end()) return false;
-  // Mirror of the row-construction rule in make_slot_policies: a neighbor
-  // has a stage policy iff some coverable task is active AND not dropped by
-  // the deadline discount (zero tardiness factor = hard-tardy or
-  // infeasible). Waiting on an `active`-only basis deadlocked the stage on
-  // deadline instances — a fully-pruned neighbor never speaks, everyone
-  // else kept waiting for its value, and the round cap fired.
-  return std::any_of(it->second.begin(), it->second.end(), [&](model::TaskIndex t) {
-    return net_->tasks()[static_cast<std::size_t>(t)].active(slot) &&
-           net_->tardiness_factor(t, slot) > 0.0;
-  });
-}
-
 std::optional<Message> ChargerNode::try_commit() {
   if (decided_ || best_policy_ < 0) return std::nullopt;
-  for (model::ChargerIndex j : net_->neighbors(id_)) {
-    if (!neighbor_participates(j, stage_slot_)) continue;
-    const auto decided_it = neighbor_decided_.find(j);
-    if (decided_it != neighbor_decided_.end() && decided_it->second) continue;
-    const auto value_it = neighbor_values_.find(j);
-    if (value_it == neighbor_values_.end()) return std::nullopt;  // not heard yet
-    const double theirs = value_it->second;
+  for (const std::int32_t p : slot_neighbors_) {
+    const auto index = static_cast<std::size_t>(p);
+    if (neighbor_decided_[index] != 0) continue;
+    if (neighbor_heard_[index] == 0) return std::nullopt;  // not heard yet
+    const double theirs = neighbor_value_[index];
     // Tie-break by id: the lower id wins equal marginals.
-    if (theirs > best_marginal_ || (theirs == best_marginal_ && j < id_)) {
+    if (theirs > best_marginal_ || (theirs == best_marginal_ && neighbors_[index] < id_)) {
       return std::nullopt;
     }
   }
@@ -357,20 +380,22 @@ std::optional<Message> ChargerNode::force_commit() {
 }
 
 Message ChargerNode::commit_current() {
-  const core::Policy& policy = stage_policies_[static_cast<std::size_t>(best_policy_)];
+  const auto best = static_cast<std::size_t>(best_policy_);
+  const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(best);
+  const std::span<const double> energy = slot_policies_.policy_energy(best);
+  const double orientation = slot_policies_.orientation[best];
   // Under kIncremental, best_marginal_ came from an exactly-refreshed cache
   // (recompute_best runs after every engine change), so the realized gain is
   // already known and commit can skip re-evaluating it.
   if (mode_ == core::TabularMode::kIncremental) {
-    engine_->commit_no_gain(id_, stage_slot_, policy.tasks, policy.slot_energy,
-                            stage_color_);
+    engine_->commit_no_gain(id_, stage_slot_, tasks, energy, stage_color_);
   } else {
-    engine_->commit(id_, stage_slot_, policy, stage_color_);
+    engine_->commit(id_, stage_slot_, tasks, energy, stage_color_);
   }
-  auto& per_color = selections_[stage_slot_];
-  per_color.resize(static_cast<std::size_t>(engine_->colors()));
-  per_color[static_cast<std::size_t>(stage_color_)] = policy;
-  previous_orientation_[static_cast<std::size_t>(stage_color_)] = policy.orientation;
+  selections_[static_cast<std::size_t>(stage_slot_) *
+                  static_cast<std::size_t>(engine_->colors()) +
+              static_cast<std::size_t>(stage_color_)] = orientation;
+  previous_orientation_[static_cast<std::size_t>(stage_color_)] = orientation;
   decided_ = true;
 
   Message msg;
@@ -379,9 +404,9 @@ Message ChargerNode::commit_current() {
   msg.color = stage_color_;
   msg.command = Command::kUpdate;
   msg.marginal = best_marginal_;
-  msg.policy.orientation = policy.orientation;
-  msg.policy.tasks = policy.tasks;
-  msg.policy.slot_energy = policy.slot_energy;
+  msg.policy.orientation = orientation;
+  msg.policy.tasks.assign(tasks.begin(), tasks.end());
+  msg.policy.slot_energy.assign(energy.begin(), energy.end());
   return msg;
 }
 
@@ -390,14 +415,14 @@ void ChargerNode::write_schedule(model::Schedule& schedule,
   for (model::SlotIndex k = first_slot; k < schedule.horizon(); ++k) {
     schedule.clear(id_, k);
   }
-  for (const auto& [slot, per_color] : selections_) {
-    if (slot < first_slot) continue;
-    const int c = core::MarginalEngine::final_color(engine_config_.seed, id_, slot,
-                                                    engine_->colors());
-    if (static_cast<std::size_t>(c) < per_color.size() &&
-        per_color[static_cast<std::size_t>(c)].has_value()) {
-      schedule.assign(id_, slot, per_color[static_cast<std::size_t>(c)]->orientation);
-    }
+  if (!engine_.has_value()) return;  // never planned: nothing selected
+  const int colors = engine_->colors();
+  for (model::SlotIndex k = first_slot; k < schedule.horizon(); ++k) {
+    const int c = core::MarginalEngine::final_color(engine_config_.seed, id_, k, colors);
+    const std::optional<double>& chosen =
+        selections_[static_cast<std::size_t>(k) * static_cast<std::size_t>(colors) +
+                    static_cast<std::size_t>(c)];
+    if (chosen.has_value()) schedule.assign(id_, k, *chosen);
   }
 }
 

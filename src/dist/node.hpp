@@ -18,8 +18,10 @@
 // uses to order the asynchronous executions.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -39,10 +41,12 @@ class ChargerNode {
   /// maxima — so a re-negotiation after a remote UPDATE touches only the
   /// dirtied columns of the policies still in contention; kRebuild keeps the
   /// whole-policy marginal cache stamped with the aggregate version sum (the
-  /// reference path). The two are bit-identical.
+  /// reference path). The two are bit-identical. `table` is the network's
+  /// utility table, shared by every node of a session (null = build one).
   ChargerNode(const model::Network& net, model::ChargerIndex id,
               core::MarginalEngine::Config engine_config,
-              core::TabularMode mode = core::TabularMode::kIncremental);
+              core::TabularMode mode = core::TabularMode::kIncremental,
+              std::shared_ptr<const core::kernels::UtilityTable> table = nullptr);
 
   model::ChargerIndex id() const { return id_; }
 
@@ -67,7 +71,9 @@ class ChargerNode {
   /// best marginal is not positive announces 0 and goes passive.
   std::optional<Message> make_value_message();
 
-  /// Handles a received message (HELLO, VALUE, or UPDATE).
+  /// Handles a received message (HELLO, VALUE, or UPDATE). An UPDATE is
+  /// folded into the local engine straight from the message's spans, with
+  /// version tracking limited to the tasks this node can cover.
   void receive(const Message& message);
 
   /// Attempts to commit; returns the UPDATE broadcast on success.
@@ -108,27 +114,59 @@ class ChargerNode {
   }
 
  private:
+  /// Builds the per-(plan, slot) state that the slot's C color stages share:
+  /// the stage policies, their row -> plan-column map, and the neighbors
+  /// that take part at the slot.
+  void load_slot(model::SlotIndex slot);
   void recompute_best();
   double refresh_policy(std::size_t q);  ///< lazily refreshed marginal (kIncremental)
   Message commit_current();  ///< commits best_policy_ and builds the UPDATE
-  bool neighbor_participates(model::ChargerIndex j, model::SlotIndex slot) const;
+  /// Position of charger `j` in neighbors_, or -1 when it is no neighbor.
+  std::int32_t neighbor_position(model::ChargerIndex j) const {
+    return j >= 0 && static_cast<std::size_t>(j) < neighbor_position_.size()
+               ? neighbor_position_[static_cast<std::size_t>(j)]
+               : -1;
+  }
 
   const model::Network* net_;
   model::ChargerIndex id_;
   core::MarginalEngine::Config engine_config_;
   core::TabularMode mode_;
+  std::shared_ptr<const core::kernels::UtilityTable> table_;
 
   std::vector<core::DominantTaskSet> dominant_;
   std::optional<core::MarginalEngine> engine_;
-  model::SlotIndex plan_first_slot_ = 0;
 
-  // What each neighbor announced in its HELLO: coverable known tasks.
-  std::map<model::ChargerIndex, std::vector<model::TaskIndex>> neighbor_tasks_;
+  // The neighborhood, fixed for the node's life: Network::neighbors(id_) in
+  // ascending id order. A neighbor's position p in it indexes every
+  // per-neighbor array below.
+  std::span<const model::ChargerIndex> neighbors_;
+  std::vector<std::int32_t> neighbor_position_;  // [charger] -> p, or -1
+
+  // Per plan: the coverable known tasks each neighbor announced in its HELLO
+  // (empty = silent or dead), and this node's own coverable set as a task
+  // mask — the only tasks whose engine versions its marginals read.
+  std::vector<std::vector<model::TaskIndex>> neighbor_tasks_;  // [p]
+  std::vector<std::uint8_t> coverable_;                         // [task]
+
+  // Per (plan, slot), shared by the slot's color stages; loaded_slot_ is the
+  // slot they describe (-1: none loaded this plan).
+  model::SlotIndex loaded_slot_ = -1;
+  core::SlotPolicies slot_policies_;
+  std::vector<std::size_t> slot_row_col_;  // [row] -> plan column (kIncremental)
+  std::vector<int> slot_colors_;           // [s]: this node's panel color at the slot
+  // Positions p of the neighbors with a policy at the slot: a neighbor takes
+  // part iff some task it announced is active AND not dropped by the
+  // deadline discount (zero tardiness factor = hard-tardy or infeasible),
+  // mirroring the row-construction rule in make_slot_policies. Waiting on an
+  // `active`-only basis deadlocked the stage on deadline instances — a
+  // fully-pruned neighbor never speaks, everyone else kept waiting for its
+  // value, and the round cap fired.
+  std::vector<std::int32_t> slot_neighbors_;
 
   // Stage state.
   model::SlotIndex stage_slot_ = 0;
   int stage_color_ = 0;
-  std::vector<core::Policy> stage_policies_;
   // Panel samples whose color at (id_, stage_slot_) matches stage_color_ —
   // the only samples a stage marginal depends on (ascending, so lazy
   // refreshes re-sum in the engine's evaluation order).
@@ -139,13 +177,20 @@ class ChargerNode {
   // through those tasks' energies, so an unchanged stamp certifies the
   // cached value is exact). Under kIncremental the value doubles as an upper
   // bound for lazy partition maxima (marginals only shrink), and the actual
-  // pricing lives in the shared stage columns below.
+  // pricing lives in the shared plan columns below.
   struct PolicyTermCache {
     double marginal = 0.0;
     std::uint64_t stamp = 0;
     bool valid = false;
   };
   std::vector<PolicyTermCache> stage_cache_;
+  int best_policy_ = -1;
+  double best_marginal_ = 0.0;
+  bool decided_ = true;
+  std::vector<double> neighbor_value_;          // [p]: latest VALUE this stage
+  std::vector<std::uint8_t> neighbor_heard_;    // [p]: a VALUE arrived this stage
+  std::vector<std::uint8_t> neighbor_decided_;  // [p]: committed or passive
+
   // kIncremental pricing, shared across policies AND stages of one plan: the
   // per-slot energy a task would receive is orientation- and
   // slot-independent, so every policy of every stage covering task j prices
@@ -158,19 +203,12 @@ class ChargerNode {
   std::vector<model::TaskIndex> plan_col_task_;  // distinct coverable tasks
   std::vector<double> plan_col_delta_;           // shared per-slot energy per column
   std::vector<std::ptrdiff_t> plan_col_of_;      // [task] -> column, or -1
-  std::vector<std::size_t> stage_policy_col_;    // row -> column, policies concatenated
-  std::vector<std::size_t> stage_policy_row0_;   // [q]: first row of policy q
   std::vector<double> plan_terms_;               // [col * samples + s]
   std::vector<std::uint64_t> plan_versions_;     // same layout as `plan_terms_`
-  int best_policy_ = -1;
-  double best_marginal_ = 0.0;
-  bool decided_ = true;
-  std::map<model::ChargerIndex, double> neighbor_values_;  // latest VALUE
-  std::map<model::ChargerIndex, bool> neighbor_decided_;
 
-  // Selections Q_i restricted to this node: per slot, per color, the chosen
-  // policy (if any).
-  std::map<model::SlotIndex, std::vector<std::optional<core::Policy>>> selections_;
+  // Selections Q_i restricted to this node: the orientation committed per
+  // (slot, color), at [slot * colors + color].
+  std::vector<std::optional<double>> selections_;
 
   // Last committed orientation per color (switch-avoiding tie-break).
   std::vector<std::optional<double>> previous_orientation_;

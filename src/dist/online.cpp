@@ -49,14 +49,16 @@ core::MarginalEngine::Stats fleet_engine_stats(const std::vector<ChargerNode*>& 
   return total;
 }
 
+using Bus = BroadcastBus<ChargerNode>;
+
 /// Wires the alive fleet onto a fresh bus (alive-restricted neighborhoods)
 /// and runs the plan-start HELLO round.
 void wire_and_hello(const model::Network& net, const std::vector<ChargerNode*>& nodes,
                     const std::vector<bool>& alive,
                     const std::vector<model::TaskIndex>& known,
-                    std::span<const double> initial_energy, BroadcastBus& bus) {
+                    std::span<const double> initial_energy, Bus& bus) {
   for (ChargerNode* node : nodes) {
-    bus.register_node(node->id(), [node](const Message& m) { node->receive(m); });
+    bus.register_node(node->id(), node);
     std::vector<model::ChargerIndex> neighbors;
     for (model::ChargerIndex j : net.neighbors(node->id())) {
       if (alive[static_cast<std::size_t>(j)]) neighbors.push_back(j);
@@ -83,7 +85,7 @@ void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
                           std::span<const double> initial_energy,
                           model::SlotIndex plan_start, const std::vector<bool>& alive,
                           model::Schedule& executed, OnlineResult& result) {
-  BroadcastBus bus;
+  Bus bus;
   wire_and_hello(net, nodes, alive, known, initial_energy, bus);
 
   const int colors = std::max(1, config.colors);
@@ -97,7 +99,7 @@ void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
       ++result.rounds;                   // one token turn
       for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
         if (!node->begin_stage(k, c)) continue;
-        if (auto msg = node->force_commit()) bus.broadcast(*msg);
+        if (auto msg = node->force_commit()) bus.broadcast(std::move(*msg));
       }
       bus.flush_round();  // successors see this node's selections
     }
@@ -125,7 +127,7 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
                      std::span<const double> initial_energy,
                      model::SlotIndex plan_start, const std::vector<bool>& alive,
                      model::Schedule& executed, OnlineResult& result) {
-  BroadcastBus bus;
+  Bus bus;
   // Plan start: everyone announces its coverable known tasks (HELLO).
   wire_and_hello(net, nodes, alive, known, initial_energy, bus);
 
@@ -137,9 +139,10 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
     if (node->has_work()) workers.push_back(node);
   }
 
+  std::vector<ChargerNode*> participants;
   for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
     for (int c = 0; c < colors; ++c) {
-      std::vector<ChargerNode*> participants;
+      participants.clear();
       for (ChargerNode* node : workers) {
         if (node->begin_stage(k, c)) participants.push_back(node);
       }
@@ -158,11 +161,11 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
         }
         ++result.rounds;
         for (ChargerNode* node : participants) {
-          if (auto msg = node->make_value_message()) bus.broadcast(*msg);
+          if (auto msg = node->make_value_message()) bus.broadcast(std::move(*msg));
         }
         bus.flush_round();
         for (ChargerNode* node : participants) {
-          if (auto msg = node->try_commit()) bus.broadcast(*msg);
+          if (auto msg = node->try_commit()) bus.broadcast(std::move(*msg));
         }
         bus.flush_round();
       }
@@ -227,6 +230,13 @@ const NegotiationRecord* OnlineSession::on_arrival(
       throw std::invalid_argument("OnlineSession: task " + std::to_string(j) +
                                   " released twice");
     }
+  }
+  std::vector<model::TaskIndex> batch(tasks);
+  std::sort(batch.begin(), batch.end());
+  const auto repeat = std::adjacent_find(batch.begin(), batch.end());
+  if (repeat != batch.end()) {
+    throw std::invalid_argument("OnlineSession: task " + std::to_string(*repeat) +
+                                " released twice in one batch");
   }
   last_event_slot_ = slot;
   if (predictor_ != nullptr &&
@@ -321,9 +331,10 @@ void OnlineSession::prewarm(const std::vector<model::TaskIndex>& batch) {
 const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
                                                ReplanTrigger trigger) {
   // Re-planning is modeled as instantaneous computation whose *effect* is
-  // delayed by tau slots (the rescheduling delay).
-  const model::SlotIndex plan_start =
-      std::min<model::SlotIndex>(event_slot + net_.time().tau, net_.horizon());
+  // delayed by tau slots (the rescheduling delay). Summed in 64 bits: an
+  // event slot near the index limit must not wrap to a negative plan start.
+  const auto plan_start = static_cast<model::SlotIndex>(std::min<std::int64_t>(
+      std::int64_t{event_slot} + net_.time().tau, net_.horizon()));
   if (plan_start >= net_.horizon() || known_.empty()) return nullptr;
   ++result_.negotiations;
   const std::int64_t started_us = obs::Tracer::now_us();
@@ -363,13 +374,17 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   if (negotiated) {
     const core::MarginalEngine::Config engine_config{config_.colors, config_.samples,
                                                      config_.seed};
+    if (table_ == nullptr) {
+      table_ = std::make_shared<const core::kernels::UtilityTable>(
+          core::kernels::UtilityTable::from(net_));
+    }
     if (config_.reuse_nodes) {
       persistent_nodes_.resize(static_cast<std::size_t>(net_.charger_count()));
       for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
         if (!alive_[static_cast<std::size_t>(i)]) continue;
         auto& slot = persistent_nodes_[static_cast<std::size_t>(i)];
         if (slot == nullptr) {
-          slot = std::make_unique<ChargerNode>(net_, i, engine_config, config_.mode);
+          slot = std::make_unique<ChargerNode>(net_, i, engine_config, config_.mode, table_);
         }
         fleet.push_back(slot.get());
       }
@@ -377,7 +392,7 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
       for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
         if (!alive_[static_cast<std::size_t>(i)]) continue;
         scratch_nodes.push_back(
-            std::make_unique<ChargerNode>(net_, i, engine_config, config_.mode));
+            std::make_unique<ChargerNode>(net_, i, engine_config, config_.mode, table_));
         fleet.push_back(scratch_nodes.back().get());
       }
     }

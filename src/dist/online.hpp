@@ -127,7 +127,8 @@ class OnlineSession {
   /// re-plan, or nullptr when none ran (nothing known yet or the plan would
   /// start past the horizon). The pointer is valid until the next event.
   /// Throws std::invalid_argument on a slot regression, an out-of-range
-  /// task index, or a task released twice; std::logic_error after finish().
+  /// task index, or a task released twice (also within `tasks`), before
+  /// changing any state; std::logic_error after finish().
   const NegotiationRecord* on_arrival(model::SlotIndex slot,
                                       const std::vector<model::TaskIndex>& tasks);
 
@@ -166,6 +167,9 @@ class OnlineSession {
   /// Per-charger negotiation state under reuse_nodes (lazily constructed on
   /// the first re-plan a charger is alive for); unused otherwise.
   std::vector<std::unique_ptr<ChargerNode>> persistent_nodes_;
+  /// The network's utility table, built at the first negotiated re-plan and
+  /// shared by every node engine of the session.
+  std::shared_ptr<const core::kernels::UtilityTable> table_;
   OnlineResult result_;
   model::SlotIndex last_event_slot_ = 0;
   bool finished_ = false;

@@ -1,6 +1,9 @@
 #include "serve/session.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "io/scenario_io.hpp"
@@ -30,6 +33,19 @@ std::uint64_t u64_from(const Json& json) {
   const std::uint64_t value = std::stoull(text, &consumed, 10);
   if (consumed != text.size()) throw util::JsonError("malformed u64: " + text);
   return value;
+}
+
+// Slots, task ids and charger ids are 32-bit indices. A JSON number outside
+// that range must be rejected, not narrowed: a cast would wrap 2^32 to 0 and
+// act on the wrong slot, task or charger.
+std::int32_t index_from(const Json& json, const char* field) {
+  const std::int64_t value = json.as_int();
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    throw util::JsonError(std::string(field) + " " + std::to_string(value) +
+                          " is outside the index range");
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 const char* strategy_name(dist::OnlineStrategy strategy) {
@@ -201,15 +217,14 @@ Reply Session::handle_request(const Json& request) {
 
   if (op == "arrive" || op == "fail") {
     if (!opened()) throw std::logic_error("no open session");
-    const model::SlotIndex slot =
-        static_cast<model::SlotIndex>(request.at("slot").as_int());
+    const model::SlotIndex slot = index_from(request.at("slot"), "slot");
     const dist::NegotiationRecord* record = nullptr;
     if (op == "arrive") {
       const Json& tasks_json = request.at("tasks");
       std::vector<model::TaskIndex> tasks;
       tasks.reserve(tasks_json.size());
       for (std::size_t t = 0; t < tasks_json.size(); ++t) {
-        tasks.push_back(static_cast<model::TaskIndex>(tasks_json.at(t).as_int()));
+        tasks.push_back(index_from(tasks_json.at(t), "task"));
       }
       if (request.contains("deadlines")) {
         // Optional deadline echo: an arriving batch may restate its tasks'
@@ -230,8 +245,7 @@ Reply Session::handle_request(const Json& request) {
       }
       record = online_->on_arrival(slot, tasks);
     } else {
-      const model::ChargerIndex charger =
-          static_cast<model::ChargerIndex>(request.at("charger").as_int());
+      const model::ChargerIndex charger = index_from(request.at("charger"), "charger");
       record = online_->on_failure(charger, slot);
     }
     Json reply = Json::object();

@@ -295,6 +295,11 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
   const double value = as_number();
+  // Casting a double outside the int64 range is undefined; reject it first
+  // (the negated test also rejects NaN).
+  if (!(value >= -0x1p63 && value < 0x1p63)) {
+    throw JsonError("number is outside the int64 range");
+  }
   const auto integral = static_cast<std::int64_t>(value);
   if (static_cast<double>(integral) != value) throw JsonError("number is not integral");
   return integral;

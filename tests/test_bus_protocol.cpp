@@ -1,6 +1,7 @@
 // Tests for dist/protocol.hpp and dist/bus.hpp — the message substrate.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -37,13 +38,22 @@ TEST(Protocol, DescribeMentionsCommand) {
   EXPECT_NE(msg.describe().find("HELLO"), std::string::npos);
 }
 
+/// A bus endpoint that records what it receives and optionally reacts.
+struct Recorder {
+  std::vector<Message> received;
+  std::function<void(const Message&)> react;
+
+  void receive(const Message& message) {
+    received.push_back(message);
+    if (react) react(message);
+  }
+};
+
 class BusFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     for (model::ChargerIndex i = 0; i < 3; ++i) {
-      bus_.register_node(i, [this, i](const Message& m) {
-        received_[static_cast<std::size_t>(i)].push_back(m);
-      });
+      bus_.register_node(i, &nodes_[static_cast<std::size_t>(i)]);
     }
     // Line topology: 0 - 1 - 2.
     bus_.set_neighbors(0, {1});
@@ -51,24 +61,26 @@ class BusFixture : public ::testing::Test {
     bus_.set_neighbors(2, {1});
   }
 
-  BroadcastBus bus_;
-  std::vector<Message> received_[3];
+  const std::vector<Message>& received(std::size_t i) const { return nodes_[i].received; }
+
+  BroadcastBus<Recorder> bus_;
+  Recorder nodes_[3];
 };
 
 TEST_F(BusFixture, BroadcastReachesOnlyNeighbors) {
   bus_.broadcast(value_msg(0));
   bus_.flush_round();
-  EXPECT_TRUE(received_[0].empty());
-  ASSERT_EQ(received_[1].size(), 1u);
-  EXPECT_EQ(received_[1][0].sender, 0);
-  EXPECT_TRUE(received_[2].empty());
+  EXPECT_TRUE(received(0).empty());
+  ASSERT_EQ(received(1).size(), 1u);
+  EXPECT_EQ(received(1)[0].sender, 0);
+  EXPECT_TRUE(received(2).empty());
 }
 
 TEST_F(BusFixture, MiddleNodeReachesBoth) {
   bus_.broadcast(value_msg(1));
   bus_.flush_round();
-  EXPECT_EQ(received_[0].size(), 1u);
-  EXPECT_EQ(received_[2].size(), 1u);
+  EXPECT_EQ(received(0).size(), 1u);
+  EXPECT_EQ(received(2).size(), 1u);
 }
 
 TEST_F(BusFixture, StatsCountBroadcastsAndDeliveries) {
@@ -86,28 +98,28 @@ TEST_F(BusFixture, StatsCountBroadcastsAndDeliveries) {
 TEST_F(BusFixture, RepliesLandInTheNextRound) {
   // Node 1 echoes whatever it receives. The echo must not be delivered in
   // the same flush.
-  BroadcastBus bus;
-  int echoes_seen_by_0 = 0;
-  bus.register_node(0, [&](const Message& m) {
-    if (m.command == Command::kUpdate) ++echoes_seen_by_0;
-  });
-  bus.register_node(1, [&bus](const Message& m) {
+  BroadcastBus<Recorder> bus;
+  Recorder first;
+  Recorder echo;
+  echo.react = [&bus](const Message& m) {
     if (m.command == Command::kValue) {
       Message reply;
       reply.sender = 1;
       reply.command = Command::kUpdate;
-      (void)m;
       bus.broadcast(reply);
     }
-  });
+  };
+  bus.register_node(0, &first);
+  bus.register_node(1, &echo);
   bus.set_neighbors(0, {1});
   bus.set_neighbors(1, {0});
 
   bus.broadcast(value_msg(0));
   EXPECT_EQ(bus.flush_round(), 1u);  // VALUE delivered, UPDATE queued
-  EXPECT_EQ(echoes_seen_by_0, 0);
+  EXPECT_TRUE(first.received.empty());
   EXPECT_EQ(bus.flush_round(), 1u);  // UPDATE delivered
-  EXPECT_EQ(echoes_seen_by_0, 1);
+  ASSERT_EQ(first.received.size(), 1u);
+  EXPECT_EQ(first.received[0].command, Command::kUpdate);
   EXPECT_TRUE(bus.idle());
 }
 
@@ -117,20 +129,23 @@ TEST_F(BusFixture, FlushOnEmptyIsNoRound) {
 }
 
 TEST(Bus, DuplicateRegistrationRejected) {
-  BroadcastBus bus;
-  bus.register_node(0, [](const Message&) {});
-  EXPECT_THROW(bus.register_node(0, [](const Message&) {}), std::invalid_argument);
+  BroadcastBus<Recorder> bus;
+  Recorder a;
+  Recorder b;
+  bus.register_node(0, &a);
+  EXPECT_THROW(bus.register_node(0, &b), std::invalid_argument);
 }
 
 TEST(Bus, UnknownSenderRejected) {
-  BroadcastBus bus;
-  bus.register_node(0, [](const Message&) {});
+  BroadcastBus<Recorder> bus;
+  Recorder a;
+  bus.register_node(0, &a);
   Message msg = value_msg(5);
   EXPECT_THROW(bus.broadcast(msg), std::invalid_argument);
 }
 
 TEST(Bus, NeighborsOfUnknownNodeRejected) {
-  BroadcastBus bus;
+  BroadcastBus<Recorder> bus;
   EXPECT_THROW(bus.set_neighbors(2, {0}), std::invalid_argument);
 }
 

@@ -306,6 +306,31 @@ TEST(OnlineSession, ValidatesEventOrderAndIndices) {
   EXPECT_THROW(session.finish(), std::logic_error);
 }
 
+TEST(OnlineSession, TaskRepeatedWithinOneBatchIsRejected) {
+  // A batch naming a task twice would release it twice: it is rejected,
+  // or known_tasks would count the task twice and negotiate over both.
+  util::Rng rng(403);
+  const model::Network net = random_network(rng, 3, 6, 4);
+  OnlineConfig config;
+  config.colors = 2;
+  config.samples = 4;
+  OnlineSession session(net, config);
+  EXPECT_THROW(session.on_arrival(1, {2, 0, 2}), std::invalid_argument);
+  EXPECT_EQ(session.known_tasks(), 0u);  // rejected before any state changed
+
+  // The same batch without the repeat is then accepted and re-plans like a
+  // session that never saw the bad batch.
+  const NegotiationRecord* record = session.on_arrival(1, {2, 0});
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(session.known_tasks(), 2u);
+  OnlineSession fresh(net, config);
+  const NegotiationRecord* reference = fresh.on_arrival(1, {2, 0});
+  ASSERT_NE(reference, nullptr);
+  EXPECT_EQ(record->known_tasks, 2u);
+  EXPECT_EQ(record->messages, reference->messages);
+  EXPECT_EQ(record->rounds, reference->rounds);
+}
+
 TEST(OnlineSession, RepeatedFailureOfADeadChargerIsANoOp) {
   util::Rng rng(402);
   const model::Network net = random_network(rng, 3, 5, 4);

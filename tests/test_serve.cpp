@@ -488,6 +488,62 @@ TEST(Serve, MetricsListenerIsOffByDefault) {
   EXPECT_TRUE(daemon.server->metrics_address().empty());
 }
 
+/// The NDJSON line opening a session on `net` under `config`.
+std::string open_line(const model::Network& net, const dist::OnlineConfig& config) {
+  Json request = Json::object();
+  request.set("op", "open");
+  request.set("scenario", io::network_to_json(net));
+  request.set("config", online_config_to_json(config));
+  return request.dump();
+}
+
+/// Feeds `line` to a freshly opened session and returns its reply.
+Reply reply_after_open(const std::string& line) {
+  util::Rng rng(61);
+  const model::Network net = testing_helpers::random_network(rng, 3, 6, 4);
+  Session session;
+  const Json opened = Json::parse(session.handle_line(open_line(net, small_config(61))).line);
+  EXPECT_TRUE(opened.bool_or("ok", false));
+  return session.handle_line(line);
+}
+
+TEST(ServeSession, TaskRepeatedWithinOneArriveLineIsAnError) {
+  const Reply reply = reply_after_open(R"({"op":"arrive","slot":1,"tasks":[2,0,2]})");
+  const Json parsed = Json::parse(reply.line);
+  EXPECT_FALSE(parsed.bool_or("ok", true));
+  EXPECT_EQ(parsed.string_or("op", ""), "error");
+  EXPECT_NE(parsed.string_or("message", "").find("released twice"), std::string::npos)
+      << reply.line;
+  EXPECT_TRUE(reply.close);
+}
+
+TEST(ServeSession, IndicesOutsideInt32AreErrorsNotNarrowed) {
+  // Narrowed to 32 bits, 2^32 is 0 and 2^32 + 1 is 1: accepting these lines
+  // would act on slot 0, task 0 or charger 1.
+  for (const char* line : {R"({"op":"arrive","slot":4294967296,"tasks":[4294967296]})",
+                           R"({"op":"arrive","slot":0,"tasks":[4294967296]})",
+                           R"({"op":"fail","slot":0,"charger":4294967297})",
+                           R"({"op":"arrive","slot":-2147483649,"tasks":[0]})",
+                           R"({"op":"arrive","slot":1e300,"tasks":[0]})"}) {
+    const Reply reply = reply_after_open(line);
+    const Json parsed = Json::parse(reply.line);
+    EXPECT_FALSE(parsed.bool_or("ok", true)) << line;
+    EXPECT_EQ(parsed.string_or("op", ""), "error") << line;
+    EXPECT_NE(parsed.string_or("message", "").find("outside"), std::string::npos)
+        << line << " -> " << reply.line;
+    EXPECT_TRUE(reply.close) << line;
+  }
+  // The largest in-range values reach the scheduler: a charger id past the
+  // fleet is its error, and a slot past the horizon re-plans nothing.
+  const Json failed = Json::parse(
+      reply_after_open(R"({"op":"fail","slot":0,"charger":2147483647})").line);
+  EXPECT_NE(failed.string_or("message", "").find("out of range"), std::string::npos);
+  const Json late = Json::parse(
+      reply_after_open(R"({"op":"arrive","slot":2147483647,"tasks":[0]})").line);
+  EXPECT_TRUE(late.bool_or("ok", false)) << late.dump();
+  EXPECT_FALSE(late.bool_or("replanned", true));
+}
+
 TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
   dist::OnlineConfig config;
   config.strategy = dist::OnlineStrategy::kHasteSequential;

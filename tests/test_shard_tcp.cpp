@@ -12,10 +12,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -273,16 +277,39 @@ TEST(ShardTcpAuth, SilentWorkerIsRejectedNotAdmitted) {
 TEST(ShardTcpAuth, RejectedTcpWorkersDoNotPoisonAHybridPool) {
   // Wrong-token TCP spawns keep getting rejected, but a pipe worker in the
   // same pool completes every shard: rejection starves only the bad
-  // transport, never corrupts the run.
+  // transport, never corrupts the run. The pipe worker serves only once the
+  // shard runner has counted a rejection: left free, it could finish every
+  // shard before any wrong-token spawn dialed in, and the run would end with
+  // no rejection to observe.
   const std::uint64_t rejects_before = counter_value("shard.auth_reject");
+  const std::string gate =
+      ::testing::TempDir() + "shard_tcp_gate_" + std::to_string(::getpid());
+  std::remove(gate.c_str());
   ShardOptions options = tcp_options(1);
   options.auth_token = "right-secret";
   options.tcp_spawn_argv = {self_exe(), "--token", "wrong-secret", "--connect"};
-  options.worker_argv = {self_exe(), "--worker"};
+  options.worker_argv = {self_exe(), "--worker-after", gate};
   options.workers = 1;
   const TrialResults reference = run_trials(tiny_config(), tiny_variants(), 6, 44);
-  const TrialResults sharded =
-      run_trials_sharded(tiny_config(), tiny_variants(), 6, 44, options);
+  TrialResults sharded;
+  {
+    // Opens the gate on the first counted rejection. Bounded, so a run that
+    // never rejects fails the expectation below instead of hanging.
+    std::jthread opener([&](std::stop_token stop) {
+#ifdef HASTE_OBS
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (!stop.stop_requested() && counter_value("shard.auth_reject") <= rejects_before &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+#else
+      (void)stop;
+#endif
+      std::ofstream(gate) << "open\n";
+    });
+    sharded = run_trials_sharded(tiny_config(), tiny_variants(), 6, 44, options);
+  }
+  std::remove(gate.c_str());
   expect_results_equal(sharded, reference);
 #ifdef HASTE_OBS
   EXPECT_GT(counter_value("shard.auth_reject"), rejects_before);
@@ -370,10 +397,11 @@ TEST(ShardTcp, RejectsTcpOptionsWithoutWorkerBudget) {
 }  // namespace
 }  // namespace haste::sim
 
-// Custom main: `--worker` serves shards on stdin, `--connect HOST:PORT`
-// serves them over TCP (presenting the `--token` shared secret first, when
-// given), and `--silent-connect HOST:PORT` dials in but never authenticates
-// — the misbehaving peer the handshake deadline must evict.
+// Custom main: `--worker` serves shards on stdin (`--worker-after FILE` once
+// FILE exists), `--connect HOST:PORT` serves them over TCP (presenting the
+// `--token` shared secret first, when given), and `--silent-connect
+// HOST:PORT` dials in but never authenticates — the misbehaving peer the
+// handshake deadline must evict.
 int main(int argc, char** argv) {
   std::string token;
   for (int i = 1; i + 1 < argc; ++i) {
@@ -381,6 +409,16 @@ int main(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--worker") == 0) {
+      return haste::sim::shard_worker_main(std::cin, std::cout);
+    }
+    if (std::strcmp(argv[i], "--worker-after") == 0 && i + 1 < argc) {
+      // A pipe worker that starts serving once the file argv[i + 1] exists
+      // (waiting at most two minutes), so a test can hold it back until the
+      // shard runner has done something else first.
+      for (int waited_ms = 0; waited_ms < 120000 && ::access(argv[i + 1], F_OK) != 0;
+           waited_ms += 5) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
       return haste::sim::shard_worker_main(std::cin, std::cout);
     }
     if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
