@@ -36,8 +36,8 @@ model::Network make_network(int chargers, int tasks, std::uint64_t seed = 7) {
 /// the twins then isolates the pure deadline plumbing overhead, which
 /// bench_compare --check caps at 5%. BOTH twins go through this rebuild —
 /// reconstructing only the dl:1 net was measurably confounded by heap-layout
-/// luck (a freshly-copied net vs. the long-lived base differed by ~5% on the
-/// incremental rows with zero difference in work performed).
+/// luck (a freshly-copied net vs. the long-lived base differed by ~5% with
+/// zero difference in work performed).
 model::Network remake_network(const model::Network& base, bool inert_deadlines) {
   std::vector<model::Task> tasks = base.tasks();
   if (inert_deadlines) {
@@ -93,9 +93,9 @@ void BM_MarginalEvaluation(benchmark::State& state) {
   std::size_t p = 0;
   for (auto _ : state) {
     const auto& partition = partitions[p % partitions.size()];
-    for (const core::Policy& policy : partition.policies) {
+    for (std::size_t q = 0; q < partition.policies.size(); ++q) {
       benchmark::DoNotOptimize(
-          engine.marginal(partition.charger, partition.slot, policy, 0));
+          engine.marginal(partition.charger, partition.slot, partition.policy_rows(q), 0));
     }
     ++p;
   }
@@ -159,34 +159,43 @@ void GlobalGreedyModeArgs(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_GlobalGreedyMode)->Apply(GlobalGreedyModeArgs);
 
+/// 1 when two offline results carry the same planned-utility bits and the
+/// same schedule, else 0.
+double same_offline_result(const model::Network& net, const core::OfflineResult& a,
+                           const core::OfflineResult& b) {
+  if (a.planned_relaxed_utility != b.planned_relaxed_utility) return 0.0;
+  for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
+      if (a.schedule.assignment(i, k) != b.schedule.assignment(i, k)) return 0.0;
+    }
+  }
+  return 1.0;
+}
+
 void BM_OfflineTabular(benchmark::State& state) {
   // TabularGreedy (Algorithm 2) at the paper's C = 4 / S = 16 panel across
-  // instance scales, incremental vs rebuild marginal evaluation, with the
-  // data-oriented kernel layer toggled per config. `row_evals` counts
-  // per-(row, sample) utility-delta evaluations, `marginal_evals` full
-  // oracle calls, and `matches_rebuild` is 1 when the schedule is
-  // bit-identical to the rebuild reference (it must always be). The
-  // reference is always computed with the kernels OFF, so kernels:1 rows
-  // certify the kernel path against the scalar rebuild path directly.
+  // instance scales, with the data-oriented kernel layer toggled per config.
+  // `row_evals` counts per-(row, sample) utility-delta evaluations,
+  // `marginal_evals` full oracle calls, and `matches_scalar` is 1 when the
+  // schedule is bit-identical to the kernels-off (scalar) run (it must
+  // always be); bench_compare --check pins the kernels:1 rows at >= 1.8x the
+  // kernels:0 rows at the top scale.
   // The dl axis swaps in the inert-deadline twin (factors all exactly 1, so
   // schedules and counters stay bit-identical to dl:0); bench_compare
   // --check caps the dl:1 wall-clock overhead at 5% of the dl:0 twin's.
   const int n = static_cast<int>(state.range(0));
-  const bool kernels = state.range(2) != 0;
-  const bool deadline_shape = state.range(3) != 0;
+  const bool kernels = state.range(1) != 0;
+  const bool deadline_shape = state.range(2) != 0;
   const model::Network base_net = make_network(n, 4 * n);
   const model::Network net = remake_network(base_net, deadline_shape);
   const auto partitions = core::build_partitions(net);
   core::OfflineConfig config;
   config.colors = 4;
   config.samples = 16;
-  config.mode = static_cast<core::TabularMode>(state.range(1));
-  core::OfflineConfig reference_config = config;
-  reference_config.mode = core::TabularMode::kRebuild;
-  core::OfflineResult reference;
+  core::OfflineResult scalar;
   {
-    util::ScopedKernelToggle scalar_reference(false);
-    reference = core::schedule_offline_over(net, partitions, reference_config, {});
+    util::ScopedKernelToggle off(false);
+    scalar = core::schedule_offline_over(net, partitions, config, {});
   }
   util::ScopedKernelToggle toggle(kernels);
   core::OfflineResult result;
@@ -195,21 +204,12 @@ void BM_OfflineTabular(benchmark::State& state) {
     double utility = result.planned_relaxed_utility;
     benchmark::DoNotOptimize(utility);
   }
-  bool matches = result.planned_relaxed_utility == reference.planned_relaxed_utility;
-  for (model::ChargerIndex i = 0; matches && i < net.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      if (result.schedule.assignment(i, k) != reference.schedule.assignment(i, k)) {
-        matches = false;
-        break;
-      }
-    }
-  }
   state.counters["row_evals"] = static_cast<double>(result.row_evaluations);
   state.counters["marginal_evals"] = static_cast<double>(result.marginal_evaluations);
-  state.counters["matches_rebuild"] = matches ? 1.0 : 0.0;
+  state.counters["matches_scalar"] = same_offline_result(net, result, scalar);
 }
 void OfflineTabularArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"n", "mode", "kernels", "dl"});
+  bench->ArgNames({"n", "kernels", "dl"});
   // bench_compare --check gates ratios between these rows (kernel >= 1.8x,
   // deadline plumbing <= 5%); the default 0.5 s budget gives the n:100 rows
   // only ~4 iterations, which is visibly flaky at those thresholds. Even at
@@ -220,15 +220,12 @@ void OfflineTabularArgs(benchmark::internal::Benchmark* bench) {
   bench->Repetitions(3);
   bench->ReportAggregatesOnly(true);
   for (const int n : {10, 25, 50, 100}) {
-    for (const core::TabularMode mode :
-         {core::TabularMode::kRebuild, core::TabularMode::kIncremental}) {
-      for (const int kernels : {0, 1}) {
-        bench->Args({n, static_cast<int>(mode), kernels, 0});
-        // Inert-deadline twins only at the top scale: that is where the
-        // plumbing-overhead pin applies, and the small scales are
-        // setup-dominated noise.
-        if (n == 100) bench->Args({n, static_cast<int>(mode), kernels, 1});
-      }
+    for (const int kernels : {0, 1}) {
+      bench->Args({n, kernels, 0});
+      // Inert-deadline twins only at the top scale: that is where the
+      // plumbing-overhead pin applies, and the small scales are
+      // setup-dominated noise.
+      if (n == 100) bench->Args({n, kernels, 1});
     }
   }
 }
@@ -236,43 +233,31 @@ BENCHMARK(BM_OfflineTabular)->Apply(OfflineTabularArgs);
 
 void BM_DeadlineSweep(benchmark::State& state) {
   // TabularGreedy on a genuinely deadline-tight instance (every task under a
-  // harsh linear decay): the discounted-row construction, the hard drop of
-  // zero-factor rows, and the mismatched-delta cache bypasses all run on the
-  // hot path here. The scalar-rebuild reference certifies that the
-  // kernel/incremental paths stay bit-identical on deadline instances at
-  // bench scale, not just on the small differential-test instances.
+  // harsh linear decay): the discounted-row construction and the hard drop
+  // of zero-factor rows run on the hot path here. The kernels-off reference
+  // certifies that the kernel path stays bit-identical on deadline instances
+  // at bench scale, not just on the small differential-test instances.
   const int n = static_cast<int>(state.range(0));
   const model::Network net = make_tight_deadline_network(n, 4 * n);
   const auto partitions = core::build_partitions(net);
   core::OfflineConfig config;
   config.colors = 4;
   config.samples = 16;
-  config.mode = core::TabularMode::kIncremental;
-  core::OfflineConfig reference_config = config;
-  reference_config.mode = core::TabularMode::kRebuild;
-  core::OfflineResult reference;
+  core::OfflineResult scalar;
   {
-    util::ScopedKernelToggle scalar_reference(false);
-    reference = core::schedule_offline_over(net, partitions, reference_config, {});
+    util::ScopedKernelToggle off(false);
+    scalar = core::schedule_offline_over(net, partitions, config, {});
   }
+  util::ScopedKernelToggle on(true);
   core::OfflineResult result;
   for (auto _ : state) {
     result = core::schedule_offline_over(net, partitions, config, {});
     double utility = result.planned_relaxed_utility;
     benchmark::DoNotOptimize(utility);
   }
-  bool matches = result.planned_relaxed_utility == reference.planned_relaxed_utility;
-  for (model::ChargerIndex i = 0; matches && i < net.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      if (result.schedule.assignment(i, k) != reference.schedule.assignment(i, k)) {
-        matches = false;
-        break;
-      }
-    }
-  }
   state.counters["row_evals"] = static_cast<double>(result.row_evaluations);
   state.counters["marginal_evals"] = static_cast<double>(result.marginal_evaluations);
-  state.counters["matches_rebuild"] = matches ? 1.0 : 0.0;
+  state.counters["matches_scalar"] = same_offline_result(net, result, scalar);
 }
 BENCHMARK(BM_DeadlineSweep)->ArgName("n")->Arg(25)->Arg(50);
 

@@ -24,16 +24,15 @@ class Search {
       for (std::size_t j = 0; j < m; ++j) {
         remaining_[p * m + j] = remaining_[(p + 1) * m + j];
       }
-      for (const core::Policy& policy : partitions_[p].policies) {
-        for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-          const auto j = static_cast<std::size_t>(policy.tasks[t]);
-          // A partition can run at most one policy, so the per-partition
-          // best-case contribution to j is the max over its policies.
-          // We conservatively take max(previous, this delivery).
-          remaining_[p * m + j] =
-              std::max(remaining_[p * m + j],
-                       remaining_[(p + 1) * m + j] + policy.slot_energy[t]);
-        }
+      const core::PolicyPartition& partition = partitions_[p];
+      for (std::size_t t = 0; t < partition.flat_tasks.size(); ++t) {
+        const auto j = static_cast<std::size_t>(partition.flat_tasks[t]);
+        // A partition can run at most one policy, so the per-partition
+        // best-case contribution to j is the max over its policies.
+        // We conservatively take max(previous, this delivery).
+        remaining_[p * m + j] =
+            std::max(remaining_[p * m + j],
+                     remaining_[(p + 1) * m + j] + partition.flat_energy[t]);
       }
     }
 
@@ -52,10 +51,9 @@ class Search {
     result.schedule = model::Schedule(net_.charger_count(), net_.horizon());
     for (std::size_t p = 0; p < partitions_.size(); ++p) {
       if (best_choice_[p] >= 0) {
-        const core::Policy& policy =
-            partitions_[p].policies[static_cast<std::size_t>(best_choice_[p])];
-        result.schedule.assign(partitions_[p].charger, partitions_[p].slot,
-                               policy.orientation);
+        result.schedule.assign(
+            partitions_[p].charger, partitions_[p].slot,
+            partitions_[p].policies[static_cast<std::size_t>(best_choice_[p])].orientation);
       }
     }
     return result;
@@ -94,14 +92,14 @@ class Search {
     std::vector<std::pair<double, int>> order;
     order.reserve(partition.policies.size());
     for (std::size_t q = 0; q < partition.policies.size(); ++q) {
-      order.emplace_back(immediate_gain(partition.policies[q]), static_cast<int>(q));
+      order.emplace_back(immediate_gain(partition.policy_rows(q)), static_cast<int>(q));
     }
     std::sort(order.begin(), order.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
 
     for (const auto& [gain, q] : order) {
-      const core::Policy& policy = partition.policies[static_cast<std::size_t>(q)];
-      const std::vector<Saved> saved = apply(policy);
+      const std::vector<Saved> saved =
+          apply(partition.policy_rows(static_cast<std::size_t>(q)));
       choice_[p] = q;
       dfs(p + 1, current + gain);
       choice_[p] = -1;
@@ -111,12 +109,12 @@ class Search {
     dfs(p + 1, current);  // leave this partition empty
   }
 
-  double immediate_gain(const core::Policy& policy) const {
+  double immediate_gain(const core::kernels::RowView& policy) const {
     double gain = 0.0;
-    for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
+    for (std::size_t t = 0; t < policy.size(); ++t) {
       const auto j = static_cast<std::size_t>(policy.tasks[t]);
       gain += net_.weighted_task_utility(static_cast<model::TaskIndex>(j),
-                                         energy_[j] + policy.slot_energy[t]) -
+                                         energy_[j] + policy.delta[t]) -
               utility_[j];
     }
     return gain;
@@ -130,13 +128,13 @@ class Search {
     double utility;
   };
 
-  std::vector<Saved> apply(const core::Policy& policy) {
+  std::vector<Saved> apply(const core::kernels::RowView& policy) {
     std::vector<Saved> saved;
-    saved.reserve(policy.tasks.size());
-    for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
+    saved.reserve(policy.size());
+    for (std::size_t t = 0; t < policy.size(); ++t) {
       const auto j = static_cast<std::size_t>(policy.tasks[t]);
       saved.push_back({j, energy_[j], utility_[j]});
-      energy_[j] += policy.slot_energy[t];
+      energy_[j] += policy.delta[t];
       utility_[j] =
           net_.weighted_task_utility(static_cast<model::TaskIndex>(j), energy_[j]);
     }

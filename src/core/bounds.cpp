@@ -46,10 +46,12 @@ UpperBounds relaxed_upper_bounds(const model::Network& net) {
   const std::vector<PolicyPartition> partitions = build_partitions(net);
   for (const PolicyPartition& partition : partitions) {
     double best = 0.0;
-    for (const Policy& policy : partition.policies) {
+    for (std::size_t q = 0; q < partition.policies.size(); ++q) {
+      const auto tasks = partition.policy_tasks(q);
+      const auto energy = partition.policy_energy(q);
       double gain = 0.0;
-      for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-        gain += slope[static_cast<std::size_t>(policy.tasks[t])] * policy.slot_energy[t];
+      for (std::size_t t = 0; t < tasks.size(); ++t) {
+        gain += slope[static_cast<std::size_t>(tasks[t])] * energy[t];
       }
       best = std::max(best, gain);
     }

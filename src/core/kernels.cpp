@@ -62,9 +62,9 @@ void row_terms_impl(const ShapeOp& op, const UtilityTable& table,
   const model::TaskIndex* tasks = rows.tasks.data();
   const double* delta = rows.delta.data();
   if (!rows.weight.empty()) {
-    // Finalized CSR rows carry their own weight/required columns: the loop
-    // body is one indexed gather (energy) plus contiguous loads, which the
-    // compiler can unroll and vectorize around the division.
+    // Pre-gathered weight/required columns (a partition's column index):
+    // the loop body is one indexed gather (energy) plus contiguous loads,
+    // which the compiler can unroll and vectorize around the division.
     const double* weight = rows.weight.data();
     const double* required = rows.required.data();
     for (std::size_t t = 0; t < n; ++t) {

@@ -12,8 +12,9 @@
 //    shape-specific clamp, and a multiply on contiguous arrays.
 //  * RowView — one batch of policy rows in SoA form: parallel (task, delta)
 //    columns, optionally extended with per-row (weight, required) columns
-//    gathered once at PolicyPartition::finalize so the hot loop performs a
-//    single indexed gather (the current energy) instead of three.
+//    gathered once at build_partitions (a partition's deduplicated columns)
+//    so the hot loop performs a single indexed gather (the current energy)
+//    instead of three.
 //  * row_terms / row_term_sum — the batched alpha/(d+beta)^2-fed power-law
 //    utility-delta kernel: evaluate every row of a policy (or every column
 //    of a partition cache) in one flat, branch-light loop the compiler can
@@ -80,8 +81,8 @@ struct UtilityTable {
 
 /// One batch of policy rows in SoA form. `weight`/`required` are either
 /// empty (the kernels gather them from the UtilityTable by task id) or
-/// parallel to `tasks` (the pre-gathered CSR columns of a finalized
-/// PolicyPartition — one fewer gather per row in the hot loop).
+/// parallel to `tasks` (the pre-gathered column index of a PolicyPartition —
+/// one fewer gather per row in the hot loop).
 struct RowView {
   std::span<const model::TaskIndex> tasks;
   std::span<const double> delta;     ///< per row: energy added this slot (J)

@@ -14,20 +14,20 @@ class ObjectiveState {
   explicit ObjectiveState(const model::Network& net)
       : net_(&net), energy_(static_cast<std::size_t>(net.task_count()), 0.0) {}
 
-  void add(const Policy& policy, int sign) {
-    for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
+  void add(const kernels::RowView& policy, int sign) {
+    for (std::size_t t = 0; t < policy.size(); ++t) {
       const auto j = static_cast<std::size_t>(policy.tasks[t]);
-      energy_[j] = std::max(0.0, energy_[j] + sign * policy.slot_energy[t]);
+      energy_[j] = std::max(0.0, energy_[j] + sign * policy.delta[t]);
     }
   }
 
   /// Objective delta of applying `sign * policy` without committing.
-  double delta(const Policy& policy, int sign) const {
+  double delta(const kernels::RowView& policy, int sign) const {
     double d = 0.0;
-    for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
+    for (std::size_t t = 0; t < policy.size(); ++t) {
       const auto j = static_cast<std::size_t>(policy.tasks[t]);
       const double before = energy_[j];
-      const double after = std::max(0.0, before + sign * policy.slot_energy[t]);
+      const double after = std::max(0.0, before + sign * policy.delta[t]);
       d += net_->weighted_task_utility(static_cast<model::TaskIndex>(j), after) -
            net_->weighted_task_utility(static_cast<model::TaskIndex>(j), before);
     }
@@ -64,7 +64,7 @@ LocalSearchResult improve_schedule(const model::Network& net,
     for (std::size_t q = 0; q < partitions[p].policies.size(); ++q) {
       if (partitions[p].policies[q].orientation == *assigned) {
         selection[p] = static_cast<int>(q);
-        state.add(partitions[p].policies[q], +1);
+        state.add(partitions[p].policy_rows(q), +1);
         break;
       }
     }
@@ -81,12 +81,12 @@ LocalSearchResult improve_schedule(const model::Network& net,
       // none, possibly the same one back; ties prefer the current choice to
       // avoid churn and pointless switching).
       if (current >= 0) {
-        state.add(partitions[p].policies[static_cast<std::size_t>(current)], -1);
+        state.add(partitions[p].policy_rows(static_cast<std::size_t>(current)), -1);
       }
       int best = -1;
       double best_delta = config.min_gain;  // only strictly positive picks
       for (std::size_t q = 0; q < partitions[p].policies.size(); ++q) {
-        const double d = state.delta(partitions[p].policies[q], +1);
+        const double d = state.delta(partitions[p].policy_rows(q), +1);
         const bool better =
             d > best_delta + config.min_gain ||
             (static_cast<int>(q) == current && d >= best_delta - config.min_gain);
@@ -96,7 +96,7 @@ LocalSearchResult improve_schedule(const model::Network& net,
         }
       }
       if (best >= 0) {
-        state.add(partitions[p].policies[static_cast<std::size_t>(best)], +1);
+        state.add(partitions[p].policy_rows(static_cast<std::size_t>(best)), +1);
       }
       if (best != current) ++result.swaps;
       selection[p] = best;

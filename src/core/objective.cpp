@@ -9,67 +9,6 @@
 
 namespace haste::core {
 
-void PolicyPartition::finalize() {
-  row_offsets.clear();
-  flat_tasks.clear();
-  flat_energy.clear();
-  flat_weight.clear();
-  flat_required.clear();
-  flat_col.clear();
-  col_task.clear();
-  col_delta.clear();
-  col_weight.clear();
-  col_required.clear();
-  row_offsets.reserve(policies.size() + 1);
-  std::size_t rows = 0;
-  for (const Policy& policy : policies) rows += policy.tasks.size();
-  flat_tasks.reserve(rows);
-  flat_energy.reserve(rows);
-  row_offsets.push_back(0);
-  for (const Policy& policy : policies) {
-    flat_tasks.insert(flat_tasks.end(), policy.tasks.begin(), policy.tasks.end());
-    flat_energy.insert(flat_energy.end(), policy.slot_energy.begin(),
-                       policy.slot_energy.end());
-    row_offsets.push_back(static_cast<std::int32_t>(flat_tasks.size()));
-  }
-}
-
-void PolicyPartition::finalize(const model::Network& net) {
-  finalize();
-  const auto& tasks = net.tasks();
-  flat_weight.reserve(flat_tasks.size());
-  flat_required.reserve(flat_tasks.size());
-  for (model::TaskIndex j : flat_tasks) {
-    const model::Task& task = tasks[static_cast<std::size_t>(j)];
-    flat_weight.push_back(task.weight);
-    flat_required.push_back(task.required_energy);
-  }
-  // Column index: dedup the flat rows on exact (task, delta) equality. The
-  // linear scan is fine — partitions hold a handful of distinct columns. Keyed
-  // on both fields for safety even though delta is task-determined here; a
-  // row whose delta is NaN never matches and simply gets its own column.
-  flat_col.reserve(flat_tasks.size());
-  for (std::size_t t = 0; t < flat_tasks.size(); ++t) {
-    const model::TaskIndex j = flat_tasks[t];
-    const double d = flat_energy[t];
-    std::int32_t col = -1;
-    for (std::size_t cidx = 0; cidx < col_task.size(); ++cidx) {
-      if (col_task[cidx] == j && col_delta[cidx] == d) {
-        col = static_cast<std::int32_t>(cidx);
-        break;
-      }
-    }
-    if (col < 0) {
-      col = static_cast<std::int32_t>(col_task.size());
-      col_task.push_back(j);
-      col_delta.push_back(d);
-      col_weight.push_back(flat_weight[t]);
-      col_required.push_back(flat_required[t]);
-    }
-    flat_col.push_back(col);
-  }
-}
-
 void make_slot_policies(const model::Network& net, model::ChargerIndex i,
                         const std::vector<DominantTaskSet>& dominant, model::SlotIndex slot,
                         SlotPolicies& out) {
@@ -174,21 +113,28 @@ std::vector<PolicyPartition> build_partitions_impl(
     }
   }
   const model::DeadlinePolicy& deadline_policy = net.deadline_policy();
+  const auto& tasks = net.tasks();
   std::vector<PolicyPartition> partitions;
   partitions.reserve(static_cast<std::size_t>(net.horizon() - first_slot) *
                      static_cast<std::size_t>(n));
+  // Each partition is assembled in `staged`, whose buffers stay warm across
+  // the whole build, and then copied out: a copy allocates every CSR array
+  // at exactly its size, one allocation per array however many policies and
+  // rows the partition holds.
+  PolicyPartition staged;
+  // task -> its column in the partition being assembled, -1 when none yet;
+  // reset column by column after every partition.
+  std::vector<std::int32_t> col_of_task(static_cast<std::size_t>(net.task_count()), -1);
   for (model::SlotIndex k = first_slot; k < net.horizon(); ++k) {
     for (model::ChargerIndex i = 0; i < n; ++i) {
-      const auto& sets = resolved[static_cast<std::size_t>(i)];
-      PolicyPartition partition;
-      partition.charger = i;
-      partition.slot = k;
-      partition.policies.reserve(sets.size());
-      for (const ResolvedSet& rows : sets) {
-        Policy policy;
-        policy.orientation = rows.orientation;
-        policy.tasks.reserve(rows.tasks.size());
-        policy.slot_energy.reserve(rows.tasks.size());
+      staged.charger = i;
+      staged.slot = k;
+      staged.policies.clear();
+      staged.row_offsets.assign(1, 0);
+      staged.flat_tasks.clear();
+      staged.flat_energy.clear();
+      for (const ResolvedSet& rows : resolved[static_cast<std::size_t>(i)]) {
+        const std::size_t begin = staged.flat_tasks.size();
         for (std::size_t r = 0; r < rows.tasks.size(); ++r) {
           if (rows.release[r] <= k && k < rows.end[r]) {
             double energy = rows.energy[r];
@@ -206,22 +152,53 @@ std::vector<PolicyPartition> build_partitions_impl(
               if (factor == 0.0) continue;
               if (factor != 1.0) energy *= factor;
             }
-            policy.tasks.push_back(rows.tasks[r]);
-            policy.slot_energy.push_back(energy);
+            staged.flat_tasks.push_back(rows.tasks[r]);
+            staged.flat_energy.push_back(energy);
           }
         }
-        if (policy.tasks.empty()) continue;
-        // Same dedup rule as make_slot_policies: first witness orientation
-        // wins among policies whose active task sets coincide.
-        const bool duplicate =
-            std::any_of(partition.policies.begin(), partition.policies.end(),
-                        [&](const Policy& other) { return other.tasks == policy.tasks; });
-        if (!duplicate) partition.policies.push_back(std::move(policy));
+        // Same rules as make_slot_policies: drop empty policies, and the
+        // first witness orientation wins among policies whose active task
+        // sets coincide.
+        const std::span<const model::TaskIndex> added(staged.flat_tasks.data() + begin,
+                                                      staged.flat_tasks.size() - begin);
+        bool keep = !added.empty();
+        for (std::size_t q = 0; keep && q < staged.policies.size(); ++q) {
+          keep = !std::ranges::equal(staged.policy_tasks(q), added);
+        }
+        if (!keep) {
+          staged.flat_tasks.resize(begin);
+          staged.flat_energy.resize(begin);
+          continue;
+        }
+        staged.policies.push_back(PartitionPolicy{rows.orientation});
+        staged.row_offsets.push_back(static_cast<std::int32_t>(staged.flat_tasks.size()));
       }
-      if (!partition.policies.empty()) {
-        partition.finalize(net);
-        partitions.push_back(std::move(partition));
+      if (staged.policies.empty()) continue;
+      // Column index: dedup the rows on exact (task, delta) equality. A row
+      // whose delta is NaN never matches and simply gets its own column.
+      staged.flat_col.clear();
+      staged.col_task.clear();
+      staged.col_delta.clear();
+      staged.col_weight.clear();
+      staged.col_required.clear();
+      for (std::size_t t = 0; t < staged.flat_tasks.size(); ++t) {
+        const auto j = static_cast<std::size_t>(staged.flat_tasks[t]);
+        const double delta = staged.flat_energy[t];
+        std::int32_t col = col_of_task[j];
+        if (col < 0 || staged.col_delta[static_cast<std::size_t>(col)] != delta) {
+          col = static_cast<std::int32_t>(staged.col_task.size());
+          col_of_task[j] = col;
+          staged.col_task.push_back(staged.flat_tasks[t]);
+          staged.col_delta.push_back(delta);
+          staged.col_weight.push_back(tasks[j].weight);
+          staged.col_required.push_back(tasks[j].required_energy);
+        }
+        staged.flat_col.push_back(col);
       }
+      for (const model::TaskIndex j : staged.col_task) {
+        col_of_task[static_cast<std::size_t>(j)] = -1;
+      }
+      partitions.push_back(staged);
     }
   }
   return partitions;
@@ -350,22 +327,11 @@ double MarginalEngine::marginal(model::ChargerIndex i, model::SlotIndex k,
 }
 
 void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c,
-                                         double* out) const {
-  thread_local std::vector<int> colors_buf;
-  colors_buf.resize(static_cast<std::size_t>(config_.samples));
-  for (int s = 0; s < config_.samples; ++s) {
-    colors_buf[static_cast<std::size_t>(s)] =
-        panel_color(config_.seed, s, partition.charger, partition.slot, config_.colors);
-  }
-  partition_marginals(partition, c, colors_buf, out);
-}
-
-void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c,
                                          std::span<const int> sample_colors,
                                          double* out) const {
   const std::size_t count = partition.policies.size();
   const std::size_t rows = partition.flat_tasks.size();
-  if (!use_kernels_ || !partition.has_column_index() || rows == 0) {
+  if (!use_kernels_ || rows == 0) {
     // Scalar reference path (and degenerate partitions): the per-policy
     // oracle loop, each call counting itself (and re-deriving its panel
     // colors — this path is not performance-relevant).

@@ -27,112 +27,76 @@
 
 namespace haste::core {
 
-/// How the TabularGreedy schedulers (offline and the distributed nodes)
-/// evaluate candidate marginals.
+/// How the distributed nodes' TabularGreedy stages evaluate candidate
+/// marginals (the offline scheduler has a single batched path).
 enum class TabularMode {
   kRebuild,      ///< re-evaluate every policy from scratch (reference path)
   kIncremental,  ///< per-(task, sample) dirty tracking with cached row terms
 };
 
-/// One scheduling policy of a partition: a dominant task set restricted to
-/// the tasks active in the partition's slot.
+/// One scheduling policy as a self-contained value: a dominant task set
+/// restricted to the tasks active in one slot. This is the payload the
+/// distributed negotiation ships in its HELLO/UPDATE messages; the offline
+/// ground set keeps its rows in the partition's CSR arrays instead.
 struct Policy {
   double orientation = 0.0;
   std::vector<model::TaskIndex> tasks;  ///< active covered tasks, sorted
   std::vector<double> slot_energy;      ///< per task: P_r(s_i, o_j) * T_s (J)
 };
 
+/// One policy of a partition: the witness orientation of its dominant task
+/// set. Its (task, energy) rows are the partition's CSR range for it.
+struct PartitionPolicy {
+  double orientation = 0.0;
+};
+
 /// The partition Theta_{i,k}: all policies of charger `charger` at `slot`.
 ///
-/// Besides the per-policy vectors (kept for the message protocol, which
-/// ships individual policies), a finalized partition also stores every
-/// policy's (task, energy) rows in one CSR-style flat layout so the hot
-/// evaluation loops walk contiguous memory instead of chasing one heap
-/// allocation per policy.
+/// Every policy's (task, energy) rows are stored once, in one CSR-style flat
+/// layout, so the evaluation loops walk contiguous memory and the whole
+/// ground set is a handful of allocations per partition.
 struct PolicyPartition {
   model::ChargerIndex charger = 0;
   model::SlotIndex slot = 0;
-  std::vector<Policy> policies;
+  std::vector<PartitionPolicy> policies;  ///< one entry per policy
 
   // CSR rows over all policies: policy q's rows live at
   // [row_offsets[q], row_offsets[q + 1]) of flat_tasks / flat_energy.
   std::vector<std::int32_t> row_offsets;
-  std::vector<model::TaskIndex> flat_tasks;
-  std::vector<double> flat_energy;
-  // Optional precomputed row columns (parallel to flat_tasks): each row's
-  // task weight and required energy, gathered once at finalize(net) so the
-  // evaluation kernels read them contiguously instead of re-gathering
-  // per (row, sample) forever after. Empty when finalize() ran without a
-  // network (protocol-shipped partitions).
-  std::vector<double> flat_weight;
-  std::vector<double> flat_required;
-  // Optional partition-local column index, also built by finalize(net).
-  // Within a partition every row of the same task carries the same energy
-  // delta — potential_power(i, j) * slot_seconds does not depend on the
+  std::vector<model::TaskIndex> flat_tasks;  ///< ascending within a policy
+  std::vector<double> flat_energy;           ///< per row: P_r(s_i, o_j) * T_s (J)
+  // Partition-local column index. Within a partition every row of the same
+  // task carries the same energy delta — potential_power(i, j) *
+  // slot_seconds, times the slot's tardiness factor, does not depend on the
   // policy — so the flat rows collapse to the partition's distinct
   // (task, delta) columns. flat_col maps each flat row to its column; the
-  // col_* arrays are the deduplicated SoA columns. partition_marginals
-  // prices the (2-3x smaller) column set once per sample and gathers per
-  // policy; bit-identical because rows sharing a column have identical
-  // inputs and therefore identical terms.
+  // col_* arrays are the deduplicated SoA columns with each task's weight
+  // and required energy gathered once. partition_marginals prices the (2-3x
+  // smaller) column set once per sample and gathers per policy;
+  // bit-identical because rows sharing a column have identical inputs and
+  // therefore identical terms.
   std::vector<std::int32_t> flat_col;
   std::vector<model::TaskIndex> col_task;
   std::vector<double> col_delta;
   std::vector<double> col_weight;
   std::vector<double> col_required;
 
-  /// (Re)builds the CSR arrays from `policies`. build_partitions() finalizes
-  /// every partition it returns; call this after mutating `policies` by hand.
-  /// The network overload additionally fills the per-row weight/required
-  /// columns.
-  void finalize();
-  void finalize(const model::Network& net);
-
-  /// True once the CSR arrays mirror `policies`.
-  bool finalized() const { return row_offsets.size() == policies.size() + 1; }
-
-  /// Contiguous (task, energy) rows of policy `q`; falls back to the
-  /// policy's own vectors when the partition was never finalized. Inline:
-  /// the evaluation loops call these per candidate, so an out-of-line hop
-  /// per accessor is measurable at scale.
+  /// Contiguous (task, energy) rows of policy `q`. Inline: the evaluation
+  /// loops call these per candidate, so an out-of-line hop per accessor is
+  /// measurable at scale.
   std::span<const model::TaskIndex> policy_tasks(std::size_t q) const {
-    if (!finalized()) return policies[q].tasks;
     const auto begin = static_cast<std::size_t>(row_offsets[q]);
     const auto end = static_cast<std::size_t>(row_offsets[q + 1]);
     return {flat_tasks.data() + begin, end - begin};
   }
   std::span<const double> policy_energy(std::size_t q) const {
-    if (!finalized()) return policies[q].slot_energy;
     const auto begin = static_cast<std::size_t>(row_offsets[q]);
     const auto end = static_cast<std::size_t>(row_offsets[q + 1]);
     return {flat_energy.data() + begin, end - begin};
   }
 
-  /// True when finalize(net) filled the per-row weight/required columns.
-  bool has_row_columns() const {
-    return finalized() && flat_weight.size() == flat_tasks.size() &&
-           flat_required.size() == flat_tasks.size();
-  }
-
-  /// True when finalize(net) also built the deduplicated column index.
-  bool has_column_index() const {
-    return has_row_columns() && flat_col.size() == flat_tasks.size() &&
-           col_task.size() == col_delta.size() &&
-           col_task.size() == col_weight.size() &&
-           col_task.size() == col_required.size();
-  }
-
-  /// Policy `q` as a kernel row batch, with the weight/required columns
-  /// attached when finalize(net) precomputed them.
+  /// Policy `q` as a kernel row batch.
   kernels::RowView policy_rows(std::size_t q) const {
-    if (has_row_columns()) {
-      const auto begin = static_cast<std::size_t>(row_offsets[q]);
-      const auto count = static_cast<std::size_t>(row_offsets[q + 1]) - begin;
-      return kernels::RowView{{flat_tasks.data() + begin, count},
-                              {flat_energy.data() + begin, count},
-                              {flat_weight.data() + begin, count},
-                              {flat_required.data() + begin, count}};
-    }
     return kernels::RowView{policy_tasks(q), policy_energy(q), {}, {}};
   }
 };
@@ -225,28 +189,22 @@ class MarginalEngine {
     return marginal(i, k, kernels::RowView{tasks, slot_energy, {}, {}}, c);
   }
 
-  /// RowView core of `marginal`; PolicyPartition::policy_rows attaches the
-  /// precomputed weight/required columns, which is the fastest entry.
+  /// RowView core of `marginal`.
   double marginal(model::ChargerIndex i, model::SlotIndex k,
                   const kernels::RowView& rows, int c) const;
 
   /// Marginals of EVERY policy of `partition` for color `c` in one call:
   /// out[q] = marginal(partition.charger, partition.slot, policy q, c), bit
-  /// for bit. With the kernel path latched this hashes the color panel once,
-  /// prices the partition's deduplicated (task, delta) columns across all
-  /// matching samples in one panel sweep (the unit the rebuild loop actually
-  /// consumes), then gather-folds each policy's row segment in row order —
-  /// same per-policy accumulation order, same counter totals, a fraction of
-  /// the per-call overhead and of the arithmetic. Falls back to per-policy
-  /// marginal() calls when the kernel path is off or the partition carries
-  /// no column index (finalize() without a network).
-  void partition_marginals(const PolicyPartition& partition, int c, double* out) const;
-
-  /// As above with the partition's panel colors precomputed by the caller:
-  /// sample_colors[s] must equal panel_color(seed(), s, partition.charger,
-  /// partition.slot, colors()). The rebuild scheduler visits every partition
-  /// once per color stage, so hoisting the (pure) per-sample hashes out of
-  /// the visit loop removes a colors()-fold recompute.
+  /// for bit. `sample_colors[s]` must equal panel_color(seed(), s,
+  /// partition.charger, partition.slot, colors()): the offline scheduler
+  /// visits every partition once per color stage, so it hashes each panel
+  /// once up front. With the kernel path latched this prices the
+  /// partition's deduplicated (task, delta) columns across all matching
+  /// samples in one panel sweep, then gather-folds each policy's row segment
+  /// in row order — same per-policy accumulation order, same counter
+  /// totals, a fraction of the per-call overhead and of the arithmetic. With
+  /// the kernel path off it is the per-policy marginal() loop, the scalar
+  /// reference.
   void partition_marginals(const PolicyPartition& partition, int c,
                            std::span<const int> sample_colors, double* out) const;
 
@@ -262,11 +220,11 @@ class MarginalEngine {
                 std::span<const double> slot_energy, int c);
 
   /// Commit without re-evaluating the realized gain. For callers that
-  /// selected the policy on a certified-exact cached marginal (the
-  /// incremental schedulers): the gain commit() would recompute is bit for
-  /// bit the value they already hold, so only the energy accumulation and
-  /// the version bumps remain to be done. Identical state trajectory to
-  /// commit(), zero row_term work.
+  /// selected the policy on an exact marginal they already hold (the offline
+  /// scheduler, the incremental nodes): the gain commit() would recompute is
+  /// bit for bit that value, so only the energy accumulation and the version
+  /// bumps remain to be done. Identical state trajectory to commit(), zero
+  /// row_term work.
   ///
   /// Also the remote-commit entry of the distributed nodes, which apply a
   /// neighbor's committed tuple and never need its gain. There `tracked`
@@ -297,8 +255,8 @@ class MarginalEngine {
   // pour energy into saturated tasks bump nothing: utility shapes are concave
   // and non-decreasing, so a task that is flat across one commit stays flat
   // for the rest of the run. The schedulers use this for zero-re-evaluation
-  // commits (global greedy), lazy partition refreshes (offline TabularGreedy),
-  // and cache reuse across remote commits (distributed nodes).
+  // commits (global greedy) and cache reuse across remote commits
+  // (distributed nodes).
 
   /// Number of sample-level utility changes of task `j` in sample `s`.
   std::uint64_t sample_version(int s, model::TaskIndex j) const {

@@ -1,8 +1,7 @@
 #include "core/offline.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -15,233 +14,6 @@ namespace {
 /// switch-avoiding tie-break.
 constexpr double kTieSlack = 1e-12;
 
-/// The incremental mode's per-run cache. The per-slot energy a task would
-/// receive from a charger is orientation- AND slot-independent (the power
-/// law is sector-gated, not sector-shaped, and slots have equal length), so
-/// every policy of every (charger, slot) partition covering task j prices
-/// the *same* utility-delta term for j. The cache therefore keys terms by
-/// (charger, task, sample) — a "column" — rather than by policy row: a
-/// column priced at one slot stays fresh across the charger's whole
-/// slot-major sweep until a commit actually moves that task's utility in
-/// that sample. Each column is stamped with the engine's (task, sample)
-/// version it was priced at; a lazy refresh recomputes only the columns a
-/// commit dirtied and re-sums the chain in the engine's evaluation order
-/// (samples ascending, rows in policy-row order) — bit-identical to the
-/// rebuild path's from-scratch marginal.
-///
-/// On top of the terms, `values` holds each policy's last exactly-computed
-/// marginal per color. Energies only grow and utilities are concave, so
-/// every term — and hence every policy marginal — is non-increasing over the
-/// run: a stale cached value is a valid UPPER bound (lazy partition maxima,
-/// the Minoux argument applied within a partition). The sweep skips any
-/// policy whose bound cannot alter the running selection, so losing policies
-/// are usually never re-priced at all even when their columns are dirty.
-struct TabularCache {
-  int samples = 1;
-  std::vector<int> sample_color;           // [p * samples + s]
-  std::vector<std::size_t> policy_offset;  // [p + 1]: cumulative policy counts
-  // col_of[i * task_count + j] -> global column of (charger i, task j), or -1.
-  // There is no materialized row -> column map: a policy's columns are found
-  // by gathering col_of over its task rows, which keeps the cache build free
-  // of any per-row work (columns and their deltas derive from the network's
-  // coverable-task lists, not from walking the ground set).
-  std::vector<std::ptrdiff_t> col_of;
-  // Per column: the base (undiscounted) delta the shared term was priced at.
-  // Deadline-driven instances break the slot-invariance premise above for
-  // tardy rows — their slot_energy carries a tardiness discount — so any row
-  // whose delta mismatches its column's is priced fresh per refresh and
-  // never reads or writes the shared term (see refresh_marginal). The
-  // deadline-free overhead is one load-and-compare per row.
-  std::vector<double> col_delta;
-  std::vector<double> terms;               // [col * samples + s]
-  std::vector<std::uint64_t> versions;     // same layout as `terms`
-  std::vector<double> values;              // [(policy_offset[p] + q) * colors + c]
-  // Task-level version_sum of the policy at the moment `values[idx]` was last
-  // computed exact (same layout as `values`). Task versions upper-bound every
-  // per-sample counter, so an unchanged sum certifies the cached value exact
-  // without walking a single column — the hot path when a partition is
-  // revisited and nothing near it has committed since.
-  std::vector<std::uint64_t> stamps;
-};
-
-/// Builds the initial panel. Columns derive straight from the network — one
-/// per (charger, coverable task) pair, with delta = potential_power *
-/// slot_seconds, the exact expression make_slot_policies stores in
-/// Policy::slot_energy — so the build never walks the ground set's rows to
-/// discover its layout. Every sample starts from the same per-task energies,
-/// so one row_term evaluation per column is exact for all S samples
-/// (replicated), and version 0 matches the engine's untouched counters; the
-/// initial per-(policy, color) values fan out over the thread pool like
-/// global greedy's heap build.
-TabularCache build_tabular_cache(const model::Network& net, const MarginalEngine& engine,
-                                 const std::vector<PolicyPartition>& partitions) {
-  TabularCache cache;
-  const int samples = engine.samples();
-  const int colors = engine.colors();
-  const auto task_count = static_cast<std::size_t>(net.task_count());
-  cache.samples = samples;
-  cache.policy_offset.assign(partitions.size() + 1, 0);
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    cache.policy_offset[p + 1] = cache.policy_offset[p] + partitions[p].policies.size();
-  }
-  cache.col_of.assign(static_cast<std::size_t>(net.charger_count()) * task_count, -1);
-  std::vector<model::TaskIndex> col_task;
-  const double slot_seconds = net.time().slot_seconds;
-  for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
-    const std::size_t charger_base = static_cast<std::size_t>(i) * task_count;
-    for (model::TaskIndex j : net.coverable_tasks(i)) {
-      cache.col_of[charger_base + static_cast<std::size_t>(j)] =
-          static_cast<std::ptrdiff_t>(col_task.size());
-      col_task.push_back(j);
-      cache.col_delta.push_back(net.potential_power(i, j) * slot_seconds);
-    }
-  }
-  const std::vector<double>& col_delta = cache.col_delta;
-  cache.sample_color.assign(partitions.size() * static_cast<std::size_t>(samples), 0);
-  cache.terms.assign(col_task.size() * static_cast<std::size_t>(samples), 0.0);
-  cache.versions.assign(col_task.size() * static_cast<std::size_t>(samples), 0);
-  cache.values.assign(cache.policy_offset.back() * static_cast<std::size_t>(colors), 0.0);
-  // Build-time version sums are all zero: the engine bumps no counter before
-  // the first commit (a warm start seeds energies without bumping), so a zero
-  // stamp certifies the replicated initial values below.
-  cache.stamps.assign(cache.values.size(), 0);
-  // Price every column of the panel with one batched oracle call — the
-  // columns are exactly a RowView (parallel task/delta arrays), so this is
-  // the kernel layer's natural unit. The replication across samples is plain
-  // memory traffic; fanning it out per column through parallel_for's
-  // std::function was costing more than the pricing itself.
-  std::vector<double> base_terms(col_task.size());
-  engine.row_terms(0, kernels::RowView{col_task, col_delta, {}, {}},
-                   base_terms.data());
-  for (std::size_t col = 0; col < col_task.size(); ++col) {
-    double* terms = cache.terms.data() + col * static_cast<std::size_t>(samples);
-    for (int s = 0; s < samples; ++s) terms[s] = base_terms[col];
-  }
-  util::parallel_for(partitions.size(), [&](std::size_t p) {
-    const PolicyPartition& partition = partitions[p];
-    int* colors_of = cache.sample_color.data() + p * static_cast<std::size_t>(samples);
-    for (int s = 0; s < samples; ++s) {
-      colors_of[s] = MarginalEngine::panel_color(engine.seed(), s, partition.charger,
-                                                 partition.slot, engine.colors());
-    }
-    const std::ptrdiff_t* col_of =
-        cache.col_of.data() + static_cast<std::size_t>(partition.charger) * task_count;
-    for (std::size_t q = 0; q < partition.policies.size(); ++q) {
-      const auto tasks = partition.policy_tasks(q);
-      const auto deltas = partition.policy_energy(q);
-      // `inner` accumulates the shared terms in policy-row order — the same
-      // fold a clean refresh performs per sample — and each matching sample
-      // contributes the identical inner (replication), so the initial value
-      // is exactly what a first refresh would return. Tardiness-discounted
-      // rows (delta mismatching the column's base delta) are priced fresh,
-      // exactly as refresh_marginal will do; with replicated start energies
-      // one sample-0 term is exact for all samples.
-      double inner = 0.0;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        const auto col = static_cast<std::size_t>(col_of[tasks[t]]);
-        if (deltas[t] == col_delta[col]) {
-          inner += cache.terms[col * static_cast<std::size_t>(samples)];
-        } else {
-          inner += engine.row_term(0, tasks[t], deltas[t]);
-        }
-      }
-      double* values =
-          cache.values.data() + (cache.policy_offset[p] + q) * static_cast<std::size_t>(colors);
-      // Scatter by sample color instead of scanning all samples per color:
-      // for each color the additions still land in ascending sample order,
-      // so the fold is bit-identical to the color-major double loop at a
-      // quarter of the iterations.
-      for (int c = 0; c < colors; ++c) values[c] = 0.0;
-      for (int s = 0; s < samples; ++s) values[colors_of[s]] += inner;
-      for (int c = 0; c < colors; ++c) values[c] /= static_cast<double>(samples);
-    }
-  });
-  return cache;
-}
-
-/// Lazily refreshed marginal of one policy (cached value at flat index
-/// `value_idx`) of partition `p` for color `c`, with `col_of` pre-offset to
-/// the partition's charger: recomputes exactly the shared (column, sample)
-/// terms whose task version moved, then re-sums in evaluation order. A
-/// column freshened here stays fresh for every later policy of the same
-/// fold (no commit happens mid-fold). The caller stores the return into
-/// `cache.values[value_idx]`, which keeps value and stamp in sync.
-double refresh_marginal(const MarginalEngine& engine, TabularCache& cache, std::size_t p,
-                        int c, const std::ptrdiff_t* col_of, std::size_t value_idx,
-                        std::span<const model::TaskIndex> tasks,
-                        std::span<const double> slot_energy) {
-  // Cheap certificate first: task versions only grow and dominate every
-  // per-sample counter, so an unchanged sum proves no relevant term moved
-  // since the cached value was computed — one gather per row instead of the
-  // full version-compare-and-sum walk over the columns.
-  std::uint64_t vsum = 0;
-  for (model::TaskIndex j : tasks) vsum += engine.task_version(j);
-  if (cache.stamps[value_idx] == vsum) return cache.values[value_idx];
-  const int samples = cache.samples;
-  const int* colors_of = cache.sample_color.data() + p * static_cast<std::size_t>(samples);
-  // Rows that need an oracle price this sample — tardy (delta-mismatch) rows
-  // always, shared columns only when their version moved — are gathered in
-  // row order and priced by one batched row_terms call (the kernel-layer
-  // blockwise path), then folded back in the identical row order, so both
-  // the bits and the row_term counter totals match the per-row loop this
-  // replaces. Thread-local scratch: the lazy loop runs under the pool.
-  enum : unsigned char { kRowCached = 0, kRowMismatch = 1, kRowStale = 2 };
-  thread_local std::vector<model::TaskIndex> batch_tasks;
-  thread_local std::vector<double> batch_delta;
-  thread_local std::vector<double> batch_terms;
-  thread_local std::vector<unsigned char> row_kind;
-  double total = 0.0;
-  for (int s = 0; s < samples; ++s) {
-    if (colors_of[s] != c) continue;
-    batch_tasks.clear();
-    batch_delta.clear();
-    row_kind.assign(tasks.size(), kRowCached);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const auto col = static_cast<std::size_t>(col_of[tasks[t]]);
-      if (slot_energy[t] != cache.col_delta[col]) {
-        // Tardiness-discounted row: its delta deviates from the shared
-        // column's base delta, so price it fresh and leave the shared term
-        // (still valid for every base-delta row of the charger) untouched.
-        row_kind[t] = kRowMismatch;
-        batch_tasks.push_back(tasks[t]);
-        batch_delta.push_back(slot_energy[t]);
-        continue;
-      }
-      const std::size_t idx =
-          col * static_cast<std::size_t>(samples) + static_cast<std::size_t>(s);
-      if (cache.versions[idx] != engine.sample_version(s, tasks[t])) {
-        row_kind[t] = kRowStale;
-        batch_tasks.push_back(tasks[t]);
-        batch_delta.push_back(slot_energy[t]);
-      }
-    }
-    if (!batch_tasks.empty()) {
-      batch_terms.resize(batch_tasks.size());
-      engine.row_terms(s, kernels::RowView{batch_tasks, batch_delta, {}, {}},
-                       batch_terms.data());
-    }
-    double inner = 0.0;
-    std::size_t b = 0;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      if (row_kind[t] == kRowMismatch) {
-        inner += batch_terms[b++];
-        continue;
-      }
-      const auto col = static_cast<std::size_t>(col_of[tasks[t]]);
-      const std::size_t idx =
-          col * static_cast<std::size_t>(samples) + static_cast<std::size_t>(s);
-      if (row_kind[t] == kRowStale) {
-        cache.terms[idx] = batch_terms[b++];
-        cache.versions[idx] = engine.sample_version(s, tasks[t]);
-      }
-      inner += cache.terms[idx];
-    }
-    total += inner;
-  }
-  cache.stamps[value_idx] = vsum;
-  return total / static_cast<double>(samples);
-}
-
 }  // namespace
 
 OfflineResult schedule_offline_over(const model::Network& net,
@@ -252,19 +24,17 @@ OfflineResult schedule_offline_over(const model::Network& net,
                         MarginalEngine::Config{config.colors, config.samples, config.seed},
                         initial_energy);
   const int colors = engine.colors();
-  const bool incremental = config.mode == TabularMode::kIncremental;
+  const int samples = engine.samples();
 
   HASTE_OBS_SPAN(schedule_span, "offline.schedule");
   schedule_span.arg("chargers", util::Json(net.charger_count()));
   schedule_span.arg("tasks", util::Json(net.task_count()));
   schedule_span.arg("partitions", util::Json(static_cast<std::int64_t>(partitions.size())));
   schedule_span.arg("colors", util::Json(colors));
-  schedule_span.arg("mode", util::Json(incremental ? "incremental" : "rebuild"));
 
-  // selections[p][c] = index of the chosen policy of partition p for color c,
-  // or -1 when nothing was added.
-  std::vector<std::vector<int>> selections(partitions.size(),
-                                           std::vector<int>(static_cast<std::size_t>(colors), -1));
+  // selections[p * colors + c] = index of the chosen policy of partition p
+  // for color c, or -1 when nothing was added.
+  std::vector<int> selections(partitions.size() * static_cast<std::size_t>(colors), -1);
 
   // Previous selected orientation per (charger, color), updated as we walk
   // partitions in slot-major order; drives the switch-avoiding tie-break.
@@ -274,33 +44,18 @@ OfflineResult schedule_offline_over(const model::Network& net,
       static_cast<std::size_t>(net.charger_count()) * static_cast<std::size_t>(colors),
       std::numeric_limits<double>::quiet_NaN());
 
-  TabularCache cache;
-  if (incremental) {
-    HASTE_OBS_SPAN(build_span, "offline.cache_build");
-    cache = build_tabular_cache(net, engine, partitions);
-  }
-  std::vector<char> fresh;  // per-(partition, color) scratch: bound is exact
-  // Rebuild mode with the kernel path latched prices each partition's whole
-  // policy set through one batched oracle call; the scalar reference path
-  // keeps the historical per-policy marginal() loop.
-  const bool batch_rebuild = !incremental && engine.using_kernels();
-  std::vector<double> batched;  // per-partition scratch for batch_rebuild
-  // Rebuild mode skips the tabular cache, so hoist the (pure) per-partition
-  // color panel out of the visit loop here: every partition is visited once
-  // per color stage, and rehashing its `samples` panel colors on each visit
-  // is measurable at scale. panel[p * samples + s] = color of sample s.
-  const int samples = engine.samples();
-  std::vector<int> panel;
-  if (batch_rebuild) {
-    panel.resize(partitions.size() * static_cast<std::size_t>(samples));
-    util::parallel_for(partitions.size(), [&](std::size_t p) {
-      int* colors_of = panel.data() + p * static_cast<std::size_t>(samples);
-      for (int s = 0; s < samples; ++s) {
-        colors_of[s] = MarginalEngine::panel_color(
-            engine.seed(), s, partitions[p].charger, partitions[p].slot, colors);
-      }
-    });
-  }
+  // Every partition is visited once per color stage, so its (pure) panel
+  // colors are hashed once up front: panel[p * samples + s] = color of
+  // sample s.
+  std::vector<int> panel(partitions.size() * static_cast<std::size_t>(samples));
+  util::parallel_for(partitions.size(), [&](std::size_t p) {
+    int* colors_of = panel.data() + p * static_cast<std::size_t>(samples);
+    for (int s = 0; s < samples; ++s) {
+      colors_of[s] = MarginalEngine::panel_color(engine.seed(), s, partitions[p].charger,
+                                                 partitions[p].slot, colors);
+    }
+  });
+  std::vector<double> marginals;  // one partition's marginals, reused
 
   for (int c = 0; c < colors; ++c) {
     // One span per color stage: coarse enough to stay invisible in the
@@ -309,127 +64,41 @@ OfflineResult schedule_offline_over(const model::Network& net,
     color_span.arg("color", util::Json(c));
     for (std::size_t p = 0; p < partitions.size(); ++p) {
       const PolicyPartition& partition = partitions[p];
+      double& prev = previous_orientation[static_cast<std::size_t>(partition.charger) *
+                                              static_cast<std::size_t>(colors) +
+                                          static_cast<std::size_t>(c)];
+      marginals.resize(partition.policies.size());
+      engine.partition_marginals(
+          partition, c,
+          {panel.data() + p * static_cast<std::size_t>(samples),
+           static_cast<std::size_t>(samples)},
+          marginals.data());
       int best = -1;
       double best_marginal = 0.0;
       bool best_is_previous = false;
-      const double prev =
-          previous_orientation[static_cast<std::size_t>(partition.charger) *
-                                   static_cast<std::size_t>(colors) +
-                               static_cast<std::size_t>(c)];
-      double* bounds =
-          incremental ? cache.values.data() +
-                            cache.policy_offset[p] * static_cast<std::size_t>(colors)
-                      : nullptr;
-      const std::ptrdiff_t* col_of =
-          incremental ? cache.col_of.data() +
-                            static_cast<std::size_t>(partition.charger) *
-                                static_cast<std::size_t>(net.task_count())
-                      : nullptr;
-      // Lazy partition maxima, phase A: pin down the partition's exact best
-      // marginal by refreshing policies in descending bound order (Minoux).
-      // Each refresh can only lower a bound, so when the running argmax is
-      // already exact (or nothing is positive) it is the true maximum.
-      double vstar = 0.0;
-      if (incremental && !partition.policies.empty()) {
-        fresh.assign(partition.policies.size(), 0);
-        while (true) {
-          std::size_t top = 0;
-          for (std::size_t q = 1; q < partition.policies.size(); ++q) {
-            if (bounds[q * static_cast<std::size_t>(colors) + c] >
-                bounds[top * static_cast<std::size_t>(colors) + c]) {
-              top = q;
-            }
-          }
-          if (fresh[top] != 0 || bounds[top * static_cast<std::size_t>(colors) + c] <= 0.0) {
-            vstar = bounds[top * static_cast<std::size_t>(colors) + c];
-            break;
-          }
-          bounds[top * static_cast<std::size_t>(colors) + c] = refresh_marginal(
-              engine, cache, p, c, col_of,
-              (cache.policy_offset[p] + top) * static_cast<std::size_t>(colors) +
-                  static_cast<std::size_t>(c),
-              partition.policy_tasks(top), partition.policy_energy(top));
-          fresh[top] = 1;
-        }
-      }
-      // The lowest comparison threshold the fold below can ever apply once a
-      // policy inside vstar's tie band has been accepted (the running best
-      // can leave the band only by shrinking through tie-preferred updates,
-      // each bounded by one slack step). A policy bounded under this floor
-      // can at most cause intermediate updates while the fold's best is
-      // still below the band — and the first in-band policy then resets the
-      // whole fold state through the strict branch — so skipping it never
-      // changes the selection.
-      const double vstar_floor =
-          (((vstar - kTieSlack) / (1.0 + kTieSlack)) * (1.0 - kTieSlack) - kTieSlack) *
-              (1.0 - kTieSlack) -
-          kTieSlack;
-      if (batch_rebuild) {
-        batched.resize(partition.policies.size());
-        engine.partition_marginals(
-            partition, c,
-            {panel.data() + p * static_cast<std::size_t>(samples),
-             static_cast<std::size_t>(samples)},
-            batched.data());
-      }
       for (std::size_t q = 0; q < partition.policies.size(); ++q) {
-        const Policy& policy = partition.policies[q];
-        if (incremental) {
-          // Phase B: the cached value is an upper bound on the current
-          // marginal (terms only shrink), so a policy that can neither beat
-          // the running selection nor reach vstar's band leaves the fold
-          // state untouched — exactly as if its true marginal were computed
-          // and rejected. Skip it without pricing a single column.
-          const double bound = bounds[q * static_cast<std::size_t>(colors) + c];
-          const bool below_floor = vstar > 0.0 && bound < vstar_floor;
-          const bool can_alter =
-              best < 0 ? ((bound > 0.0 && !below_floor) || config.commit_zero_marginal)
-                       : (!below_floor &&
-                          bound >= best_marginal * (1.0 - kTieSlack) - kTieSlack);
-          if (!can_alter) continue;
-        }
-        const double m =
-            incremental
-                ? refresh_marginal(engine, cache, p, c, col_of,
-                                   (cache.policy_offset[p] + q) * static_cast<std::size_t>(colors) +
-                                       static_cast<std::size_t>(c),
-                                   partition.policy_tasks(q), partition.policy_energy(q))
-            : batch_rebuild
-                ? batched[q]
-                : engine.marginal(partition.charger, partition.slot,
-                                  partition.policy_rows(q), c);
-        if (incremental) bounds[q * static_cast<std::size_t>(colors) + c] = m;
+        const double m = marginals[q];
         const bool is_previous =
-            config.switch_avoiding_tiebreak && policy.orientation == prev;
+            config.switch_avoiding_tiebreak && partition.policies[q].orientation == prev;
         const bool better =
             m > best_marginal * (1.0 + kTieSlack) + kTieSlack ||
             (is_previous && !best_is_previous && m >= best_marginal * (1.0 - kTieSlack) - kTieSlack);
         if (best < 0 ? (m > 0.0 || config.commit_zero_marginal) : better) {
           // First acceptable candidate, or strictly better / tie-preferred.
-          if (best < 0 || better) {
-            best = static_cast<int>(q);
-            best_marginal = m;
-            best_is_previous = is_previous;
-          }
+          best = static_cast<int>(q);
+          best_marginal = m;
+          best_is_previous = is_previous;
         }
       }
       if (best >= 0) {
         const auto bq = static_cast<std::size_t>(best);
-        // The incremental path selected `best` on an exactly-refreshed cached
-        // marginal, so the realized gain commit() would recompute is already
-        // known — skip it and pay only the energy/version updates.
-        if (incremental) {
-          engine.commit_no_gain(partition.charger, partition.slot,
-                                partition.policy_tasks(bq), partition.policy_energy(bq), c);
-        } else {
-          engine.commit(partition.charger, partition.slot, partition.policy_tasks(bq),
-                        partition.policy_energy(bq), c);
-        }
-        selections[p][static_cast<std::size_t>(c)] = best;
-        previous_orientation[static_cast<std::size_t>(partition.charger) *
-                                 static_cast<std::size_t>(colors) +
-                             static_cast<std::size_t>(c)] =
-            partition.policies[bq].orientation;
+        // `best_marginal` is the exact gain commit() would recompute, so
+        // only the energy and version updates remain to be done.
+        engine.commit_no_gain(partition.charger, partition.slot, partition.policy_tasks(bq),
+                              partition.policy_energy(bq), c);
+        selections[p * static_cast<std::size_t>(colors) + static_cast<std::size_t>(c)] =
+            best;
+        prev = partition.policies[bq].orientation;
       }
     }
   }
@@ -441,7 +110,8 @@ OfflineResult schedule_offline_over(const model::Network& net,
     const PolicyPartition& partition = partitions[p];
     const int c = MarginalEngine::final_color(config.seed, partition.charger,
                                               partition.slot, colors);
-    const int chosen = selections[p][static_cast<std::size_t>(c)];
+    const int chosen =
+        selections[p * static_cast<std::size_t>(colors) + static_cast<std::size_t>(c)];
     if (chosen >= 0) {
       result.schedule.assign(partition.charger, partition.slot,
                              partition.policies[static_cast<std::size_t>(chosen)].orientation);

@@ -4,6 +4,8 @@
 // For each color c in [C] and each (charger, slot) partition in slot-major
 // order, greedily add the S-C tuple maximizing the expected sampled utility;
 // finally draw one color per partition and execute the matching selections.
+// Each (partition, color) visit prices every policy of the partition in one
+// batched MarginalEngine::partition_marginals call.
 // C = 1 is exactly the locally greedy algorithm (1/2 approximation of
 // HASTE-R); C -> infinity approaches 1 - 1/e; switching delay costs at most a
 // (1 - rho) factor (Theorem 5.1).
@@ -25,11 +27,6 @@ struct OfflineConfig {
   bool switch_avoiding_tiebreak = true;  ///< prefer keeping yesterday's angle on ties
   bool commit_zero_marginal = false;     ///< add argmax tuples even at zero gain
                                          ///< (pure TabularGreedy; causes useless switches)
-  /// kIncremental (default) keeps a per-(row, sample) term cache refreshed
-  /// lazily via the engine's per-(task, sample) version counters; kRebuild
-  /// re-evaluates every policy from scratch (the reference for differential
-  /// tests). Both produce bit-identical schedules.
-  TabularMode mode = TabularMode::kIncremental;
 };
 
 /// Result of the offline scheduler: the schedule plus the planner's internal
@@ -39,8 +36,8 @@ struct OfflineResult {
   double planned_relaxed_utility = 0.0;  ///< F(Q) estimate after the greedy
   /// Engine effort counters for the run (see MarginalEngine::Stats): the
   /// per-(row, sample) utility-delta evaluations and the full oracle calls.
-  /// kIncremental only pays row evaluations (one per row at build time plus
-  /// the dirtied rows); kRebuild pays one oracle call per (policy, color).
+  /// Every policy is priced once per color stage: one oracle call per
+  /// (policy, color) and one row evaluation per (row, matching sample).
   std::uint64_t row_evaluations = 0;
   std::uint64_t marginal_evaluations = 0;
 };

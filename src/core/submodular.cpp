@@ -40,16 +40,16 @@ class HasteRIncremental final : public SetFunction::Incremental {
   }
 
   void push(ElementId e) override {
-    const Policy& policy = f_->policy_of(e);
+    const kernels::RowView rows = f_->rows_of(e);
     Undo undo;
     undo.value = value_;
-    undo.rows.reserve(policy.tasks.size());
-    for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-      const auto j = static_cast<std::size_t>(policy.tasks[t]);
-      undo.rows.push_back({policy.tasks[t], energy_[j]});
-      const double after = energy_[j] + policy.slot_energy[t];
-      value_ += net_->weighted_task_utility(policy.tasks[t], after) -
-                net_->weighted_task_utility(policy.tasks[t], energy_[j]);
+    undo.rows.reserve(rows.size());
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      const auto j = static_cast<std::size_t>(rows.tasks[t]);
+      undo.rows.push_back({rows.tasks[t], energy_[j]});
+      const double after = energy_[j] + rows.delta[t];
+      value_ += net_->weighted_task_utility(rows.tasks[t], after) -
+                net_->weighted_task_utility(rows.tasks[t], energy_[j]);
       energy_[j] = after;
     }
     undo_.push_back(std::move(undo));
@@ -99,10 +99,10 @@ HasteRObjective::HasteRObjective(const model::Network& net,
   }
 }
 
-const Policy& HasteRObjective::policy_of(ElementId e) const {
+kernels::RowView HasteRObjective::rows_of(ElementId e) const {
   const auto p = static_cast<std::size_t>(element_partition_.at(static_cast<std::size_t>(e)));
   const auto q = static_cast<std::size_t>(element_policy_[static_cast<std::size_t>(e)]);
-  return partitions_[p].policies[q];
+  return partitions_[p].policy_rows(q);
 }
 
 double HasteRObjective::value(std::span<const ElementId> set) const {
@@ -111,9 +111,9 @@ double HasteRObjective::value(std::span<const ElementId> set) const {
   // ground set; the matroid constraint is handled by the maximizers).
   std::vector<double> energy(static_cast<std::size_t>(net_->task_count()), 0.0);
   for (ElementId e : set) {
-    const Policy& policy = policy_of(e);
-    for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-      energy[static_cast<std::size_t>(policy.tasks[t])] += policy.slot_energy[t];
+    const kernels::RowView rows = rows_of(e);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+      energy[static_cast<std::size_t>(rows.tasks[t])] += rows.delta[t];
     }
   }
   double total = 0.0;

@@ -63,8 +63,8 @@ class HasteRObjective final : public SetFunction {
   /// Partition index (into the PolicyPartition vector) of an element.
   std::int32_t partition_of(ElementId e) const { return element_partition_[static_cast<std::size_t>(e)]; }
 
-  /// The policy an element denotes.
-  const Policy& policy_of(ElementId e) const;
+  /// The (task, energy) rows of the policy an element denotes.
+  kernels::RowView rows_of(ElementId e) const;
 
   /// Elements grouped by partition, in partition order.
   const std::vector<std::vector<ElementId>>& elements_by_partition() const {

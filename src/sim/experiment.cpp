@@ -69,7 +69,7 @@ RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
       const core::OfflineResult result = core::schedule_offline(
           net, core::OfflineConfig{params.colors, params.samples, params.seed,
                                    /*switch_avoiding_tiebreak=*/true,
-                                   /*commit_zero_marginal=*/false, params.mode});
+                                   /*commit_zero_marginal=*/false});
       return from_evaluation(net, core::evaluate_schedule(net, result.schedule));
     }
     case Algorithm::kOfflineGreedyUtility:

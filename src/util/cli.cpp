@@ -56,6 +56,17 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) cons
   return value;
 }
 
+int Flags::get_int_in(const std::string& name, std::int64_t fallback, int min,
+                      int max) const {
+  const std::int64_t value = get_int(name, fallback);
+  if (value < min || value > max) {
+    throw std::out_of_range("flag --" + name + " value " + std::to_string(value) +
+                            " is outside [" + std::to_string(min) + ", " +
+                            std::to_string(max) + "]");
+  }
+  return static_cast<int>(value);
+}
+
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,6 +31,13 @@ class Flags {
   /// a malformed number and std::out_of_range when the value does not fit in
   /// 64 bits (instead of silently clamping to INT64_MIN/MAX).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+
+  /// get_int narrowed to int: the value (`fallback` when the flag is absent)
+  /// must lie in [min, max], otherwise std::out_of_range names the flag — a
+  /// 64-bit value never wraps or clamps into a different int.
+  int get_int_in(const std::string& name, std::int64_t fallback,
+                 int min = std::numeric_limits<int>::min(),
+                 int max = std::numeric_limits<int>::max()) const;
 
   /// Floating-point value, or `fallback` if absent. Throws
   /// std::invalid_argument on a malformed number and std::out_of_range when

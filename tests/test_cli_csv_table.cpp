@@ -1,8 +1,10 @@
 // Tests for util/cli.hpp, util/csv.hpp, util/table.hpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -69,6 +71,46 @@ TEST(Cli, IntOutOfRangeThrowsInsteadOfClamping) {
   EXPECT_THROW(flags.get_int("big", 0), std::out_of_range);
   const Flags negative = parse({"--big", "-99999999999999999999999"});
   EXPECT_THROW(negative.get_int("big", 0), std::out_of_range);
+}
+
+TEST(Cli, RangedIntNeverWrapsIntoAnotherInt) {
+  // 3000000000 used to wrap to a negative int through static_cast<int>.
+  const Flags flags = parse({"--colors", "3000000000"});
+  EXPECT_THROW(flags.get_int_in("colors", 4, 1), std::out_of_range);
+  const Flags low = parse({"--colors", "-3000000000"});
+  EXPECT_THROW(low.get_int_in("colors", 4), std::out_of_range);
+  EXPECT_EQ(parse({"--colors", "2147483647"}).get_int_in("colors", 4, 1), 2147483647);
+}
+
+TEST(Cli, RangedIntRejectsValuesBelowTheMinimum) {
+  for (const char* value : {"0", "-3"}) {
+    EXPECT_THROW(parse({"--colors", value}).get_int_in("colors", 4, 1), std::out_of_range)
+        << value;
+  }
+  for (const char* value : {"0", "-7"}) {
+    EXPECT_THROW(parse({"--samples", value}).get_int_in("samples", 16, 1), std::out_of_range)
+        << value;
+  }
+  EXPECT_EQ(parse({"--colors", "1"}).get_int_in("colors", 4, 1), 1);
+  EXPECT_EQ(parse({"--colors", "3"}).get_int_in("colors", 4, 1, 3), 3);
+  EXPECT_THROW(parse({"--colors", "4"}).get_int_in("colors", 1, 1, 3), std::out_of_range);
+}
+
+TEST(Cli, RangedIntChecksTheFallbackAndNamesTheFlag) {
+  const Flags absent = parse({});
+  EXPECT_EQ(absent.get_int_in("samples", 16, 1), 16);
+  // A derived default (samples = 4 * colors) can leave the int range too.
+  EXPECT_THROW(absent.get_int_in("samples", 4 * std::int64_t{2147483647}, 1),
+               std::out_of_range);
+  try {
+    parse({"--samples", "0"}).get_int_in("samples", 16, 1);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "flag --samples value 0 is outside [1, 2147483647]");
+  }
+  EXPECT_THROW(parse({"--samples", "x"}).get_int_in("samples", 16, 1),
+               std::invalid_argument);
 }
 
 TEST(Cli, DoubleOverflowThrowsInsteadOfClampingToInfinity) {

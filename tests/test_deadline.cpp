@@ -2,8 +2,9 @@
 //
 // Differentials: the greedy schedulers against the exact branch-and-bound
 // optimum on deadline instances (the 1/2 guarantee must survive the plug-in
-// objective), kRebuild vs kIncremental, kernels on vs off, and online mode /
-// node-reuse sweeps — all bit-identical contracts.
+// objective), the batched (rebuild) offline scheduler vs the per-policy and
+// incremental references, kernels on vs off, and online mode / node-reuse
+// sweeps — all bit-identical contracts.
 //
 // Properties: tardiness decay monotone non-increasing, beta -> infinity
 // reproduces the base objective bit for bit, hard mode never emits a row for
@@ -24,6 +25,7 @@
 #include "dist/online.hpp"
 #include "io/scenario_io.hpp"
 #include "model/deadline.hpp"
+#include "offline_reference.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 #include "util/simd.hpp"
@@ -111,15 +113,20 @@ TEST_P(DeadlineSweep, RebuildAndIncrementalBitIdentical) {
   const model::Network base = make_base(rng);
   for (const model::DeadlinePolicy& policy : sweep_policies()) {
     const model::Network net = with_deadlines(base, rng, policy);
+    const auto partitions = core::build_partitions(net);
     core::OfflineConfig config;
     config.colors = 2;
     config.samples = 4;
-    config.mode = core::TabularMode::kRebuild;
-    const core::OfflineResult rebuild = core::schedule_offline(net, config);
-    config.mode = core::TabularMode::kIncremental;
-    const core::OfflineResult incremental = core::schedule_offline(net, config);
-    expect_equal_schedules(rebuild.schedule, incremental.schedule);
-    EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility);
+    const core::OfflineResult rebuild =
+        core::schedule_offline_over(net, partitions, config, {});
+    for (const testing_helpers::ReferencePricing pricing :
+         {testing_helpers::ReferencePricing::kPerPolicy,
+          testing_helpers::ReferencePricing::kIncremental}) {
+      const core::OfflineResult reference =
+          testing_helpers::reference_offline(net, partitions, config, {}, pricing);
+      expect_equal_schedules(rebuild.schedule, reference.schedule);
+      EXPECT_EQ(rebuild.planned_relaxed_utility, reference.planned_relaxed_utility);
+    }
   }
 }
 

@@ -61,7 +61,7 @@ TEST(GlobalGreedy, RespectsPartitionMatroid) {
     if (!a.has_value()) continue;
     const bool known = std::any_of(
         partition.policies.begin(), partition.policies.end(),
-        [&](const Policy& policy) { return policy.orientation == *a; });
+        [&](const PartitionPolicy& policy) { return policy.orientation == *a; });
     EXPECT_TRUE(known);
   }
 }

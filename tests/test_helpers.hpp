@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/objective.hpp"
 #include "geom/angle.hpp"
 #include "model/network.hpp"
 #include "util/rng.hpp"
@@ -48,6 +49,16 @@ inline model::Network random_network(util::Rng& rng, int n, int m, int max_slots
   }
   return model::Network(std::move(chargers), std::move(tasks),
                         tiny_power(receiving_angle), time);
+}
+
+/// Policy `q` of `partition` as an owned core::Policy (the message payload
+/// form), for tests that hand single policies to the engine.
+inline core::Policy owned_policy(const core::PolicyPartition& partition, std::size_t q) {
+  const auto tasks = partition.policy_tasks(q);
+  const auto energy = partition.policy_energy(q);
+  return core::Policy{partition.policies[q].orientation,
+                      {tasks.begin(), tasks.end()},
+                      {energy.begin(), energy.end()}};
 }
 
 }  // namespace haste::testing_helpers

@@ -22,6 +22,7 @@
 namespace haste::core {
 namespace {
 
+using testing_helpers::owned_policy;
 using testing_helpers::random_network;
 
 /// Replays the engine's energy accumulation independently and computes one
@@ -60,9 +61,8 @@ TEST_P(IncrementalEngineSweep, SpanPathMatchesPolicyPathBitForBit) {
   std::vector<double> energy(static_cast<std::size_t>(net.task_count()), 0.0);
 
   for (const PolicyPartition& partition : partitions) {
-    ASSERT_TRUE(partition.finalized());
     for (std::size_t q = 0; q < partition.policies.size(); ++q) {
-      const Policy& policy = partition.policies[q];
+      const Policy policy = owned_policy(partition, q);
       const double via_policy =
           engine.marginal(partition.charger, partition.slot, policy, 0);
       const double via_span =
@@ -74,7 +74,7 @@ TEST_P(IncrementalEngineSweep, SpanPathMatchesPolicyPathBitForBit) {
     // Commit policy 0 and mirror it in the reference accumulation.
     engine.commit(partition.charger, partition.slot, partition.policy_tasks(0),
                   partition.policy_energy(0), 0);
-    const Policy& committed = partition.policies[0];
+    const Policy committed = owned_policy(partition, 0);
     for (std::size_t t = 0; t < committed.tasks.size(); ++t) {
       energy[static_cast<std::size_t>(committed.tasks[t])] += committed.slot_energy[t];
     }
@@ -118,7 +118,7 @@ TEST_P(IncrementalEngineSweep, VersionCountersTrackTouchedTasksExactly) {
   std::vector<double> energy(static_cast<std::size_t>(net.task_count()), 0.0);
   std::uint64_t commits = 0;
   for (const PolicyPartition& partition : partitions) {
-    const Policy& policy = partition.policies.back();
+    const Policy policy = owned_policy(partition, partition.policies.size() - 1);
     engine.commit(partition.charger, partition.slot, policy, 0);
     ++commits;
     for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
@@ -142,7 +142,7 @@ TEST_P(IncrementalEngineSweep, VersionCountersTrackTouchedTasksExactly) {
   for (const PolicyPartition& partition : partitions) {
     for (std::size_t q = 0; q < partition.policies.size(); ++q) {
       std::uint64_t sum = 0;
-      for (model::TaskIndex j : partition.policies[q].tasks) {
+      for (model::TaskIndex j : partition.policy_tasks(q)) {
         sum += expected[static_cast<std::size_t>(j)];
       }
       EXPECT_EQ(engine.version_sum(partition.policy_tasks(q)), sum);
@@ -204,7 +204,7 @@ TEST_P(IncrementalEngineSweep, SampleVersionsBumpOnlyInMatchingSamples) {
 
   int color = 0;
   for (const PolicyPartition& partition : partitions) {
-    const Policy& policy = partition.policies.front();
+    const Policy policy = owned_policy(partition, 0);
     engine.commit(partition.charger, partition.slot, policy, color);
     for (int s = 0; s < config.samples; ++s) {
       if (MarginalEngine::panel_color(config.seed, s, partition.charger,
@@ -248,11 +248,12 @@ TEST(IncrementalEngine, StatsCountRowTermsAndMarginals) {
   EXPECT_EQ(engine.stats().commits, 0u);
 
   const PolicyPartition& partition = partitions.front();
-  engine.marginal(partition.charger, partition.slot, partition.policies.front(), 0);
+  const Policy policy = owned_policy(partition, 0);
+  engine.marginal(partition.charger, partition.slot, policy, 0);
   EXPECT_EQ(engine.stats().marginals, 1u);
-  engine.row_term(0, partition.policies.front().tasks.front(), 1.0);
+  engine.row_term(0, policy.tasks.front(), 1.0);
   EXPECT_GT(engine.stats().row_terms, 0u);
-  engine.commit(partition.charger, partition.slot, partition.policies.front(), 0);
+  engine.commit(partition.charger, partition.slot, policy, 0);
   EXPECT_EQ(engine.stats().commits, 1u);
 }
 

@@ -276,30 +276,26 @@ TEST_P(KernelScheduleDifferential, OfflineSchedulesBitIdenticalOnAndOff) {
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 6, 24, 5);
   const auto partitions = core::build_partitions(net);
-  for (const core::TabularMode mode :
-       {core::TabularMode::kRebuild, core::TabularMode::kIncremental}) {
-    core::OfflineConfig config;
-    config.colors = 3;
-    config.samples = 6;
-    config.seed = GetParam();
-    config.mode = mode;
-    core::OfflineResult off;
-    core::OfflineResult on;
-    {
-      util::ScopedKernelToggle toggle(false);
-      off = core::schedule_offline_over(net, partitions, config, {});
-    }
-    {
-      util::ScopedKernelToggle toggle(true);
-      on = core::schedule_offline_over(net, partitions, config, {});
-    }
-    EXPECT_EQ(off.planned_relaxed_utility, on.planned_relaxed_utility);
-    // Same lazy-refresh trajectory, not just the same answer: the kernel
-    // path must price exactly the rows the scalar path priced.
-    EXPECT_EQ(off.row_evaluations, on.row_evaluations);
-    EXPECT_EQ(off.marginal_evaluations, on.marginal_evaluations);
-    expect_identical_schedules(off.schedule, on.schedule);
+  core::OfflineConfig config;
+  config.colors = 3;
+  config.samples = 6;
+  config.seed = GetParam();
+  core::OfflineResult off;
+  core::OfflineResult on;
+  {
+    util::ScopedKernelToggle toggle(false);
+    off = core::schedule_offline_over(net, partitions, config, {});
   }
+  {
+    util::ScopedKernelToggle toggle(true);
+    on = core::schedule_offline_over(net, partitions, config, {});
+  }
+  EXPECT_EQ(off.planned_relaxed_utility, on.planned_relaxed_utility);
+  // Same counter totals, not just the same answer: the batched kernel path
+  // must account for exactly the rows the per-policy scalar path priced.
+  EXPECT_EQ(off.row_evaluations, on.row_evaluations);
+  EXPECT_EQ(off.marginal_evaluations, on.marginal_evaluations);
+  expect_identical_schedules(off.schedule, on.schedule);
 }
 
 TEST_P(KernelScheduleDifferential, GlobalGreedySchedulesBitIdenticalOnAndOff) {

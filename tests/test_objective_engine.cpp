@@ -12,6 +12,7 @@
 namespace haste::core {
 namespace {
 
+using testing_helpers::owned_policy;
 using testing_helpers::random_network;
 
 TEST(BuildPartitions, SlotMajorOrderAndActivityFilter) {
@@ -23,7 +24,8 @@ TEST(BuildPartitions, SlotMajorOrderAndActivityFilter) {
     EXPECT_GE(partition.slot, last_slot);
     last_slot = partition.slot;
     EXPECT_FALSE(partition.policies.empty());
-    for (const Policy& policy : partition.policies) {
+    for (std::size_t q = 0; q < partition.policies.size(); ++q) {
+      const Policy policy = owned_policy(partition, q);
       ASSERT_EQ(policy.tasks.size(), policy.slot_energy.size());
       EXPECT_FALSE(policy.tasks.empty());
       for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
@@ -44,7 +46,8 @@ TEST(BuildPartitions, NoDuplicateActiveSetsWithinPartition) {
   const model::Network net = random_network(rng, 3, 10, 4);
   for (const auto& partition : build_partitions(net)) {
     std::set<std::vector<model::TaskIndex>> seen;
-    for (const Policy& policy : partition.policies) {
+    for (std::size_t q = 0; q < partition.policies.size(); ++q) {
+      const Policy policy = owned_policy(partition, q);
       EXPECT_TRUE(seen.insert(policy.tasks).second) << "duplicate active set";
     }
   }
@@ -63,8 +66,8 @@ TEST(BuildPartitions, CandidateRestriction) {
   const model::Network net = random_network(rng, 3, 8, 4);
   const std::vector<model::TaskIndex> candidates = {0, 1, 2};
   for (const auto& partition : build_partitions(net, 0, candidates)) {
-    for (const Policy& policy : partition.policies) {
-      for (model::TaskIndex j : policy.tasks) {
+    for (std::size_t q = 0; q < partition.policies.size(); ++q) {
+      for (model::TaskIndex j : partition.policy_tasks(q)) {
         EXPECT_LE(j, 2);
       }
     }
@@ -117,7 +120,7 @@ TEST(MarginalEngine, SingleColorIsExact) {
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     const auto& elements = f.elements_by_partition()[p];
     for (std::size_t q = 0; q < partitions[p].policies.size(); ++q) {
-      const Policy& policy = partitions[p].policies[q];
+      const Policy policy = owned_policy(partitions[p], q);
       const double fast =
           engine.marginal(partitions[p].charger, partitions[p].slot, policy, 0);
       std::vector<ElementId> extended = chosen;
@@ -126,7 +129,7 @@ TEST(MarginalEngine, SingleColorIsExact) {
       EXPECT_NEAR(fast, slow, 1e-10);
     }
     // Commit the first policy and continue.
-    engine.commit(partitions[p].charger, partitions[p].slot, partitions[p].policies[0], 0);
+    engine.commit(partitions[p].charger, partitions[p].slot, owned_policy(partitions[p], 0), 0);
     chosen.push_back(elements[0]);
     EXPECT_NEAR(engine.expected_value(), f.value(chosen), 1e-10);
   }
@@ -140,9 +143,9 @@ TEST(MarginalEngine, CommitReturnsRealizedMarginal) {
   MarginalEngine engine(net, {1, 1, 7});
   const auto& partition = partitions[0];
   const double predicted =
-      engine.marginal(partition.charger, partition.slot, partition.policies[0], 0);
+      engine.marginal(partition.charger, partition.slot, owned_policy(partition, 0), 0);
   const double realized =
-      engine.commit(partition.charger, partition.slot, partition.policies[0], 0);
+      engine.commit(partition.charger, partition.slot, owned_policy(partition, 0), 0);
   EXPECT_DOUBLE_EQ(predicted, realized);
 }
 
@@ -155,13 +158,14 @@ TEST(MarginalEngine, MarginalsShrinkAfterCommit) {
   if (partitions.size() < 2) GTEST_SKIP();
   MarginalEngine engine(net, {1, 1, 7});
   std::vector<double> before;
-  for (const Policy& policy : partitions[1].policies) {
-    before.push_back(engine.marginal(partitions[1].charger, partitions[1].slot, policy, 0));
+  for (std::size_t q = 0; q < partitions[1].policies.size(); ++q) {
+    before.push_back(engine.marginal(partitions[1].charger, partitions[1].slot,
+                                     owned_policy(partitions[1], q), 0));
   }
-  engine.commit(partitions[0].charger, partitions[0].slot, partitions[0].policies[0], 0);
+  engine.commit(partitions[0].charger, partitions[0].slot, owned_policy(partitions[0], 0), 0);
   for (std::size_t q = 0; q < partitions[1].policies.size(); ++q) {
     const double after = engine.marginal(partitions[1].charger, partitions[1].slot,
-                                         partitions[1].policies[q], 0);
+                                         owned_policy(partitions[1], q), 0);
     EXPECT_LE(after, before[q] + 1e-12);
   }
 }
@@ -177,9 +181,10 @@ TEST(MarginalEngine, InitialEnergyShiftsUtilities) {
   EXPECT_NEAR(engine.expected_value(), net.utility_upper_bound(), 1e-12);
   // All marginals must be zero: tasks are saturated.
   for (const auto& partition : build_partitions(net)) {
-    for (const Policy& policy : partition.policies) {
-      EXPECT_NEAR(engine.marginal(partition.charger, partition.slot, policy, 0), 0.0,
-                  1e-12);
+    for (std::size_t q = 0; q < partition.policies.size(); ++q) {
+      EXPECT_NEAR(engine.marginal(partition.charger, partition.slot,
+                                  owned_policy(partition, q), 0),
+                  0.0, 1e-12);
     }
   }
 }
@@ -192,7 +197,7 @@ TEST(MarginalEngine, ColorsPartitionTheSamples) {
   const auto partitions = build_partitions(net);
   if (partitions.empty()) GTEST_SKIP();
   const auto& partition = partitions[0];
-  const Policy& policy = partition.policies[0];
+  const Policy policy = owned_policy(partition, 0);
 
   MarginalEngine multi(net, {4, 64, 11});
   double total = 0.0;

@@ -132,8 +132,8 @@ TEST_P(ModelInvariants, DisjointCommitsCommute) {
   // Find two policies with disjoint task sets in different partitions.
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     for (std::size_t q = p + 1; q < partitions.size(); ++q) {
-      const core::Policy& a = partitions[p].policies[0];
-      const core::Policy& b = partitions[q].policies[0];
+      const core::Policy a = testing_helpers::owned_policy(partitions[p], 0);
+      const core::Policy b = testing_helpers::owned_policy(partitions[q], 0);
       std::vector<model::TaskIndex> overlap;
       std::set_intersection(a.tasks.begin(), a.tasks.end(), b.tasks.begin(),
                             b.tasks.end(), std::back_inserter(overlap));

@@ -29,10 +29,10 @@ TEST(HasteRObjective, SingletonValueMatchesDirectComputation) {
   const HasteRObjective f(net, partitions);
   if (f.ground_size() == 0) GTEST_SKIP() << "degenerate instance";
   const ElementId e = 0;
-  const Policy& policy = f.policy_of(e);
+  const kernels::RowView rows = f.rows_of(e);
   double expected = 0.0;
-  for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
-    expected += net.weighted_task_utility(policy.tasks[t], policy.slot_energy[t]);
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    expected += net.weighted_task_utility(rows.tasks[t], rows.delta[t]);
   }
   const std::vector<ElementId> set = {e};
   EXPECT_NEAR(f.value(set), expected, 1e-12);

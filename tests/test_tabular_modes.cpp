@@ -1,19 +1,26 @@
-// Differential tests for the TabularGreedy evaluation modes: the incremental
-// per-(task, sample) dirty-tracking path must be bit-identical to the rebuild
-// (from-scratch) reference — same schedules, same planned utilities — across
-// panel shapes, tie-break settings, warm starts, and the online negotiation.
+// Differential tests for the TabularGreedy evaluation modes. Offline: the
+// library's batched scheduler, which rebuilds every marginal from scratch each
+// stage, must be bit-identical — same schedules, same planned utilities — to
+// the per-policy reference and to the incremental reference, whose
+// per-(task, sample) dirty tracking re-prices only the rows whose utilities
+// moved, across panel shapes, tie-break settings and warm starts. Online: the
+// nodes' incremental mode must walk the exact trajectory of their rebuild mode.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "core/offline.hpp"
 #include "dist/online.hpp"
+#include "offline_reference.hpp"
 #include "test_helpers.hpp"
 
 namespace haste {
 namespace {
 
 using testing_helpers::random_network;
+using testing_helpers::reference_offline;
+using testing_helpers::ReferencePricing;
 
 void expect_identical_schedules(const model::Schedule& a, const model::Schedule& b) {
   ASSERT_EQ(a.charger_count(), b.charger_count());
@@ -27,56 +34,63 @@ void expect_identical_schedules(const model::Schedule& a, const model::Schedule&
 }
 
 core::OfflineConfig offline_config(int colors, int samples, std::uint64_t seed,
-                                   bool tiebreak, core::TabularMode mode) {
+                                   bool tiebreak) {
   core::OfflineConfig config;
   config.colors = colors;
   config.samples = samples;
   config.seed = seed;
   config.switch_avoiding_tiebreak = tiebreak;
-  config.mode = mode;
   return config;
+}
+
+// The batched scheduler against both reference pricings on one instance.
+void expect_offline_matches_references(const model::Network& net,
+                                       const std::vector<core::PolicyPartition>& partitions,
+                                       const core::OfflineConfig& config,
+                                       std::span<const double> initial = {}) {
+  const core::OfflineResult rebuild =
+      core::schedule_offline_over(net, partitions, config, initial);
+  const core::OfflineResult per_policy =
+      reference_offline(net, partitions, config, initial, ReferencePricing::kPerPolicy);
+  const core::OfflineResult incremental =
+      reference_offline(net, partitions, config, initial, ReferencePricing::kIncremental);
+  EXPECT_EQ(rebuild.planned_relaxed_utility, per_policy.planned_relaxed_utility);
+  expect_identical_schedules(rebuild.schedule, per_policy.schedule);
+  EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility);
+  expect_identical_schedules(rebuild.schedule, incremental.schedule);
+  // Cached terms must actually be reused, or the incremental side is vacuous.
+  EXPECT_LT(incremental.row_evaluations, per_policy.row_evaluations);
 }
 
 class TabularModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-// The core property: for every panel shape and either tie-break setting, both
-// modes walk the exact same greedy trajectory.
+// The core property: for every panel shape and either tie-break setting, all
+// pricings walk the exact same greedy trajectory.
 TEST_P(TabularModeDifferential, OfflineIncrementalMatchesRebuild) {
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 6, 14, 4);
+  const auto partitions = core::build_partitions(net);
   for (const int colors : {1, 2, 4, 8}) {
     for (const int samples : {1, 16}) {
       for (const bool tiebreak : {false, true}) {
-        const core::OfflineResult rebuild = core::schedule_offline(
-            net, offline_config(colors, samples, GetParam(), tiebreak,
-                                core::TabularMode::kRebuild));
-        const core::OfflineResult incremental = core::schedule_offline(
-            net, offline_config(colors, samples, GetParam(), tiebreak,
-                                core::TabularMode::kIncremental));
-        EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility)
-            << "C=" << colors << " S=" << samples << " tiebreak=" << tiebreak;
-        expect_identical_schedules(rebuild.schedule, incremental.schedule);
+        SCOPED_TRACE(::testing::Message() << "C=" << colors << " S=" << samples
+                                          << " tiebreak=" << tiebreak);
+        expect_offline_matches_references(
+            net, partitions, offline_config(colors, samples, GetParam(), tiebreak));
       }
     }
   }
 }
 
-// Warm starts (online re-planning) exercise the nonzero-initial-energy path
-// of the cache build.
+// Warm starts (online re-planning) seed the engine with nonzero energies.
 TEST_P(TabularModeDifferential, OfflineWithInitialEnergyMatches) {
   util::Rng rng(GetParam() + 1000);
   const model::Network net = random_network(rng, 5, 12, 4);
   const auto partitions = core::build_partitions(net);
   std::vector<double> initial(static_cast<std::size_t>(net.task_count()));
   for (double& e : initial) e = rng.uniform(0.0, 2000.0);
-  const core::OfflineResult rebuild = core::schedule_offline_over(
-      net, partitions,
-      offline_config(4, 16, GetParam(), true, core::TabularMode::kRebuild), initial);
-  const core::OfflineResult incremental = core::schedule_offline_over(
-      net, partitions,
-      offline_config(4, 16, GetParam(), true, core::TabularMode::kIncremental), initial);
-  EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility);
-  expect_identical_schedules(rebuild.schedule, incremental.schedule);
+  expect_offline_matches_references(net, partitions, offline_config(4, 16, GetParam(), true),
+                                    initial);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TabularModeDifferential,
@@ -111,23 +125,6 @@ TEST_P(OnlineModeDifferential, NegotiationIncrementalMatchesRebuild) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineModeDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
-
-// The point of the incremental mode: at the paper's C=4 / S=16 panel the
-// replicated initial build plus dirty-row refreshes evaluate far fewer
-// per-(row, sample) terms than re-deriving every marginal from scratch.
-TEST(TabularModeSavings, IncrementalHalvesRowEvaluationsAtPaperPanel) {
-  util::Rng rng(7);
-  const model::Network net = random_network(rng, 12, 48, 4);
-  const core::OfflineResult rebuild = core::schedule_offline(
-      net, offline_config(4, 16, 1, true, core::TabularMode::kRebuild));
-  const core::OfflineResult incremental = core::schedule_offline(
-      net, offline_config(4, 16, 1, true, core::TabularMode::kIncremental));
-  expect_identical_schedules(rebuild.schedule, incremental.schedule);
-  EXPECT_GT(rebuild.row_evaluations, 0u);
-  EXPECT_LE(incremental.row_evaluations * 2, rebuild.row_evaluations);
-  // The incremental sweep never calls the full oracle outside commits.
-  EXPECT_LT(incremental.marginal_evaluations, rebuild.marginal_evaluations);
-}
 
 }  // namespace
 }  // namespace haste

@@ -16,7 +16,10 @@
 //             [--seed S] [--mode incremental|rebuild] [--out SCHEDULE]
 //             [--improve]
 //       Runs a scheduler on a scenario file; prints the outcome, optionally
-//       writes the schedule and applies the local-search improver.
+//       writes the schedule and applies the local-search improver. C and S
+//       must be >= 1. --mode picks how the online algorithms' charger nodes
+//       price their stage marginals (bit-identical either way); offline
+//       HASTE has a single path and ignores it.
 //   eval      --in FILE --schedule FILE
 //       Replays a stored schedule against a scenario and reports utilities.
 //   testbed   [--topology 1|2] [--online] [--colors C]
@@ -63,6 +66,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,8 +124,8 @@ int cmd_generate(const util::Flags& flags) {
   sim::ScenarioConfig config = flags.get("preset", "paper") == "small"
                                    ? sim::ScenarioConfig::small_scale()
                                    : sim::ScenarioConfig::paper_default();
-  config.chargers = static_cast<int>(flags.get_int("chargers", config.chargers));
-  config.tasks = static_cast<int>(flags.get_int("tasks", config.tasks));
+  config.chargers = flags.get_int_in("chargers", config.chargers);
+  config.tasks = flags.get_int_in("tasks", config.tasks);
   config.utility_shape = flags.get("utility", config.utility_shape);
   if (flags.has("gaussian")) {
     config.task_placement = sim::Placement::kGaussian;
@@ -136,11 +140,9 @@ int cmd_generate(const util::Flags& flags) {
       flags.get_double("deadline-slack-min", config.deadline_slack_min);
   config.deadline_slack_max =
       flags.get_double("deadline-slack-max", config.deadline_slack_max);
-  config.release_window_slots =
-      static_cast<int>(flags.get_int("window", config.release_window_slots));
+  config.release_window_slots = flags.get_int_in("window", config.release_window_slots);
   config.burst_factor = flags.get_double("burst-factor", config.burst_factor);
-  config.burst_period_slots =
-      static_cast<int>(flags.get_int("burst-period", config.burst_period_slots));
+  config.burst_period_slots = flags.get_int_in("burst-period", config.burst_period_slots);
   config.hotspot_fraction =
       flags.get_double("hotspot-fraction", config.hotspot_fraction);
   config.hotspot_sigma = flags.get_double("hotspot-sigma", config.hotspot_sigma);
@@ -162,8 +164,8 @@ int cmd_solve(const util::Flags& flags) {
   const std::string algorithm = flags.get("algorithm", "offline-haste");
 
   sim::AlgoParams params;
-  params.colors = static_cast<int>(flags.get_int("colors", 4));
-  params.samples = static_cast<int>(flags.get_int("samples", 4 * params.colors));
+  params.colors = flags.get_int_in("colors", 4, 1);
+  params.samples = flags.get_int_in("samples", 4 * std::int64_t{params.colors}, 1);
   params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string mode = flags.get("mode", "incremental");
   if (mode != "incremental" && mode != "rebuild") {
@@ -184,7 +186,7 @@ int cmd_solve(const util::Flags& flags) {
       case sim::Algorithm::kOfflineHaste:
         schedule = core::schedule_offline(
                        net, core::OfflineConfig{params.colors, params.samples,
-                                                params.seed, true, false, params.mode})
+                                                params.seed, true, false})
                        .schedule;
         break;
       default: {
@@ -243,7 +245,8 @@ int cmd_testbed(const util::Flags& flags) {
   const std::int64_t which = flags.get_int("topology", 1);
   const model::Network net = which == 2 ? testbed::topology2() : testbed::topology1();
   sim::AlgoParams params;
-  params.colors = static_cast<int>(flags.get_int("colors", 4));
+  // Bounded so the derived panel size 4 * C stays an int.
+  params.colors = flags.get_int_in("colors", 4, 1, std::numeric_limits<int>::max() / 4);
   params.samples = 4 * params.colors;
   const sim::Algorithm kind = flags.get_bool("online")
                                   ? sim::Algorithm::kOnlineHaste
@@ -265,9 +268,9 @@ int cmd_render(const util::Flags& flags) {
     return 2;
   }
   const model::Network net = io::load_network(in);
-  const auto slot = static_cast<model::SlotIndex>(flags.get_int("slot", 0));
-  const int width = static_cast<int>(flags.get_int("width", 48));
-  const int height = static_cast<int>(flags.get_int("height", 16));
+  const model::SlotIndex slot = flags.get_int_in("slot", 0);
+  const int width = flags.get_int_in("width", 48);
+  const int height = flags.get_int_in("height", 16);
   std::optional<model::Schedule> schedule;
   if (flags.has("schedule")) schedule = io::load_schedule(flags.get("schedule"));
   const model::Schedule* schedule_ptr = schedule ? &*schedule : nullptr;
@@ -293,9 +296,9 @@ int cmd_heatmap(const util::Flags& flags) {
   }
   const model::Network net = io::load_network(in);
   const model::Schedule schedule = io::load_schedule(schedule_path);
-  const auto slot = static_cast<model::SlotIndex>(flags.get_int("slot", 0));
-  const int width = static_cast<int>(flags.get_int("width", 64));
-  const int height = static_cast<int>(flags.get_int("height", 24));
+  const model::SlotIndex slot = flags.get_int_in("slot", 0);
+  const int width = flags.get_int_in("width", 64);
+  const int height = flags.get_int_in("height", 24);
   const sim::FieldMap field = sim::sample_field(net, schedule, slot, width, height);
   std::cout << sim::shade_field(field);
   std::cout << "peak intensity " << util::format_fixed(field.peak(), 3)
@@ -396,8 +399,8 @@ int cmd_deadline_sweep(const util::Flags& flags) {
   sim::ScenarioConfig base = flags.get("preset", "paper") == "small"
                                  ? sim::ScenarioConfig::small_scale()
                                  : sim::ScenarioConfig::paper_default();
-  base.chargers = static_cast<int>(flags.get_int("chargers", base.chargers));
-  base.tasks = static_cast<int>(flags.get_int("tasks", base.tasks));
+  base.chargers = flags.get_int_in("chargers", base.chargers);
+  base.tasks = flags.get_int_in("tasks", base.tasks);
   base.deadline_decay = flags.get("decay", "linear");
   if (base.deadline_decay == "none") {
     std::cerr << "deadline-sweep: --decay must be linear, exp, or hard\n";
@@ -406,7 +409,7 @@ int cmd_deadline_sweep(const util::Flags& flags) {
   base.deadline_fraction = flags.get_double("fraction", base.deadline_fraction);
   base.deadline_slack_min = flags.get_double("slack-min", base.deadline_slack_min);
   base.deadline_slack_max = flags.get_double("slack-max", base.deadline_slack_max);
-  const int trials = static_cast<int>(flags.get_int("trials", 10));
+  const int trials = flags.get_int_in("trials", 10);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   std::vector<double> betas;
@@ -470,22 +473,20 @@ int cmd_predict_sweep(const util::Flags& flags) {
   sim::ScenarioConfig base = flags.get("preset", "paper") == "small"
                                  ? sim::ScenarioConfig::small_scale()
                                  : sim::ScenarioConfig::paper_default();
-  base.chargers = static_cast<int>(flags.get_int("chargers", base.chargers));
-  base.tasks = static_cast<int>(flags.get_int("tasks", base.tasks));
-  base.release_window_slots =
-      static_cast<int>(flags.get_int("window", base.release_window_slots));
+  base.chargers = flags.get_int_in("chargers", base.chargers);
+  base.tasks = flags.get_int_in("tasks", base.tasks);
+  base.release_window_slots = flags.get_int_in("window", base.release_window_slots);
   // Bursty, drifting traffic by default — stationary arrivals leave the
   // predictor nothing to learn and the Pareto curve collapses to a point.
   base.burst_factor = flags.get_double("burst-factor", 4.0);
-  base.burst_period_slots =
-      static_cast<int>(flags.get_int("burst-period", base.burst_period_slots));
+  base.burst_period_slots = flags.get_int_in("burst-period", base.burst_period_slots);
   base.hotspot_fraction = flags.get_double("hotspot-fraction", 0.6);
   base.hotspot_sigma = flags.get_double("hotspot-sigma", base.hotspot_sigma);
-  const int trials = static_cast<int>(flags.get_int("trials", 5));
+  const int trials = flags.get_int_in("trials", 5);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   predict::PredictorConfig tuned;  // shared knobs; enabled/max_level per point
-  tuned.grid = static_cast<int>(flags.get_int("grid", tuned.grid));
+  tuned.grid = flags.get_int_in("grid", tuned.grid);
   tuned.discount = flags.get_double("discount", tuned.discount);
   tuned.hot_rate = flags.get_double("hot-rate", tuned.hot_rate);
   tuned.min_confidence = flags.get_double("min-confidence", tuned.min_confidence);
