@@ -3,7 +3,10 @@
 // full offline scheduling, schedule evaluation, and the DES/bus substrate.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <unordered_set>
+#include <vector>
 
 #include "baseline/greedy_utility.hpp"
 #include "core/evaluate.hpp"
@@ -77,11 +80,20 @@ void BM_DominantSetExtraction(benchmark::State& state) {
 BENCHMARK(BM_DominantSetExtraction)->Arg(50)->Arg(200)->Arg(800);
 
 void BM_BuildPartitions(benchmark::State& state) {
+  // `partitions` counts the ground set's partitions and `distinct_bodies`
+  // the row bodies actually built: a charger's partition shares its
+  // previous-slot body until one of its covered rows changes.
   const model::Network net =
       make_network(static_cast<int>(state.range(0)), 4 * static_cast<int>(state.range(0)));
+  std::vector<core::PolicyPartition> partitions;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_partitions(net));
+    partitions = core::build_partitions(net);
+    benchmark::DoNotOptimize(partitions.data());
   }
+  std::unordered_set<const std::byte*> bodies;
+  for (const core::PolicyPartition& partition : partitions) bodies.insert(partition.body.get());
+  state.counters["partitions"] = static_cast<double>(partitions.size());
+  state.counters["distinct_bodies"] = static_cast<double>(bodies.size());
 }
 BENCHMARK(BM_BuildPartitions)->Arg(10)->Arg(25)->Arg(50);
 

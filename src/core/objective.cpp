@@ -1,8 +1,12 @@
 #include "core/objective.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -59,10 +63,75 @@ void make_slot_policies(const model::Network& net, model::ChargerIndex i,
 
 namespace {
 
+/// One partition body under assembly. The buffers stay warm across the whole
+/// build; seal() then copies them into the body's single allocation.
+struct StagedBody {
+  std::vector<PartitionPolicy> policies;
+  std::vector<std::int32_t> row_offsets;
+  std::vector<model::TaskIndex> flat_tasks;
+  std::vector<double> flat_energy;
+  std::vector<std::int32_t> flat_col;
+  std::vector<model::TaskIndex> col_task;
+  std::vector<double> col_delta;
+  std::vector<double> col_weight;
+  std::vector<double> col_required;
+
+  std::span<const model::TaskIndex> policy_tasks(std::size_t q) const {
+    const auto begin = static_cast<std::size_t>(row_offsets[q]);
+    return {flat_tasks.data() + begin, static_cast<std::size_t>(row_offsets[q + 1]) - begin};
+  }
+};
+
+/// Constructs a copy of `from` in the raw storage at `cursor`, advances
+/// `cursor` past it, and returns the copy.
+template <class T>
+std::span<const T> place(std::byte*& cursor, const std::vector<T>& from) {
+  static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>,
+                "a body is released as raw bytes, without running destructors");
+  T* first = reinterpret_cast<T*>(cursor);
+  std::uninitialized_copy(from.begin(), from.end(), first);
+  cursor += from.size() * sizeof(T);
+  return {std::launder(first), from.size()};
+}
+
+/// Copies `staged` into one immutable allocation that `out.body` owns and
+/// points `out`'s array views at the copies.
+void seal(const StagedBody& staged, PolicyPartition& out) {
+  // The 8-byte element arrays go first and the 4-byte ones after them, so
+  // every array starts aligned for its type once the base is, with no
+  // padding in between.
+  static_assert(alignof(PartitionPolicy) == alignof(double) &&
+                sizeof(PartitionPolicy) % alignof(double) == 0);
+  static_assert(alignof(model::TaskIndex) == alignof(std::int32_t) &&
+                alignof(std::int32_t) <= alignof(double));
+  const std::size_t bytes =
+      sizeof(PartitionPolicy) * staged.policies.size() +
+      sizeof(double) * (staged.flat_energy.size() + staged.col_delta.size() +
+                        staged.col_weight.size() + staged.col_required.size()) +
+      sizeof(std::int32_t) * (staged.row_offsets.size() + staged.flat_col.size()) +
+      sizeof(model::TaskIndex) * (staged.flat_tasks.size() + staged.col_task.size());
+  std::size_t space = bytes + alignof(double) - 1;
+  auto body = std::make_shared_for_overwrite<std::byte[]>(space);
+  void* base = body.get();
+  std::align(alignof(double), bytes, base, space);
+  auto* cursor = static_cast<std::byte*>(base);
+  out.policies = place(cursor, staged.policies);
+  out.flat_energy = place(cursor, staged.flat_energy);
+  out.col_delta = place(cursor, staged.col_delta);
+  out.col_weight = place(cursor, staged.col_weight);
+  out.col_required = place(cursor, staged.col_required);
+  out.row_offsets = place(cursor, staged.row_offsets);
+  out.flat_tasks = place(cursor, staged.flat_tasks);
+  out.flat_col = place(cursor, staged.flat_col);
+  out.col_task = place(cursor, staged.col_task);
+  out.body = std::move(body);
+}
+
 std::vector<PolicyPartition> build_partitions_impl(
     const model::Network& net, model::SlotIndex first_slot,
     const std::vector<std::vector<model::TaskIndex>>& candidates_per_charger) {
   const model::ChargerIndex n = net.charger_count();
+  const model::SlotIndex horizon = net.horizon();
   const double slot_seconds = net.time().slot_seconds;
   const bool deadlines = net.has_deadlines();
   // A dominant set pre-resolved once per charger: its covered rows with the
@@ -86,10 +155,21 @@ std::vector<PolicyPartition> build_partitions_impl(
     std::vector<model::SlotIndex> deadline;
   };
   std::vector<std::vector<ResolvedSet>> resolved(static_cast<std::size_t>(n));
+  // rebuild[i * stride + k] != 0: charger i's partition at slot k may differ
+  // from its slot k - 1 partition. A filtered row changes only where it is
+  // released or ends, and, once at or past its deadline, at every slot (the
+  // tardiness factor moves slot by slot). Everywhere else the slot filter
+  // below would rebuild the previous body bit for bit, so it is shared.
+  const auto stride = static_cast<std::size_t>(horizon) + 1;
+  const auto clamp_slot = [&](model::SlotIndex k) {
+    return static_cast<std::size_t>(std::clamp<model::SlotIndex>(k, 0, horizon));
+  };
+  std::vector<std::uint8_t> rebuild(static_cast<std::size_t>(n) * stride, 0);
   for (model::ChargerIndex i = 0; i < n; ++i) {
     const std::vector<DominantTaskSet> dominant =
         extract_dominant_sets(net, i, candidates_per_charger[static_cast<std::size_t>(i)]);
     auto& sets = resolved[static_cast<std::size_t>(i)];
+    std::uint8_t* changes = rebuild.data() + static_cast<std::size_t>(i) * stride;
     sets.reserve(dominant.size());
     for (const DominantTaskSet& set : dominant) {
       ResolvedSet rows;
@@ -105,8 +185,16 @@ std::vector<PolicyPartition> build_partitions_impl(
         rows.energy.push_back(net.potential_power(i, j) * slot_seconds);
         rows.release.push_back(task.release_slot);
         rows.end.push_back(task.end_slot);
+        changes[clamp_slot(task.release_slot)] = 1;
+        changes[clamp_slot(task.end_slot)] = 1;
         if (deadlines) {
-          rows.deadline.push_back(net.deadline_infeasible(j) ? 0 : task.deadline_slot);
+          const model::SlotIndex deadline =
+              net.deadline_infeasible(j) ? 0 : task.deadline_slot;
+          rows.deadline.push_back(deadline);
+          for (std::size_t k = clamp_slot(std::max(deadline, task.release_slot));
+               k < clamp_slot(task.end_slot); ++k) {
+            changes[k] = 1;
+          }
         }
       }
       sets.push_back(std::move(rows));
@@ -115,20 +203,25 @@ std::vector<PolicyPartition> build_partitions_impl(
   const model::DeadlinePolicy& deadline_policy = net.deadline_policy();
   const auto& tasks = net.tasks();
   std::vector<PolicyPartition> partitions;
-  partitions.reserve(static_cast<std::size_t>(net.horizon() - first_slot) *
+  partitions.reserve(static_cast<std::size_t>(std::max(horizon - first_slot, 0)) *
                      static_cast<std::size_t>(n));
-  // Each partition is assembled in `staged`, whose buffers stay warm across
-  // the whole build, and then copied out: a copy allocates every CSR array
-  // at exactly its size, one allocation per array however many policies and
-  // rows the partition holds.
-  PolicyPartition staged;
+  // current[i]: charger i's latest partition, re-emitted with its body shared
+  // until the charger's rows change; a null body means no policy there.
+  std::vector<PolicyPartition> current(static_cast<std::size_t>(n));
+  StagedBody staged;
   // task -> its column in the partition being assembled, -1 when none yet;
   // reset column by column after every partition.
   std::vector<std::int32_t> col_of_task(static_cast<std::size_t>(net.task_count()), -1);
-  for (model::SlotIndex k = first_slot; k < net.horizon(); ++k) {
+  for (model::SlotIndex k = first_slot; k < horizon; ++k) {
     for (model::ChargerIndex i = 0; i < n; ++i) {
-      staged.charger = i;
-      staged.slot = k;
+      PolicyPartition& partition = current[static_cast<std::size_t>(i)];
+      partition.charger = i;
+      partition.slot = k;
+      if (k > first_slot &&
+          rebuild[static_cast<std::size_t>(i) * stride + static_cast<std::size_t>(k)] == 0) {
+        if (partition.body != nullptr) partitions.push_back(partition);
+        continue;
+      }
       staged.policies.clear();
       staged.row_offsets.assign(1, 0);
       staged.flat_tasks.clear();
@@ -173,7 +266,10 @@ std::vector<PolicyPartition> build_partitions_impl(
         staged.policies.push_back(PartitionPolicy{rows.orientation});
         staged.row_offsets.push_back(static_cast<std::int32_t>(staged.flat_tasks.size()));
       }
-      if (staged.policies.empty()) continue;
+      if (staged.policies.empty()) {
+        partition = PolicyPartition{};
+        continue;
+      }
       // Column index: dedup the rows on exact (task, delta) equality. A row
       // whose delta is NaN never matches and simply gets its own column.
       staged.flat_col.clear();
@@ -198,7 +294,8 @@ std::vector<PolicyPartition> build_partitions_impl(
       for (const model::TaskIndex j : staged.col_task) {
         col_of_task[static_cast<std::size_t>(j)] = -1;
       }
-      partitions.push_back(staged);
+      seal(staged, partition);
+      partitions.push_back(partition);
     }
   }
   return partitions;
@@ -449,6 +546,22 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
         ++versions[j];
         ++task_version_[j];
       }
+    }
+    applied = true;
+  }
+  if (applied) ++commit_count_;
+}
+
+void MarginalEngine::commit_energy(std::span<const int> sample_colors, int c,
+                                   std::span<const model::TaskIndex> tasks,
+                                   std::span<const double> slot_energy) {
+  const auto m = static_cast<std::size_t>(net_->task_count());
+  bool applied = false;
+  for (int s = 0; s < config_.samples; ++s) {
+    if (sample_colors[static_cast<std::size_t>(s)] != c) continue;
+    double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      energy[static_cast<std::size_t>(tasks[t])] += slot_energy[t];
     }
     applied = true;
   }

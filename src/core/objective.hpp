@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -53,18 +54,24 @@ struct PartitionPolicy {
 /// The partition Theta_{i,k}: all policies of charger `charger` at `slot`.
 ///
 /// Every policy's (task, energy) rows are stored once, in one CSR-style flat
-/// layout, so the evaluation loops walk contiguous memory and the whole
-/// ground set is a handful of allocations per partition.
+/// layout, so the evaluation loops walk contiguous memory. All arrays of a
+/// partition (its body) sit in one immutable allocation owned by `body`;
+/// the array members are read-only views into it. A charger's active rows
+/// change only at slots where a covered row is released or ends, or sits at
+/// or past its deadline, so build_partitions builds a body only at those
+/// slots and every other slot's partition shares the previous slot's body.
+/// Copying a partition copies the pointer and the views, never the rows.
 struct PolicyPartition {
   model::ChargerIndex charger = 0;
   model::SlotIndex slot = 0;
-  std::vector<PartitionPolicy> policies;  ///< one entry per policy
+  std::shared_ptr<const std::byte[]> body;    ///< owns every array below
+  std::span<const PartitionPolicy> policies;  ///< one entry per policy
 
   // CSR rows over all policies: policy q's rows live at
   // [row_offsets[q], row_offsets[q + 1]) of flat_tasks / flat_energy.
-  std::vector<std::int32_t> row_offsets;
-  std::vector<model::TaskIndex> flat_tasks;  ///< ascending within a policy
-  std::vector<double> flat_energy;           ///< per row: P_r(s_i, o_j) * T_s (J)
+  std::span<const std::int32_t> row_offsets;
+  std::span<const model::TaskIndex> flat_tasks;  ///< ascending within a policy
+  std::span<const double> flat_energy;           ///< per row: P_r(s_i, o_j) * T_s (J)
   // Partition-local column index. Within a partition every row of the same
   // task carries the same energy delta — potential_power(i, j) *
   // slot_seconds, times the slot's tardiness factor, does not depend on the
@@ -75,11 +82,11 @@ struct PolicyPartition {
   // smaller) column set once per sample and gathers per policy;
   // bit-identical because rows sharing a column have identical inputs and
   // therefore identical terms.
-  std::vector<std::int32_t> flat_col;
-  std::vector<model::TaskIndex> col_task;
-  std::vector<double> col_delta;
-  std::vector<double> col_weight;
-  std::vector<double> col_required;
+  std::span<const std::int32_t> flat_col;
+  std::span<const model::TaskIndex> col_task;
+  std::span<const double> col_delta;
+  std::span<const double> col_weight;
+  std::span<const double> col_required;
 
   /// Contiguous (task, energy) rows of policy `q`. Inline: the evaluation
   /// loops call these per candidate, so an out-of-line hop per accessor is
@@ -107,7 +114,9 @@ struct PolicyPartition {
 /// tasks; empty policies, duplicate task sets within a partition, and empty
 /// partitions are dropped. Partitions are ordered slot-major (all chargers of
 /// slot k before slot k+1), which the schedulers rely on for their
-/// switch-avoiding tie-break.
+/// switch-avoiding tie-break. A charger's partition shares the body of its
+/// previous-slot partition unless, at its slot, one of the charger's covered
+/// rows is released or ends, or is at or past its deadline.
 std::vector<PolicyPartition> build_partitions(const model::Network& net,
                                               model::SlotIndex first_slot = 0);
 
@@ -220,8 +229,8 @@ class MarginalEngine {
                 std::span<const double> slot_energy, int c);
 
   /// Commit without re-evaluating the realized gain. For callers that
-  /// selected the policy on an exact marginal they already hold (the offline
-  /// scheduler, the incremental nodes): the gain commit() would recompute is
+  /// selected the policy on an exact marginal they already hold (the
+  /// incremental nodes): the gain commit() would recompute is
   /// bit for bit that value, so only the energy accumulation and the version
   /// bumps remain to be done. Identical state trajectory to commit(), zero
   /// row_term work.
@@ -237,6 +246,18 @@ class MarginalEngine {
                       std::span<const model::TaskIndex> tasks,
                       std::span<const double> slot_energy, int c,
                       std::span<const std::uint8_t> tracked = {});
+
+  /// Energy-only commit, for a caller that holds the panel colors of the
+  /// committing (charger, slot) and never reads the version counters (the
+  /// offline scheduler). `sample_colors` is the same panel
+  /// partition_marginals takes: the rows are added into every sample whose
+  /// color is `c`, with the energy bits commit_no_gain would produce, and
+  /// the commit is counted. No utility flatness test, version bump or panel
+  /// re-hash runs, so once an engine commits this way its versions no longer
+  /// certify cached marginals.
+  void commit_energy(std::span<const int> sample_colors, int c,
+                     std::span<const model::TaskIndex> tasks,
+                     std::span<const double> slot_energy);
 
   /// Current estimate of F(Q) (panel average of the weighted utility).
   double expected_value() const;

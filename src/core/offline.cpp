@@ -67,12 +67,11 @@ OfflineResult schedule_offline_over(const model::Network& net,
       double& prev = previous_orientation[static_cast<std::size_t>(partition.charger) *
                                               static_cast<std::size_t>(colors) +
                                           static_cast<std::size_t>(c)];
+      const std::span<const int> sample_colors(
+          panel.data() + p * static_cast<std::size_t>(samples),
+          static_cast<std::size_t>(samples));
       marginals.resize(partition.policies.size());
-      engine.partition_marginals(
-          partition, c,
-          {panel.data() + p * static_cast<std::size_t>(samples),
-           static_cast<std::size_t>(samples)},
-          marginals.data());
+      engine.partition_marginals(partition, c, sample_colors, marginals.data());
       int best = -1;
       double best_marginal = 0.0;
       bool best_is_previous = false;
@@ -92,10 +91,11 @@ OfflineResult schedule_offline_over(const model::Network& net,
       }
       if (best >= 0) {
         const auto bq = static_cast<std::size_t>(best);
-        // `best_marginal` is the exact gain commit() would recompute, so
-        // only the energy and version updates remain to be done.
-        engine.commit_no_gain(partition.charger, partition.slot, partition.policy_tasks(bq),
-                              partition.policy_energy(bq), c);
+        // `best_marginal` is the exact gain commit() would recompute, and no
+        // offline reader consults the version counters, so only the energy
+        // accumulation remains to be done.
+        engine.commit_energy(sample_colors, c, partition.policy_tasks(bq),
+                             partition.policy_energy(bq));
         selections[p * static_cast<std::size_t>(colors) + static_cast<std::size_t>(c)] =
             best;
         prev = partition.policies[bq].orientation;

@@ -586,6 +586,10 @@ class Transport {
   /// became available (e.g. no TCP worker has connected yet).
   virtual std::unique_ptr<WorkerLink> open(int timeout_ms) = 0;
   virtual const char* name() const = 0;
+  /// True while the pool should hold its first assignment until this
+  /// transport has filled its share: links that dial in on their own
+  /// schedule after the runner spawned them, until one fails the handshake.
+  virtual bool admits_spawned_workers() const { return false; }
 };
 
 class SubprocessTransport : public Transport {
@@ -620,6 +624,9 @@ class TcpTransport : public Transport {
   }
   int capacity() const override { return capacity_; }
   const char* name() const override { return "tcp"; }
+  bool admits_spawned_workers() const override {
+    return !spawn_argv_.empty() && rejected_ == 0;
+  }
 
   std::unique_ptr<WorkerLink> open(int timeout_ms) override {
     std::optional<util::TcpSocket> socket = listener_.accept(0);
@@ -648,6 +655,7 @@ class TcpTransport : public Transport {
       HASTE_LOG_WARN << "shard runner: rejected unauthenticated TCP worker "
                      << socket->peer();
       HASTE_OBS_COUNTER_ADD("shard.auth_reject", 1);
+      ++rejected_;
       return nullptr;
     }
     // A stalled worker must cost its shard attempt, not driver memory: cap
@@ -663,6 +671,7 @@ class TcpTransport : public Transport {
   std::string auth_token_;                 ///< "" = accept anyone
   std::size_t max_outbox_bytes_ = 0;       ///< 0 = unbounded
   std::vector<util::Subprocess> spawned_;  ///< destructor reaps leftovers
+  long rejected_ = 0;                      ///< peers that failed the handshake
 };
 
 /// Drives a pool of workers over a fixed shard list: assigns pending shards
@@ -751,6 +760,7 @@ class ShardRunner {
     HASTE_OBS_SPAN(drive_span, "shard.drive");
     drive_span.arg("shards", Json(static_cast<int>(shards_.size())));
     const Clock::time_point started = Clock::now();
+    admit_spawned_workers(started);
     while (completed_ < shards_.size()) {
       open_up_to_target();
       assign_pending();
@@ -776,6 +786,34 @@ class ShardRunner {
     transports_.clear();
   }
 
+  /// Self-spawned TCP workers dial in on their own schedule. Assigning as
+  /// soon as the first one is admitted lets it drain a small sweep before
+  /// the others connect, and they then never run a shard (nor ship a
+  /// trace). So the pool admits each spawning transport's share — its
+  /// capacity, capped by the pending shards — before the first assignment,
+  /// for at most connect_wait_seconds; a pool still empty by then fails in
+  /// drive()'s connect-wait check as before.
+  void admit_spawned_workers(Clock::time_point started) {
+    for (const std::unique_ptr<Transport>& transport : transports_) {
+      const std::size_t share =
+          std::min(static_cast<std::size_t>(transport->capacity()), pending_.size());
+      std::size_t admitted = 0;
+      while (admitted < share && transport->admits_spawned_workers() &&
+             seconds_since(started) <= options_.connect_wait_seconds) {
+        std::unique_ptr<WorkerLink> link = transport->open(50);
+        if (!link) continue;
+        admit(std::move(link), transport.get());
+        ++admitted;
+      }
+    }
+  }
+
+  void admit(std::unique_ptr<WorkerLink> link, Transport* origin) {
+    workers_.push_back(
+        WorkerSlot{std::move(link), origin, {}, -1, {}, false, ++worker_serial_});
+    workers_.back().lines.set_max_line_bytes(options_.max_line_bytes);
+  }
+
   void open_up_to_target() {
     // Open only as many links as there is pending work (capped at each
     // transport's pool share): a broken worker command then consumes shard
@@ -795,9 +833,7 @@ class ShardRunner {
         // TCP worker to dial in is what paces the connect-wait loop.
         std::unique_ptr<WorkerLink> link = transport->open(workers_.empty() ? 200 : 0);
         if (!link) break;
-        workers_.push_back(WorkerSlot{std::move(link), transport.get(), {}, -1, {},
-                                      false, ++worker_serial_});
-        workers_.back().lines.set_max_line_bytes(options_.max_line_bytes);
+        admit(std::move(link), transport.get());
         ++from_this;
         ++idle;
       }
