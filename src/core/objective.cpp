@@ -520,8 +520,7 @@ const int* MarginalEngine::commit_panel(model::ChargerIndex i, model::SlotIndex 
 
 void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
                                     std::span<const model::TaskIndex> tasks,
-                                    std::span<const double> slot_energy, int c,
-                                    std::span<const std::uint8_t> tracked) {
+                                    std::span<const double> slot_energy, int c) {
   const auto m = static_cast<std::size_t>(net_->task_count());
   const int* colors = commit_panel(i, k);
   bool applied = false;
@@ -534,7 +533,6 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
       const double before = energy[j];
       const double after = before + slot_energy[t];
       energy[j] = after;
-      if (!tracked.empty() && tracked[j] == 0) continue;
       // Only rows whose *utility* moved in this sample de-certify cached
       // marginals. Utility shapes are concave and non-decreasing, so
       // u(before) == u(after) with before < after means u is flat on

@@ -234,18 +234,9 @@ class MarginalEngine {
   /// bit for bit that value, so only the energy accumulation and the version
   /// bumps remain to be done. Identical state trajectory to commit(), zero
   /// row_term work.
-  ///
-  /// Also the remote-commit entry of the distributed nodes, which apply a
-  /// neighbor's committed tuple and never need its gain. There `tracked`
-  /// (one flag per task: the receiver's coverable tasks, the only ones its
-  /// marginals read) limits the utility flatness test and version bumps to
-  /// flagged rows, and the versions of every other task stop being
-  /// maintained. Energy accumulates for every row either way, so
-  /// expected_value() keeps its bits. Empty `tracked` = every task.
   void commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
                       std::span<const model::TaskIndex> tasks,
-                      std::span<const double> slot_energy, int c,
-                      std::span<const std::uint8_t> tracked = {});
+                      std::span<const double> slot_energy, int c);
 
   /// Energy-only commit, for a caller that holds the panel colors of the
   /// committing (charger, slot) and never reads the version counters (the
@@ -298,6 +289,12 @@ class MarginalEngine {
 
   /// Total number of energy-changing commits so far.
   std::uint64_t commit_count() const { return commit_count_; }
+
+  /// Accumulated relaxed energy of task `j` in panel sample `s`.
+  double energy(int s, model::TaskIndex j) const {
+    return energy_[static_cast<std::size_t>(s) * static_cast<std::size_t>(net_->task_count()) +
+                   static_cast<std::size_t>(j)];
+  }
 
   /// One row of a marginal in sample `s`: the utility delta of task `j` when
   /// `delta` energy is added on top of its current accumulation. Summing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 namespace haste::dist {
 
@@ -13,19 +12,8 @@ constexpr double kTieSlack = 1e-12;
 }  // namespace
 
 ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
-                         core::MarginalEngine::Config engine_config,
-                         core::TabularMode mode,
-                         std::shared_ptr<const core::kernels::UtilityTable> table)
-    : net_(&net),
-      id_(id),
-      engine_config_(engine_config),
-      mode_(mode),
-      table_(table != nullptr ? std::move(table)
-                              : std::make_shared<const core::kernels::UtilityTable>(
-                                    core::kernels::UtilityTable::from(net))),
-      neighbors_(net.neighbors(id)) {
-  previous_orientation_.assign(static_cast<std::size_t>(std::max(1, engine_config.colors)),
-                               std::nullopt);
+                         core::TabularMode mode)
+    : net_(&net), id_(id), mode_(mode), neighbors_(net.neighbors(id)) {
   neighbor_position_.assign(static_cast<std::size_t>(net.charger_count()), -1);
   for (std::size_t p = 0; p < neighbors_.size(); ++p) {
     neighbor_position_[static_cast<std::size_t>(neighbors_[p])] = static_cast<std::int32_t>(p);
@@ -37,7 +25,7 @@ ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
 }
 
 Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks,
-                                std::span<const double> initial_energy) {
+                                core::MarginalEngine& ledger) {
   // Dominant sets are a pure function of (net, id, known_tasks); consecutive
   // re-plans of a reused node usually extend `known_tasks` (recompute) but
   // failure-triggered re-plans repeat it verbatim (hit).
@@ -46,26 +34,23 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
     cached_known_ = known_tasks;
     dominant_cached_ = true;
   }
-  engine_.emplace(*net_, engine_config_, initial_energy, table_);
-  selections_.assign(static_cast<std::size_t>(net_->horizon()) *
-                         static_cast<std::size_t>(engine_->colors()),
-                     std::nullopt);
+  ledger_ = &ledger;
+  const auto colors = static_cast<std::size_t>(ledger.colors());
+  selections_.assign(static_cast<std::size_t>(net_->horizon()) * colors, std::nullopt);
   for (std::vector<model::TaskIndex>& tasks : neighbor_tasks_) tasks.clear();
   loaded_slot_ = -1;
-  std::fill(previous_orientation_.begin(), previous_orientation_.end(), std::nullopt);
+  previous_orientation_.assign(colors, std::nullopt);
 
   // HELLO: announce which known tasks this charger can cover, with the
   // per-slot energy it would deliver (lets neighbors predict participation).
   Message hello;
   hello.sender = id_;
   hello.command = Command::kHello;
-  coverable_.assign(static_cast<std::size_t>(net_->task_count()), 0);
   for (model::TaskIndex j : known_tasks) {
     const double p = net_->potential_power(id_, j);
     if (p > 0.0) {
       hello.policy.tasks.push_back(j);
       hello.policy.slot_energy.push_back(p * net_->time().slot_seconds);
-      coverable_[static_cast<std::size_t>(j)] = 1;
     }
   }
 
@@ -73,7 +58,7 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
   // policy of every stage (the per-slot energy is orientation- and
   // slot-independent). All samples share the initial energies, so one
   // row_term per column is exact for the whole panel (replication), and
-  // version 0 matches the engine's untouched counters.
+  // version 0 matches the ledger's untouched counters.
   plan_col_task_.clear();
   plan_col_delta_.clear();
   plan_col_of_.assign(static_cast<std::size_t>(net_->task_count()), -1);
@@ -84,7 +69,7 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
       plan_col_task_.push_back(hello.policy.tasks[t]);
       plan_col_delta_.push_back(hello.policy.slot_energy[t]);
     }
-    const auto samples = static_cast<std::size_t>(engine_->samples());
+    const auto samples = static_cast<std::size_t>(ledger.samples());
     plan_terms_.assign(plan_col_task_.size() * samples, 0.0);
     plan_versions_.assign(plan_col_task_.size() * samples, 0);
     if (term_cache_valid_.size() != static_cast<std::size_t>(net_->task_count())) {
@@ -94,17 +79,17 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
     }
     for (std::size_t col = 0; col < plan_col_task_.size(); ++col) {
       const auto j = static_cast<std::size_t>(plan_col_task_[col]);
-      // row_term(0, j, delta) on a fresh engine is a pure function of the
+      // row_term(0, j, delta) on a fresh ledger is a pure function of the
       // task's harvested base energy (delta never changes for a column), so
       // a bitwise-equal base since the previous plan reuses the cached term
       // — the re-plan's dominant row_term cost when energies are settled.
-      const double base_energy = j < initial_energy.size() ? initial_energy[j] : 0.0;
-      const std::uint64_t base_bits = std::bit_cast<std::uint64_t>(base_energy);
+      const std::uint64_t base_bits =
+          std::bit_cast<std::uint64_t>(ledger.energy(0, plan_col_task_[col]));
       double term;
       if (term_cache_valid_[j] != 0 && term_cache_base_[j] == base_bits) {
         term = term_cache_term_[j];
       } else {
-        term = engine_->row_term(0, plan_col_task_[col], plan_col_delta_[col]);
+        term = ledger.row_term(0, plan_col_task_[col], plan_col_delta_[col]);
         term_cache_base_[j] = base_bits;
         term_cache_term_[j] = term;
         term_cache_valid_[j] = 1;
@@ -129,7 +114,7 @@ void ChargerNode::prewarm_columns(const std::vector<model::TaskIndex>& tasks) {
     const double p = net_->potential_power(id_, task);
     if (p <= 0.0) continue;  // not coverable: never becomes a plan column
     const double delta = p * net_->time().slot_seconds;
-    // Matches row_term(0, task, delta) on a fresh engine with zero base:
+    // Matches row_term(0, task, delta) on a fresh ledger with zero base:
     // weighted_utility(delta) - weighted_utility(0), computed through the
     // scalar objective (bit-identical to the kernel table by contract).
     const double term = net_->weighted_task_utility(task, delta) -
@@ -143,17 +128,17 @@ void ChargerNode::prewarm_columns(const std::vector<model::TaskIndex>& tasks) {
 void ChargerNode::load_slot(model::SlotIndex slot) {
   loaded_slot_ = slot;
   core::make_slot_policies(*net_, id_, dominant_, slot, slot_policies_);
-  slot_colors_.resize(static_cast<std::size_t>(engine_->samples()));
-  for (int s = 0; s < engine_->samples(); ++s) {
+  slot_colors_.resize(static_cast<std::size_t>(ledger_->samples()));
+  for (int s = 0; s < ledger_->samples(); ++s) {
     slot_colors_[static_cast<std::size_t>(s)] = core::MarginalEngine::panel_color(
-        engine_config_.seed, s, id_, slot, engine_->colors());
+        ledger_->seed(), s, id_, slot, ledger_->colors());
   }
   // Row -> plan-column map for the slot's policies. Dominant-set tasks are
   // always in the HELLO coverable set, but register stragglers defensively
-  // with never-priced stamps (engine versions can be anything by now).
+  // with never-priced stamps (ledger versions can be anything by now).
   slot_row_col_.clear();
   if (mode_ == core::TabularMode::kIncremental) {
-    const auto samples = static_cast<std::size_t>(engine_->samples());
+    const auto samples = static_cast<std::size_t>(ledger_->samples());
     for (std::size_t row = 0; row < slot_policies_.tasks.size(); ++row) {
       const model::TaskIndex task = slot_policies_.tasks[row];
       const double delta = slot_policies_.energy[row];
@@ -204,7 +189,7 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
   stage_color_ = color;
   stage_cache_.assign(slot_policies_.size(), PolicyTermCache{});
   stage_samples_.clear();
-  for (int s = 0; s < engine_->samples(); ++s) {
+  for (int s = 0; s < ledger_->samples(); ++s) {
     if (slot_colors_[static_cast<std::size_t>(s)] == color) stage_samples_.push_back(s);
   }
   std::fill(neighbor_heard_.begin(), neighbor_heard_.end(), 0);
@@ -223,7 +208,7 @@ bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
 double ChargerNode::refresh_policy(std::size_t q) {
   const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(q);
   const std::span<const double> energy = slot_policies_.policy_energy(q);
-  const auto samples = static_cast<std::size_t>(engine_->samples());
+  const auto samples = static_cast<std::size_t>(ledger_->samples());
   const std::size_t* row_col =
       slot_row_col_.data() + static_cast<std::size_t>(slot_policies_.row_offsets[q]);
   double total = 0.0;
@@ -232,16 +217,16 @@ double ChargerNode::refresh_policy(std::size_t q) {
     double inner = 0.0;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const std::size_t idx = row_col[t] * samples + static_cast<std::size_t>(s);
-      const std::uint64_t version = engine_->sample_version(s, tasks[t]);
+      const std::uint64_t version = ledger_->sample_version(s, tasks[t]);
       if (plan_versions_[idx] != version) {
-        plan_terms_[idx] = engine_->row_term(s, tasks[t], energy[t]);
+        plan_terms_[idx] = ledger_->row_term(s, tasks[t], energy[t]);
         plan_versions_[idx] = version;
       }
       inner += plan_terms_[idx];
     }
     total += inner;
   }
-  return total / static_cast<double>(engine_->samples());
+  return total / static_cast<double>(ledger_->samples());
 }
 
 void ChargerNode::recompute_best() {
@@ -278,9 +263,9 @@ void ChargerNode::recompute_best() {
       // a re-evaluation is utility-function calls per panel sample).
       PolicyTermCache& cache = stage_cache_[q];
       const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(q);
-      const std::uint64_t stamp = engine_->version_sum(tasks);
+      const std::uint64_t stamp = ledger_->version_sum(tasks);
       if (!cache.valid || cache.stamp != stamp) {
-        cache.marginal = engine_->marginal(id_, stage_slot_, tasks,
+        cache.marginal = ledger_->marginal(id_, stage_slot_, tasks,
                                            slot_policies_.policy_energy(q), stage_color_);
         cache.stamp = stamp;
         cache.valid = true;
@@ -340,11 +325,9 @@ void ChargerNode::receive(const Message& message) {
       return;
     }
     case Command::kUpdate: {
-      // Apply the neighbor's committed tuple to the local view and
-      // re-evaluate; the stage check matters because UPDATEs always concern
-      // the current stage, but be defensive.
-      engine_->commit_no_gain(message.sender, message.slot, message.policy.tasks,
-                              message.policy.slot_energy, message.color, coverable_);
+      // The tuple is in the ledger already; re-evaluate against it. The
+      // stage check matters because UPDATEs always concern the current
+      // stage, but be defensive.
       const std::int32_t p = neighbor_position(message.sender);
       if (p >= 0) neighbor_decided_[static_cast<std::size_t>(p)] = 1;
       if (!decided_ && message.slot == stage_slot_ && message.color == stage_color_) {
@@ -385,15 +368,15 @@ Message ChargerNode::commit_current() {
   const std::span<const double> energy = slot_policies_.policy_energy(best);
   const double orientation = slot_policies_.orientation[best];
   // Under kIncremental, best_marginal_ came from an exactly-refreshed cache
-  // (recompute_best runs after every engine change), so the realized gain is
-  // already known and commit can skip re-evaluating it.
+  // (recompute_best runs after every ledger change this node can see), so
+  // the realized gain is already known and commit can skip re-evaluating it.
   if (mode_ == core::TabularMode::kIncremental) {
-    engine_->commit_no_gain(id_, stage_slot_, tasks, energy, stage_color_);
+    ledger_->commit_no_gain(id_, stage_slot_, tasks, energy, stage_color_);
   } else {
-    engine_->commit(id_, stage_slot_, tasks, energy, stage_color_);
+    ledger_->commit(id_, stage_slot_, tasks, energy, stage_color_);
   }
   selections_[static_cast<std::size_t>(stage_slot_) *
-                  static_cast<std::size_t>(engine_->colors()) +
+                  static_cast<std::size_t>(ledger_->colors()) +
               static_cast<std::size_t>(stage_color_)] = orientation;
   previous_orientation_[static_cast<std::size_t>(stage_color_)] = orientation;
   decided_ = true;
@@ -415,19 +398,15 @@ void ChargerNode::write_schedule(model::Schedule& schedule,
   for (model::SlotIndex k = first_slot; k < schedule.horizon(); ++k) {
     schedule.clear(id_, k);
   }
-  if (!engine_.has_value()) return;  // never planned: nothing selected
-  const int colors = engine_->colors();
+  if (ledger_ == nullptr) return;  // never planned: nothing selected
+  const int colors = ledger_->colors();
   for (model::SlotIndex k = first_slot; k < schedule.horizon(); ++k) {
-    const int c = core::MarginalEngine::final_color(engine_config_.seed, id_, k, colors);
+    const int c = core::MarginalEngine::final_color(ledger_->seed(), id_, k, colors);
     const std::optional<double>& chosen =
         selections_[static_cast<std::size_t>(k) * static_cast<std::size_t>(colors) +
                     static_cast<std::size_t>(c)];
     if (chosen.has_value()) schedule.assign(id_, k, *chosen);
   }
-}
-
-double ChargerNode::local_expected_value() const {
-  return engine_.has_value() ? engine_->expected_value() : 0.0;
 }
 
 }  // namespace haste::dist

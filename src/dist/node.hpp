@@ -11,15 +11,23 @@
 // driven by the orchestrator (dist/online.cpp):
 //   1. every undecided participant broadcasts its best marginal (VALUE);
 //   2. a node whose (marginal, id) beats every undecided participating
-//      neighbor commits: it adds the S-C tuple locally and broadcasts UPDATE;
-//   3. receivers of UPDATE apply the remote commit and recompute.
+//      neighbor commits: it adds the S-C tuple and broadcasts UPDATE;
+//   3. receivers of UPDATE mark the sender decided and recompute.
 // Marginals only shrink as commits accumulate (submodularity), so acting on
 // a one-round-old neighbor value is safe — exactly the argument the paper
 // uses to order the asynchronous executions.
+//
+// Every node of a plan prices against one shared energy ledger (a
+// MarginalEngine owned by the caller), and commit_current is its only
+// writer. That is exact, not an approximation of per-node views: a node
+// prices only tasks it can cover, every charger that covers such a task is
+// its neighbor, and two neighbors never commit in the same round (nor two
+// chargers in the same token turn), so for each of those tasks the ledger
+// holds exactly the commits the node made or heard of in UPDATEs, summed in
+// the same order a private copy would sum them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -36,25 +44,25 @@ class ChargerNode {
  public:
   /// `mode` picks how stage marginals are evaluated: kIncremental keeps a
   /// term cache shared by all stage policies, keyed by (distinct stage task,
-  /// relevant sample) and refreshed lazily via the engine's per-(task,
+  /// relevant sample) and refreshed lazily via the ledger's per-(task,
   /// sample) versions — plus per-policy upper bounds for lazy partition
   /// maxima — so a re-negotiation after a remote UPDATE touches only the
   /// dirtied columns of the policies still in contention; kRebuild keeps the
   /// whole-policy marginal cache stamped with the aggregate version sum (the
-  /// reference path). The two are bit-identical. `table` is the network's
-  /// utility table, shared by every node of a session (null = build one).
+  /// reference path). The two are bit-identical.
   ChargerNode(const model::Network& net, model::ChargerIndex id,
-              core::MarginalEngine::Config engine_config,
-              core::TabularMode mode = core::TabularMode::kIncremental,
-              std::shared_ptr<const core::kernels::UtilityTable> table = nullptr);
+              core::TabularMode mode = core::TabularMode::kIncremental);
 
   model::ChargerIndex id() const { return id_; }
 
-  /// Starts a new plan over `known_tasks` (the tasks released so far) with
-  /// the given per-task already-harvested energies (may be empty = zeros).
-  /// Returns the HELLO message announcing this node's coverable tasks.
+  /// Starts a new plan over `known_tasks` (the tasks released so far),
+  /// pricing against `ledger`: the plan's shared energy state, holding the
+  /// already-harvested energies and no commits yet. The node reads and
+  /// commits to it until write_schedule and never after, so the ledger only
+  /// has to outlive the plan. Returns the HELLO message announcing this
+  /// node's coverable tasks.
   Message begin_plan(const std::vector<model::TaskIndex>& known_tasks,
-                     std::span<const double> initial_energy);
+                     core::MarginalEngine& ledger);
 
   /// True if this node can cover at least one known task (otherwise it takes
   /// no part in the negotiation).
@@ -71,9 +79,9 @@ class ChargerNode {
   /// best marginal is not positive announces 0 and goes passive.
   std::optional<Message> make_value_message();
 
-  /// Handles a received message (HELLO, VALUE, or UPDATE). An UPDATE is
-  /// folded into the local engine straight from the message's spans, with
-  /// version tracking limited to the tasks this node can cover.
+  /// Handles a received message (HELLO, VALUE, or UPDATE). The committer
+  /// already applied an UPDATE's tuple to the ledger, so receiving one only
+  /// marks the sender decided and re-prices the stage.
   void receive(const Message& message);
 
   /// Attempts to commit; returns the UPDATE broadcast on success.
@@ -90,9 +98,6 @@ class ChargerNode {
   /// clearing those slots first.
   void write_schedule(model::Schedule& schedule, model::SlotIndex first_slot) const;
 
-  /// The planner's local expected utility estimate (diagnostics).
-  double local_expected_value() const;
-
   /// Speculative pre-provisioning (predictive scheduling): prices the
   /// initial plan-column term of each coverable task in `tasks` at the
   /// zero-harvest base and deposits it into the cross-plan term cache, so a
@@ -105,13 +110,6 @@ class ChargerNode {
   /// the UtilityTable contract, so hits never change schedule bits — only
   /// row_eval counts. No-op under kRebuild (no term cache).
   void prewarm_columns(const std::vector<model::TaskIndex>& tasks);
-
-  /// Evaluation counters of the current plan's engine (zeroed at every
-  /// begin_plan, since the engine is rebuilt per plan); all-zero before the
-  /// first plan. Lets the online driver charge row_term work to re-plans.
-  core::MarginalEngine::Stats engine_stats() const {
-    return engine_.has_value() ? engine_->stats() : core::MarginalEngine::Stats{};
-  }
 
  private:
   /// Builds the per-(plan, slot) state that the slot's C color stages share:
@@ -130,12 +128,10 @@ class ChargerNode {
 
   const model::Network* net_;
   model::ChargerIndex id_;
-  core::MarginalEngine::Config engine_config_;
   core::TabularMode mode_;
-  std::shared_ptr<const core::kernels::UtilityTable> table_;
 
   std::vector<core::DominantTaskSet> dominant_;
-  std::optional<core::MarginalEngine> engine_;
+  core::MarginalEngine* ledger_ = nullptr;  // the current plan's, see begin_plan
 
   // The neighborhood, fixed for the node's life: Network::neighbors(id_) in
   // ascending id order. A neighbor's position p in it indexes every
@@ -144,10 +140,8 @@ class ChargerNode {
   std::vector<std::int32_t> neighbor_position_;  // [charger] -> p, or -1
 
   // Per plan: the coverable known tasks each neighbor announced in its HELLO
-  // (empty = silent or dead), and this node's own coverable set as a task
-  // mask — the only tasks whose engine versions its marginals read.
+  // (empty = silent or dead).
   std::vector<std::vector<model::TaskIndex>> neighbor_tasks_;  // [p]
-  std::vector<std::uint8_t> coverable_;                         // [task]
 
   // Per (plan, slot), shared by the slot's color stages; loaded_slot_ is the
   // slot they describe (-1: none loaded this plan).
@@ -169,11 +163,11 @@ class ChargerNode {
   int stage_color_ = 0;
   // Panel samples whose color at (id_, stage_slot_) matches stage_color_ —
   // the only samples a stage marginal depends on (ascending, so lazy
-  // refreshes re-sum in the engine's evaluation order).
+  // refreshes re-sum in the ledger's evaluation order).
   std::vector<int> stage_samples_;
   // Per stage policy: the last exactly-computed marginal. Under kRebuild the
-  // value is stamped with the engine's task-version sum at evaluation time
-  // (versions only grow and a marginal depends on the engine state only
+  // value is stamped with the ledger's task-version sum at evaluation time
+  // (versions only grow and a marginal depends on the ledger state only
   // through those tasks' energies, so an unchanged stamp certifies the
   // cached value is exact). Under kIncremental the value doubles as an upper
   // bound for lazy partition maxima (marginals only shrink), and the actual
@@ -195,7 +189,7 @@ class ChargerNode {
   // per-slot energy a task would receive is orientation- and
   // slot-independent, so every policy of every stage covering task j prices
   // the same utility-delta term. Terms are keyed by (distinct coverable
-  // task, sample) — a "column" — and stamped with the engine's (task,
+  // task, sample) — a "column" — and stamped with the ledger's (task,
   // sample) version; a term priced in one stage stays fresh for later stages
   // until a commit actually moves that task's utility in that sample, and a
   // remote UPDATE re-prices only the columns it dirtied, once, for all

@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -36,27 +37,15 @@ void splice_plan(model::Schedule& target, const model::Schedule& source,
   }
 }
 
-/// Sums the per-plan engine evaluation counters over a fleet (each node's
-/// engine is rebuilt at begin_plan, so the totals are this re-plan's cost).
-core::MarginalEngine::Stats fleet_engine_stats(const std::vector<ChargerNode*>& nodes) {
-  core::MarginalEngine::Stats total;
-  for (const ChargerNode* node : nodes) {
-    const core::MarginalEngine::Stats stats = node->engine_stats();
-    total.row_terms += stats.row_terms;
-    total.marginals += stats.marginals;
-    total.commits += stats.commits;
-  }
-  return total;
-}
-
 using Bus = BroadcastBus<ChargerNode>;
 
 /// Wires the alive fleet onto a fresh bus (alive-restricted neighborhoods)
-/// and runs the plan-start HELLO round.
+/// and runs the plan-start HELLO round, starting every node's plan on
+/// `ledger`.
 void wire_and_hello(const model::Network& net, const std::vector<ChargerNode*>& nodes,
                     const std::vector<bool>& alive,
                     const std::vector<model::TaskIndex>& known,
-                    std::span<const double> initial_energy, Bus& bus) {
+                    core::MarginalEngine& ledger, Bus& bus) {
   for (ChargerNode* node : nodes) {
     bus.register_node(node->id(), node);
     std::vector<model::ChargerIndex> neighbors;
@@ -66,27 +55,28 @@ void wire_and_hello(const model::Network& net, const std::vector<ChargerNode*>& 
     bus.set_neighbors(node->id(), std::move(neighbors));
   }
   for (ChargerNode* node : nodes) {
-    bus.broadcast(node->begin_plan(known, initial_energy));
+    bus.broadcast(node->begin_plan(known, ledger));
   }
   bus.flush_round();
 }
 
 /// Runs the ordered token protocol for one re-plan: each charger, in
 /// ascending ID order (one token round per color), greedily selects policies
-/// for all its slots and broadcasts the selections; receivers fold them into
-/// their local views. Equivalent in guarantee to the election protocol (the
+/// for all its slots and broadcasts the selections, which its successors
+/// price against. Equivalent in guarantee to the election protocol (the
 /// order of a locally greedy run does not affect its 1/2 bound), but with
 /// one broadcast per selection instead of repeated VALUE elections.
 /// `nodes` is the alive fleet in ascending id order, owned by the caller —
-/// persistent across re-plans under OnlineConfig::reuse_nodes.
+/// persistent across re-plans under OnlineConfig::reuse_nodes — and
+/// `ledger` the plan's energy state.
 void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
                           const std::vector<ChargerNode*>& nodes,
                           const std::vector<model::TaskIndex>& known,
-                          std::span<const double> initial_energy,
-                          model::SlotIndex plan_start, const std::vector<bool>& alive,
-                          model::Schedule& executed, OnlineResult& result) {
+                          core::MarginalEngine& ledger, model::SlotIndex plan_start,
+                          const std::vector<bool>& alive, model::Schedule& executed,
+                          OnlineResult& result) {
   Bus bus;
-  wire_and_hello(net, nodes, alive, known, initial_energy, bus);
+  wire_and_hello(net, nodes, alive, known, ledger, bus);
 
   const int colors = std::max(1, config.colors);
   std::vector<ChargerNode*> workers;
@@ -120,16 +110,17 @@ void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
 
 /// Runs the full HASTE negotiation for one re-plan. Writes the agreed plan
 /// into `executed` from `plan_start` on and accumulates counters. `nodes` is
-/// the alive fleet in ascending id order, owned by the caller.
+/// the alive fleet in ascending id order, owned by the caller, and `ledger`
+/// the plan's energy state.
 void negotiate_haste(const model::Network& net, const OnlineConfig& config,
                      const std::vector<ChargerNode*>& nodes,
                      const std::vector<model::TaskIndex>& known,
-                     std::span<const double> initial_energy,
-                     model::SlotIndex plan_start, const std::vector<bool>& alive,
-                     model::Schedule& executed, OnlineResult& result) {
+                     core::MarginalEngine& ledger, model::SlotIndex plan_start,
+                     const std::vector<bool>& alive, model::Schedule& executed,
+                     OnlineResult& result) {
   Bus bus;
   // Plan start: everyone announces its coverable known tasks (HELLO).
-  wire_and_hello(net, nodes, alive, known, initial_energy, bus);
+  wire_and_hello(net, nodes, alive, known, ledger, bus);
 
   // The engine's color count may have been clamped (colors < 1 -> 1).
   const int colors = std::max(1, config.colors);
@@ -371,28 +362,29 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
                           config_.strategy == OnlineStrategy::kHasteSequential;
   std::vector<std::unique_ptr<ChargerNode>> scratch_nodes;  // non-reuse fleet
   std::vector<ChargerNode*> fleet;  // alive nodes, ascending id
+  // The plan's one energy ledger: every node prices against it and each
+  // commit is applied to it once (dist/node.hpp says why that is exact).
+  std::optional<core::MarginalEngine> ledger;
   if (negotiated) {
-    const core::MarginalEngine::Config engine_config{config_.colors, config_.samples,
-                                                     config_.seed};
     if (table_ == nullptr) {
       table_ = std::make_shared<const core::kernels::UtilityTable>(
           core::kernels::UtilityTable::from(net_));
     }
+    ledger.emplace(net_,
+                   core::MarginalEngine::Config{config_.colors, config_.samples, config_.seed},
+                   harvested, table_);
     if (config_.reuse_nodes) {
       persistent_nodes_.resize(static_cast<std::size_t>(net_.charger_count()));
       for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
         if (!alive_[static_cast<std::size_t>(i)]) continue;
         auto& slot = persistent_nodes_[static_cast<std::size_t>(i)];
-        if (slot == nullptr) {
-          slot = std::make_unique<ChargerNode>(net_, i, engine_config, config_.mode, table_);
-        }
+        if (slot == nullptr) slot = std::make_unique<ChargerNode>(net_, i, config_.mode);
         fleet.push_back(slot.get());
       }
     } else {
       for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
         if (!alive_[static_cast<std::size_t>(i)]) continue;
-        scratch_nodes.push_back(
-            std::make_unique<ChargerNode>(net_, i, engine_config, config_.mode, table_));
+        scratch_nodes.push_back(std::make_unique<ChargerNode>(net_, i, config_.mode));
         fleet.push_back(scratch_nodes.back().get());
       }
     }
@@ -400,11 +392,11 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
 
   switch (config_.strategy) {
     case OnlineStrategy::kHaste:
-      negotiate_haste(net_, config_, fleet, known_, harvested, plan_start, alive_,
+      negotiate_haste(net_, config_, fleet, known_, *ledger, plan_start, alive_,
                       result_.schedule, result_);
       break;
     case OnlineStrategy::kHasteSequential:
-      negotiate_sequential(net_, config_, fleet, known_, harvested, plan_start, alive_,
+      negotiate_sequential(net_, config_, fleet, known_, *ledger, plan_start, alive_,
                            result_.schedule, result_);
       break;
     case OnlineStrategy::kGreedyUtility: {
@@ -423,7 +415,8 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
 
   record.messages = result_.messages - messages_before;
   record.rounds = result_.rounds - rounds_before;
-  const core::MarginalEngine::Stats plan_stats = fleet_engine_stats(fleet);
+  const core::MarginalEngine::Stats plan_stats =
+      ledger.has_value() ? ledger->stats() : core::MarginalEngine::Stats{};
   record.row_evals = plan_stats.row_terms;
   result_.row_evaluations += record.row_evals;
   replan_span.arg("row_evals",
@@ -445,11 +438,8 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
     // escalate (predictions held) or reset on a utility shortfall. The
     // greedy strategies carry no negotiated value estimate — NaN skips the
     // shortfall test while still advancing the cadence clock.
-    double plan_value = std::numeric_limits<double>::quiet_NaN();
-    if (negotiated) {
-      plan_value = 0.0;
-      for (const ChargerNode* node : fleet) plan_value += node->local_expected_value();
-    }
+    const double plan_value = ledger.has_value() ? ledger->expected_value()
+                                                 : std::numeric_limits<double>::quiet_NaN();
     predictor_->on_replan(event_slot, plan_value, known_.size());
     // With the fleet freshly priced, speculate on the next wave: warm plan
     // columns for unknown tasks in predicted-hot cells.

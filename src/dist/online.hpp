@@ -168,7 +168,7 @@ class OnlineSession {
   /// the first re-plan a charger is alive for); unused otherwise.
   std::vector<std::unique_ptr<ChargerNode>> persistent_nodes_;
   /// The network's utility table, built at the first negotiated re-plan and
-  /// shared by every node engine of the session.
+  /// shared by the ledgers of every plan of the session.
   std::shared_ptr<const core::kernels::UtilityTable> table_;
   OnlineResult result_;
   model::SlotIndex last_event_slot_ = 0;

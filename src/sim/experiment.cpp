@@ -1,6 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "baseline/brute_force.hpp"
 #include "baseline/greedy_cover.hpp"
@@ -63,39 +64,38 @@ RunMetrics from_evaluation(const model::Network& net,
 }  // namespace
 
 RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
-                         const AlgoParams& params) {
+                         const AlgoParams& params, model::Schedule* schedule) {
+  // Evaluates an offline schedule and hands it out when asked for.
+  const auto evaluated = [&](model::Schedule planned) {
+    RunMetrics metrics = from_evaluation(net, core::evaluate_schedule(net, planned));
+    if (schedule != nullptr) *schedule = std::move(planned);
+    return metrics;
+  };
   switch (algorithm) {
-    case Algorithm::kOfflineHaste: {
-      const core::OfflineResult result = core::schedule_offline(
-          net, core::OfflineConfig{params.colors, params.samples, params.seed,
-                                   /*switch_avoiding_tiebreak=*/true,
-                                   /*commit_zero_marginal=*/false});
-      return from_evaluation(net, core::evaluate_schedule(net, result.schedule));
-    }
+    case Algorithm::kOfflineHaste:
+      return evaluated(core::schedule_offline(
+                           net, core::OfflineConfig{params.colors, params.samples,
+                                                    params.seed,
+                                                    /*switch_avoiding_tiebreak=*/true,
+                                                    /*commit_zero_marginal=*/false})
+                           .schedule);
     case Algorithm::kOfflineGreedyUtility:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, baseline::schedule_greedy_utility(net)));
+      return evaluated(baseline::schedule_greedy_utility(net));
     case Algorithm::kOfflineGreedyCover:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, baseline::schedule_greedy_cover(net)));
+      return evaluated(baseline::schedule_greedy_cover(net));
     case Algorithm::kOfflineRandom:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, baseline::schedule_random(net, params.seed)));
+      return evaluated(baseline::schedule_random(net, params.seed));
     case Algorithm::kOfflineGlobalGreedy:
-      return from_evaluation(
-          net, core::evaluate_schedule(net, core::schedule_global_greedy(net).schedule));
+      return evaluated(core::schedule_global_greedy(net).schedule);
     case Algorithm::kOfflineImproved: {
       const core::GlobalGreedyResult greedy = core::schedule_global_greedy(net);
       const auto partitions = core::build_partitions(net);
-      const core::LocalSearchResult improved =
-          core::improve_schedule(net, partitions, greedy.schedule);
-      return from_evaluation(net, core::evaluate_schedule(net, improved.schedule));
+      return evaluated(core::improve_schedule(net, partitions, greedy.schedule).schedule);
     }
     case Algorithm::kOfflineOptimalRelaxed: {
-      const baseline::BruteForceResult result =
+      baseline::BruteForceResult result =
           baseline::optimal_relaxed(net, params.brute_force_budget);
-      RunMetrics metrics =
-          from_evaluation(net, core::evaluate_schedule(net, result.schedule));
+      RunMetrics metrics = evaluated(std::move(result.schedule));
       // For the optimum we report the *relaxed* objective as the headline
       // number (the paper's OPT curve has no switching delay).
       metrics.weighted_utility = result.relaxed_utility;
@@ -127,8 +127,9 @@ RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
           config.strategy = dist::OnlineStrategy::kGreedyCover;
           break;
       }
-      const dist::OnlineResult result = dist::run_online(net, config);
+      dist::OnlineResult result = dist::run_online(net, config);
       RunMetrics metrics = from_evaluation(net, result.evaluation);
+      if (schedule != nullptr) *schedule = std::move(result.schedule);
       metrics.messages = result.messages;
       metrics.deliveries = result.deliveries;
       metrics.rounds = result.rounds;

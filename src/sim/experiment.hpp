@@ -8,6 +8,7 @@
 
 #include "core/objective.hpp"
 #include "model/network.hpp"
+#include "model/schedule.hpp"
 
 namespace haste::sim {
 
@@ -58,8 +59,9 @@ struct RunMetrics {
   bool exact = true;               ///< kOfflineOptimalRelaxed: search exhausted
 };
 
-/// Runs one algorithm on a network.
+/// Runs one algorithm on a network. When `schedule` is non-null it receives
+/// the schedule the metrics evaluate (the executed one for online runs).
 RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
-                         const AlgoParams& params = {});
+                         const AlgoParams& params = {}, model::Schedule* schedule = nullptr);
 
 }  // namespace haste::sim

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -101,6 +102,17 @@ std::vector<std::string> Flags::names() const {
   out.reserve(values_.size());
   for (const auto& [name, value] : values_) out.push_back(name);
   return out;
+}
+
+std::string Flags::unknown_flags(const std::vector<std::string>& declared) const {
+  std::string unknown;
+  int count = 0;
+  for (const auto& [name, value] : values_) {
+    if (std::find(declared.begin(), declared.end(), name) != declared.end()) continue;
+    unknown += (count++ == 0 ? " --" : ", --") + name;
+  }
+  if (count == 0) return "";
+  return (count == 1 ? "unknown flag" : "unknown flags") + unknown;
 }
 
 }  // namespace haste::util

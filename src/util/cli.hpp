@@ -1,8 +1,9 @@
 // Tiny command-line flag parser shared by benches and examples.
 //
 // Supported syntax: `--name=value`, `--name value`, and boolean `--name`.
-// Unknown flags are collected and reported so every binary can print a
-// helpful error instead of silently ignoring typos.
+// Every binary checks the flags it was given against the ones it reads
+// (unknown_flags) and exits 2 on the rest, so a typo fails loudly instead of
+// silently running with a default.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +54,11 @@ class Flags {
 
   /// All flag names seen, for --help style listings.
   std::vector<std::string> names() const;
+
+  /// "" when every flag seen is in `declared` (names without the leading
+  /// "--"); otherwise a one-line message naming each undeclared flag, e.g.
+  /// "unknown flag --algoritm".
+  std::string unknown_flags(const std::vector<std::string>& declared) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -139,6 +139,15 @@ TEST(Cli, NamesLists) {
   EXPECT_EQ(names.size(), 2u);
 }
 
+TEST(Cli, UnknownFlagsNamesEveryUndeclaredFlag) {
+  const Flags flags = parse({"--in", "s.json", "--algoritm", "online-haste", "--colours=9"});
+  EXPECT_EQ(flags.unknown_flags({"in", "algorithm", "colors"}),
+            "unknown flags --algoritm, --colours");
+  EXPECT_EQ(flags.unknown_flags({"in", "algoritm", "colors"}), "unknown flag --colours");
+  EXPECT_EQ(flags.unknown_flags({"in", "algoritm", "colours", "unused"}), "");
+  EXPECT_EQ(parse({}).unknown_flags({}), "");
+}
+
 TEST(Csv, EscapePlain) { EXPECT_EQ(csv_escape("hello"), "hello"); }
 
 TEST(Csv, EscapeComma) { EXPECT_EQ(csv_escape("a,b"), "\"a,b\""); }

@@ -195,9 +195,8 @@ TEST(NegotiationGolden, DeadlineInstances) {
 
 TEST(NegotiationGolden, PredictorSessions) {
   // Bursty hotspot traffic with two charger failures, like the serve
-  // workloads. The predictor's shortfall test reads the fleet's summed
-  // local_expected_value, so these goldens also pin every node's engine
-  // energies, not just the tasks it can cover.
+  // workloads. The predictor's shortfall test reads the plan ledger's
+  // expected value.
   sim::ScenarioConfig scenario = scaled_paper();
   scenario.burst_factor = 4.0;
   scenario.hotspot_fraction = 0.6;
@@ -223,12 +222,64 @@ TEST(NegotiationGolden, PredictorSessions) {
   }
 }
 
+TEST(NegotiationGolden, PredictorShortfallResetsCadence) {
+  // The tasks of a scaled paper instance, all released at slot 0, then a
+  // steady wave of 12 tasks per slot over slots 1-14 and one straggler at
+  // slot 18, all placed where no charger reaches them. The wave's rate holds
+  // steady, so the arrival model is never surprised: once its cell turns
+  // hot the wave is deferred as predicted hits until the slot budget forces
+  // the slot-14 re-plan. That plan adds no value but more than triples the
+  // known tasks, so its per-task value falls far below half its trend under
+  // any value feed that is consistent across re-plans, and the shortfall
+  // resets the cadence to reactive: the straggler re-plans at once instead
+  // of being deferred to the final negotiation.
+  const model::Network field = make(scaled_paper(), 18);
+  std::vector<model::Task> tasks = field.tasks();
+  for (model::Task& task : tasks) {
+    task.end_slot -= task.release_slot;
+    task.release_slot = 0;
+  }
+  const auto unreachable = [&](model::SlotIndex release) {
+    model::Task task;
+    task.position = {60.0, 60.0};
+    task.release_slot = release;
+    task.end_slot = release + 6;
+    task.required_energy = 10'000.0;
+    task.weight = 1.0 / 40.0;
+    tasks.push_back(task);
+  };
+  for (model::SlotIndex k = 1; k <= 14; ++k) {
+    for (int w = 0; w < 12; ++w) unreachable(k);
+  }
+  unreachable(18);
+  const model::Network net(field.chargers(), tasks, field.power_model(), field.time());
+  for (model::TaskIndex j = field.task_count(); j < net.task_count(); ++j) {
+    for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+      ASSERT_EQ(net.potential_power(i, j), 0.0) << "task " << j;
+    }
+  }
+
+  dist::OnlineConfig config;
+  config.seed = 6;
+  config.predictor.enabled = true;
+  config.predictor.batch_slots = 6;
+  config.predictor.batch_tasks = 24;
+  const Golden expected{8335u, 33611u, 303107u, 1115u, 4u, 4u, 0xa25923674e043c4fULL,
+                        0x4579baaee3ee97c1ULL, 0x3fd1e5607ae83142ULL, {121u, 88u, 144u, 12u}};
+  expect_golden(net, config, expected);
+
+  // The branch really fires: without the shortfall test the cadence keeps
+  // its trust level and defers the straggler.
+  config.predictor.shortfall_factor = 0.0;
+  const Golden without = golden_of(dist::run_online(net, config));
+  EXPECT_NE(without.predictor, expected.predictor) << describe(without);
+}
+
 TEST(NegotiationGolden, NodeEngineEnergiesFollowEveryRemoteCommit) {
-  // A node's expected value sums the utility of EVERY task, including those
-  // it cannot cover, so remote UPDATEs must accumulate all of their energy.
-  // Every charger commits in turn and every node hears every UPDATE, also
-  // from chargers far outside its neighborhood; the final per-node values
-  // are pinned bit for bit.
+  // The plan ledger sums the utility of EVERY task, so every commit must
+  // land in it exactly once. Every charger commits in turn and every node
+  // hears every UPDATE, also from chargers far outside its neighborhood;
+  // the ledger's final expected value is pinned bit for bit.
   const model::Network net = make(scaled_paper(), 17);
   const core::MarginalEngine::Config engine{2, 8, 17};
   std::vector<model::TaskIndex> known(static_cast<std::size_t>(net.task_count()));
@@ -237,11 +288,12 @@ TEST(NegotiationGolden, NodeEngineEnergiesFollowEveryRemoteCommit) {
   }
   for (const core::TabularMode mode :
        {core::TabularMode::kIncremental, core::TabularMode::kRebuild}) {
+    core::MarginalEngine ledger(net, engine);
     std::vector<std::unique_ptr<dist::ChargerNode>> nodes;
     for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
-      nodes.push_back(std::make_unique<dist::ChargerNode>(net, i, engine, mode));
+      nodes.push_back(std::make_unique<dist::ChargerNode>(net, i, mode));
     }
-    for (const auto& node : nodes) node->begin_plan(known, {});
+    for (const auto& node : nodes) node->begin_plan(known, ledger);
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
       for (int c = 0; c < engine.colors; ++c) {
         for (const auto& node : nodes) {
@@ -254,12 +306,8 @@ TEST(NegotiationGolden, NodeEngineEnergiesFollowEveryRemoteCommit) {
         }
       }
     }
-    std::vector<std::uint64_t> bits;
-    for (const auto& node : nodes) {
-      bits.push_back(std::bit_cast<std::uint64_t>(node->local_expected_value()));
-    }
-    EXPECT_EQ(bits, std::vector<std::uint64_t>(bits.size(), 0x3fd6631dceaf5a00ULL))
-        << std::hex << bits.front();
+    const auto bits = std::bit_cast<std::uint64_t>(ledger.expected_value());
+    EXPECT_EQ(bits, 0x3fd6631dceaf5a00ULL) << std::hex << bits;
   }
 }
 

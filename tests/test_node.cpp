@@ -1,7 +1,7 @@
 // Tests for dist/node.hpp — the per-charger negotiation state machine, with
 // emphasis on the marginal caches: the incremental per-(row, sample) term
 // cache must answer exactly like the rebuild (version-sum stamped) path at
-// every observable point, including after remote UPDATEs dirty its rows.
+// every observable point, including after remote commits dirty its rows.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -26,26 +26,32 @@ std::vector<model::TaskIndex> all_tasks(const model::Network& net) {
 // Drives an incremental-mode and a rebuild-mode twin of the same charger
 // through identical stage sequences, interleaving remote commits from a
 // second charger, and checks every announced marginal and every committed
-// policy agree bit for bit.
+// policy agree bit for bit. Each twin prices against its own ledger, shared
+// with its own copy of the remote charger.
 TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     util::Rng rng(seed);
     const model::Network net = random_network(rng, 3, 10, 3);
     const core::MarginalEngine::Config config{2, 8, seed};
-    dist::ChargerNode incremental(net, 0, config, core::TabularMode::kIncremental);
-    dist::ChargerNode rebuild(net, 0, config, core::TabularMode::kRebuild);
-    dist::ChargerNode remote(net, 1, config, core::TabularMode::kIncremental);
+    core::MarginalEngine ledger_a(net, config);
+    core::MarginalEngine ledger_b(net, config);
+    dist::ChargerNode incremental(net, 0, core::TabularMode::kIncremental);
+    dist::ChargerNode rebuild(net, 0, core::TabularMode::kRebuild);
+    dist::ChargerNode remote_a(net, 1, core::TabularMode::kIncremental);
+    dist::ChargerNode remote_b(net, 1, core::TabularMode::kIncremental);
 
     const std::vector<model::TaskIndex> known = all_tasks(net);
-    incremental.begin_plan(known, {});
-    rebuild.begin_plan(known, {});
-    remote.begin_plan(known, {});
+    incremental.begin_plan(known, ledger_a);
+    remote_a.begin_plan(known, ledger_a);
+    rebuild.begin_plan(known, ledger_b);
+    remote_b.begin_plan(known, ledger_b);
 
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
       for (int c = 0; c < 2; ++c) {
         const bool participates = incremental.begin_stage(k, c);
         ASSERT_EQ(participates, rebuild.begin_stage(k, c));
-        const bool remote_works = remote.begin_stage(k, c);
+        const bool remote_works = remote_a.begin_stage(k, c);
+        ASSERT_EQ(remote_works, remote_b.begin_stage(k, c));
 
         if (participates) {
           const auto value_a = incremental.make_value_message();
@@ -54,13 +60,17 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
           if (value_a) EXPECT_EQ(value_a->marginal, value_b->marginal);
         }
 
-        // A neighbor commits: both twins fold the UPDATE into their local
-        // views; the incremental twin must re-price only the dirtied rows yet
-        // answer exactly like the from-scratch twin.
+        // A neighbor commits into each ledger and each twin hears the
+        // UPDATE; the incremental twin must re-price only the dirtied rows
+        // yet answer exactly like the from-scratch twin.
         if (remote_works) {
-          if (const auto update = remote.force_commit()) {
-            incremental.receive(*update);
-            rebuild.receive(*update);
+          const auto update_a = remote_a.force_commit();
+          const auto update_b = remote_b.force_commit();
+          ASSERT_EQ(update_a.has_value(), update_b.has_value());
+          if (update_a) {
+            EXPECT_EQ(update_a->policy.tasks, update_b->policy.tasks);
+            incremental.receive(*update_a);
+            rebuild.receive(*update_b);
           }
         }
 
@@ -84,7 +94,7 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
       EXPECT_EQ(schedule_a.assignment(0, k), schedule_b.assignment(0, k)) << "slot " << k;
     }
-    EXPECT_EQ(incremental.local_expected_value(), rebuild.local_expected_value());
+    EXPECT_EQ(ledger_a.expected_value(), ledger_b.expected_value());
   }
 }
 
@@ -92,9 +102,9 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
 TEST(ChargerNodeModes, NodeWithoutWorkStaysPassive) {
   util::Rng rng(4);
   const model::Network net = random_network(rng, 2, 6, 3);
-  const core::MarginalEngine::Config config{2, 4, 4};
-  dist::ChargerNode node(net, 0, config, core::TabularMode::kIncremental);
-  node.begin_plan({}, {});
+  core::MarginalEngine ledger(net, core::MarginalEngine::Config{2, 4, 4});
+  dist::ChargerNode node(net, 0, core::TabularMode::kIncremental);
+  node.begin_plan({}, ledger);
   EXPECT_FALSE(node.has_work());
   EXPECT_FALSE(node.begin_stage(0, 0));
   EXPECT_TRUE(node.decided());

@@ -15,11 +15,14 @@
 //   solve     --in FILE [--algorithm NAME] [--colors C] [--samples S]
 //             [--seed S] [--mode incremental|rebuild] [--out SCHEDULE]
 //             [--improve]
-//       Runs a scheduler on a scenario file; prints the outcome, optionally
-//       writes the schedule and applies the local-search improver. C and S
-//       must be >= 1. --mode picks how the online algorithms' charger nodes
-//       price their stage marginals (bit-identical either way); offline
-//       HASTE has a single path and ignores it.
+//       Runs a scheduler on a scenario file; prints the outcome and
+//       optionally writes the evaluated schedule (the executed one for the
+//       online algorithms). --improve applies the local-search improver to
+//       the offline-haste and global-greedy schedules; with any other
+//       algorithm it exits 2. C and S must be >= 1. --mode picks how the
+//       online algorithms' charger nodes price their stage marginals
+//       (bit-identical either way); offline HASTE has a single path and
+//       ignores it.
 //   eval      --in FILE --schedule FILE
 //       Replays a stored schedule against a scenario and reports utilities.
 //   testbed   [--topology 1|2] [--online] [--colors C]
@@ -58,6 +61,7 @@
 //                       the env equivalent
 //   --metrics-out FILE  write the process metric registry (counters, gauges,
 //                       histograms) as JSON
+// Any other flag exits 2 with a message naming it.
 //
 // Algorithms for --algorithm: offline-haste (default), offline-greedy-utility,
 // offline-greedy-cover, offline-random, offline-optimal, online-haste,
@@ -154,6 +158,14 @@ int cmd_generate(const util::Flags& flags) {
   return 0;
 }
 
+/// Writes `schedule` to the --out file, when one is given.
+void write_out(const util::Flags& flags, const model::Schedule& schedule) {
+  const std::string out = flags.get("out");
+  if (out.empty()) return;
+  io::save_schedule(out, schedule);
+  std::cout << "schedule written to " << out << "\n";
+}
+
 int cmd_solve(const util::Flags& flags) {
   const std::string in = flags.get("in");
   if (in.empty()) {
@@ -162,6 +174,7 @@ int cmd_solve(const util::Flags& flags) {
   }
   const model::Network net = io::load_network(in);
   const std::string algorithm = flags.get("algorithm", "offline-haste");
+  const bool improve = flags.get_bool("improve");
 
   sim::AlgoParams params;
   params.colors = flags.get_int_in("colors", 4, 1);
@@ -180,30 +193,30 @@ int cmd_solve(const util::Flags& flags) {
     schedule = core::schedule_global_greedy(net).schedule;
   } else {
     const sim::Algorithm kind = sim::parse_algorithm(algorithm);
-    // Reuse the uniform runner for metrics, but re-derive the schedule for
-    // offline algorithms so it can be saved / improved.
-    switch (kind) {
-      case sim::Algorithm::kOfflineHaste:
-        schedule = core::schedule_offline(
-                       net, core::OfflineConfig{params.colors, params.samples,
-                                                params.seed, true, false})
-                       .schedule;
-        break;
-      default: {
-        const sim::RunMetrics metrics = sim::run_algorithm(net, kind, params);
-        std::cout << algorithm << ": utility "
-                  << util::format_fixed(metrics.weighted_utility, 4) << " (normalized "
-                  << util::format_fixed(metrics.normalized_utility, 4) << ")\n";
-        if (metrics.messages > 0) {
-          std::cout << "messages " << metrics.messages << ", rounds " << metrics.rounds
-                    << ", negotiations " << metrics.negotiations << "\n";
-        }
-        return 0;
+    if (kind != sim::Algorithm::kOfflineHaste) {
+      // The uniform runner's metrics, with the schedule they evaluate.
+      if (improve) {
+        std::cerr << "solve: --improve applies to offline-haste and global-greedy only\n";
+        return 2;
       }
+      const sim::RunMetrics metrics = sim::run_algorithm(net, kind, params, &schedule);
+      std::cout << algorithm << ": utility "
+                << util::format_fixed(metrics.weighted_utility, 4) << " (normalized "
+                << util::format_fixed(metrics.normalized_utility, 4) << ")\n";
+      if (metrics.messages > 0) {
+        std::cout << "messages " << metrics.messages << ", rounds " << metrics.rounds
+                  << ", negotiations " << metrics.negotiations << "\n";
+      }
+      write_out(flags, schedule);
+      return 0;
     }
+    schedule = core::schedule_offline(
+                   net, core::OfflineConfig{params.colors, params.samples, params.seed,
+                                            true, false})
+                   .schedule;
   }
 
-  if (flags.get_bool("improve")) {
+  if (improve) {
     const auto partitions = core::build_partitions(net);
     const core::LocalSearchResult improved =
         core::improve_schedule(net, partitions, schedule);
@@ -215,11 +228,7 @@ int cmd_solve(const util::Flags& flags) {
   }
 
   print_outcome(net, core::evaluate_schedule(net, schedule));
-  const std::string out = flags.get("out");
-  if (!out.empty()) {
-    io::save_schedule(out, schedule);
-    std::cout << "schedule written to " << out << "\n";
-  }
+  write_out(flags, schedule);
   return 0;
 }
 
@@ -591,18 +600,37 @@ int cmd_predict_sweep(const util::Flags& flags) {
   return 0;
 }
 
-int run_command(const std::string& command, const util::Flags& flags) {
-  obs::Span span("cli." + command);
-  if (command == "generate") return cmd_generate(flags);
-  if (command == "solve") return cmd_solve(flags);
-  if (command == "eval") return cmd_eval(flags);
-  if (command == "testbed") return cmd_testbed(flags);
-  if (command == "render") return cmd_render(flags);
-  if (command == "heatmap") return cmd_heatmap(flags);
-  if (command == "info") return cmd_info(flags);
-  if (command == "deadline-sweep") return cmd_deadline_sweep(flags);
-  if (command == "predict-sweep") return cmd_predict_sweep(flags);
-  return usage();
+/// A subcommand: its handler and the flags it reads, besides the --trace
+/// and --metrics-out that main handles for every subcommand.
+struct Command {
+  std::string name;
+  int (*run)(const util::Flags&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"generate", cmd_generate,
+       {"out", "preset", "chargers", "tasks", "utility", "gaussian", "deadline-decay",
+        "deadline-beta", "deadline-fraction", "deadline-slack-min", "deadline-slack-max",
+        "window", "burst-factor", "burst-period", "hotspot-fraction", "hotspot-sigma",
+        "seed"}},
+      {"solve", cmd_solve,
+       {"in", "algorithm", "colors", "samples", "seed", "mode", "improve", "out"}},
+      {"eval", cmd_eval, {"in", "schedule"}},
+      {"testbed", cmd_testbed, {"topology", "colors", "online"}},
+      {"render", cmd_render, {"in", "slot", "width", "height", "schedule", "svg"}},
+      {"heatmap", cmd_heatmap, {"in", "schedule", "slot", "width", "height"}},
+      {"info", cmd_info, {"in"}},
+      {"deadline-sweep", cmd_deadline_sweep,
+       {"preset", "chargers", "tasks", "decay", "fraction", "slack-min", "slack-max",
+        "trials", "seed", "betas", "csv"}},
+      {"predict-sweep", cmd_predict_sweep,
+       {"preset", "chargers", "tasks", "window", "burst-factor", "burst-period",
+        "hotspot-fraction", "hotspot-sigma", "trials", "seed", "grid", "discount",
+        "hot-rate", "min-confidence", "levels", "csv"}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -610,7 +638,16 @@ int run_command(const std::string& command, const util::Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  const auto found = std::find_if(commands().begin(), commands().end(),
+                                  [&](const Command& c) { return c.name == command; });
+  if (found == commands().end()) return usage();
   const util::Flags flags = util::Flags::parse(argc - 1, argv + 1);
+  std::vector<std::string> declared = found->flags;
+  declared.insert(declared.end(), {"trace", "metrics-out"});
+  if (const std::string unknown = flags.unknown_flags(declared); !unknown.empty()) {
+    std::cerr << "haste_cli " << command << ": " << unknown << "\n";
+    return 2;
+  }
 
   std::string trace_path = flags.get("trace");
   if (trace_path.empty()) {
@@ -623,7 +660,8 @@ int main(int argc, char** argv) {
 
   int code = 0;
   try {
-    code = run_command(command, flags);
+    obs::Span span("cli." + command);
+    code = found->run(flags);
   } catch (const std::exception& error) {
     std::cerr << "haste_cli " << command << ": " << error.what() << "\n";
     code = 1;

@@ -45,6 +45,9 @@
 //     event prefix, and the child must exit 0. Both variants check the
 //     child's metrics snapshot for the online.replan.latency_us histogram
 //     (with its p99) and the session lifecycle counters.
+//
+// In every mode a flag the mode does not read exits 2 with a message naming
+// it.
 #include <csignal>
 #include <unistd.h>
 
@@ -100,6 +103,15 @@ std::string token_from(const util::Flags& flags) {
   return token;
 }
 
+/// Prints the unknown-flag message and returns true when `flags` holds a
+/// flag outside `declared`.
+bool reject_unknown(const util::Flags& flags, const std::vector<std::string>& declared) {
+  const std::string unknown = flags.unknown_flags(declared);
+  if (unknown.empty()) return false;
+  std::cerr << "haste_serve: " << unknown << "\n";
+  return true;
+}
+
 int usage() {
   std::cerr << "usage: haste_serve [--listen ADDR] [--token SECRET] [serve flags]\n"
                "       haste_serve --connect HOST:PORT --replay SCENARIO.json"
@@ -112,6 +124,11 @@ int usage() {
 // ---------------------------------------------------------------- serve mode
 
 int serve_main(const util::Flags& flags) {
+  if (reject_unknown(flags, {"listen", "token", "max-sessions", "quota", "threads",
+                             "auth-wait", "metrics-listen", "trace-ring", "trace",
+                             "flush-ms", "metrics-out"})) {
+    return 2;
+  }
   serve::ServerOptions options;
   options.listen_address = flags.get("listen", "127.0.0.1:0");
   options.auth_token = token_from(flags);
@@ -182,6 +199,10 @@ dist::OnlineConfig config_from_flags(const util::Flags& flags, std::uint64_t see
 }
 
 int replay_main(const util::Flags& flags) {
+  if (reject_unknown(flags, {"connect", "replay", "verify", "token", "strategy", "colors",
+                             "samples", "seed", "sleep-ms"})) {
+    return 2;
+  }
   const std::string address = flags.get("connect");
   const std::string scenario_path = flags.get("replay");
   if (scenario_path.empty()) {
@@ -328,6 +349,10 @@ std::string check_metrics(const std::string& path, std::size_t expect_finished) 
 }
 
 int self_test_main(const util::Flags& flags, const std::string& self) {
+  if (reject_unknown(flags,
+                     {"self-test", "sessions", "drain", "seed", "metrics-out", "trace"})) {
+    return 2;
+  }
   const auto sessions = static_cast<std::size_t>(flags.get_int("sessions", 8));
   const bool drain = flags.get_bool("drain");
   const auto base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));

@@ -68,10 +68,12 @@
 //   `haste_shard --connect HOST:PORT [--token SECRET]` dials a `--serve`
 //   driver and serves the same protocol over the socket ($HASTE_SHARD_TOKEN
 //   is honored there too). See src/sim/shard.hpp.
+//
+// In every mode a flag the mode does not read exits 2 with a message naming
+// it.
 #include <unistd.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -160,33 +162,47 @@ int usage() {
   return 2;
 }
 
+/// Prints the unknown-flag message and returns true when `flags` holds a
+/// flag outside `declared`.
+bool reject_unknown(const util::Flags& flags, const std::vector<std::string>& declared) {
+  const std::string unknown = flags.unknown_flags(declared);
+  if (unknown.empty()) return false;
+  std::cerr << "haste_shard: " << unknown << "\n";
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker fast paths: serve shard requests, no driver flags parsed. The
-  // auth token is scanned first (it may precede or follow --connect; spawned
-  // workers also inherit it via HASTE_SHARD_TOKEN). Workers never read
+  const util::Flags flags = util::Flags::parse(argc, argv);
+  // The auth token of the driver and of a TCP worker; spawned workers also
+  // inherit it via HASTE_SHARD_TOKEN.
+  std::string token = flags.get("token");
+  if (!flags.has("token")) {
+    if (const char* env_token = std::getenv("HASTE_SHARD_TOKEN")) token = env_token;
+  }
+  // Worker modes: serve shard requests, no driver flags. Workers never read
   // HASTE_TRACE: tracing there is driven by the wire protocol, so a driver
   // tracing to a file cannot make its spawned workers clobber that file.
-  std::string worker_token;
-  if (const char* env_token = std::getenv("HASTE_SHARD_TOKEN")) {
-    worker_token = env_token;
+  if (flags.has("worker")) {
+    if (reject_unknown(flags, {"worker"})) return 2;
+    return sim::shard_worker_main(std::cin, std::cout);
   }
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--token") == 0) worker_token = argv[i + 1];
+  if (flags.has("connect")) {
+    if (reject_unknown(flags, {"connect", "token"})) return 2;
+    if (flags.get("connect").empty()) return usage();
+    return sim::shard_worker_connect(flags.get("connect"), token);
   }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--worker") == 0) {
-      return sim::shard_worker_main(std::cin, std::cout);
-    }
-    if (std::strcmp(argv[i], "--connect") == 0) {
-      if (i + 1 >= argc) return usage();
-      return sim::shard_worker_connect(argv[i + 1], worker_token);
-    }
+  if (reject_unknown(flags, {"preset", "chargers", "tasks", "variants", "trials", "seed",
+                             "worker-bin", "serve", "workers", "tcp-workers", "token",
+                             "tcp-spawn", "connect-wait", "shard-trials", "no-adaptive",
+                             "min-steal-trials", "shard-timeout", "manifest", "inject",
+                             "trace-ring", "trace", "metrics-out", "flush-ms",
+                             "sweep-tasks", "verify", "out"})) {
+    return 2;
   }
 
   try {
-    const util::Flags flags = util::Flags::parse(argc, argv);
 
     sim::ScenarioConfig config = flags.get("preset", "paper") == "small"
                                      ? sim::ScenarioConfig::small_scale()
@@ -214,7 +230,7 @@ int main(int argc, char** argv) {
     options.workers = static_cast<int>(flags.get_int("workers", serving ? 0 : 2));
     options.worker_argv = {worker_bin, "--worker"};
     options.tcp_workers = static_cast<int>(flags.get_int("tcp-workers", serving ? 2 : 0));
-    options.auth_token = worker_token;  // --token / $HASTE_SHARD_TOKEN
+    options.auth_token = token;  // --token / $HASTE_SHARD_TOKEN
     if (flags.get_bool("tcp-spawn")) {
       // The token rides ahead of --connect so the worker fast path has it
       // before dialing (the transport appends the bound address last).
