@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the library's hot kernels:
 // dominant-set extraction, ground-set construction, marginal evaluation,
-// full offline scheduling, schedule evaluation, and the DES/bus substrate.
+// full offline scheduling, schedule evaluation, schedule/scenario JSON text,
+// and the DES/bus substrate.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdio>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -15,8 +17,10 @@
 #include "dist/bus.hpp"
 #include "dist/event_queue.hpp"
 #include "dist/online.hpp"
+#include "io/scenario_io.hpp"
 #include "model/deadline.hpp"
 #include "sim/scenario.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -290,15 +294,48 @@ void BM_EvaluateSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateSchedule);
 
+void BM_ScheduleJson(benchmark::State& state) {
+  // The JSON text surfaces of an offline solve at 2x paper scale (100/400):
+  // parse:0 builds and dumps the schedule document (schedule_to_json(...)
+  // .dump(), the solve's output step), parse:1 parses the scenario text (its
+  // input step).
+  const model::Network net = make_network(100, 400);
+  const bool parse = state.range(0) != 0;
+  const model::Schedule schedule = core::schedule_offline(net).schedule;
+  const std::string scenario = io::network_to_json(net).dump();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    if (parse) {
+      const util::Json parsed = util::Json::parse(scenario);
+      bytes = scenario.size();
+      benchmark::DoNotOptimize(&parsed);
+    } else {
+      const std::string text = io::schedule_to_json(schedule).dump();
+      bytes = text.size();
+      benchmark::DoNotOptimize(text.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_ScheduleJson)->ArgName("parse")->Arg(0)->Arg(1);
+
 void BM_OnlineNegotiation(benchmark::State& state) {
+  // C:1 is the locally greedy negotiation (one panel sample); C:4 runs the
+  // shipped panel (C = 4, S = 16), where per-sample costs show.
   const model::Network net = make_network(static_cast<int>(state.range(0)), 60);
   for (auto _ : state) {
     dist::OnlineConfig config;
-    config.colors = 1;
+    config.colors = static_cast<int>(state.range(1));
+    config.samples = 16;
     benchmark::DoNotOptimize(dist::run_online(net, config));
   }
 }
-BENCHMARK(BM_OnlineNegotiation)->Arg(10)->Arg(20);
+BENCHMARK(BM_OnlineNegotiation)
+    ->ArgNames({"n", "C"})
+    ->Args({10, 1})
+    ->Args({20, 1})
+    ->Args({20, 4});
 
 void BM_OnlinePredict(benchmark::State& state) {
   // Predictive cadence control on its target regime: bursty, hotspot-drifting

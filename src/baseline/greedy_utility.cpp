@@ -1,6 +1,8 @@
 #include "baseline/greedy_utility.hpp"
 
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dominant_sets.hpp"
@@ -13,6 +15,13 @@ model::Schedule schedule_greedy_utility_over(const model::Network& net,
                                              model::SlotIndex first_slot,
                                              std::span<const double> initial_energy) {
   const model::ChargerIndex n = net.charger_count();
+  if (!initial_energy.empty() &&
+      initial_energy.size() != static_cast<std::size_t>(net.task_count())) {
+    throw std::invalid_argument("schedule_greedy_utility_over: initial_energy has " +
+                                std::to_string(initial_energy.size()) +
+                                " entries for a network of " +
+                                std::to_string(net.task_count()) + " tasks");
+  }
   model::Schedule schedule(n, net.horizon());
 
   for (model::ChargerIndex i = 0; i < n; ++i) {

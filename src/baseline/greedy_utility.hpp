@@ -14,7 +14,8 @@ model::Schedule schedule_greedy_utility(const model::Network& net);
 
 /// Restricted variant for the online simulator: considers only `candidates`
 /// (released tasks), plans slots [first_slot, horizon), and starts each task
-/// from the given already-harvested energy. `initial_energy` may be empty.
+/// from the given already-harvested energy. `initial_energy` may be empty;
+/// otherwise it has one entry per task, or std::invalid_argument is thrown.
 model::Schedule schedule_greedy_utility_over(const model::Network& net,
                                              const std::vector<model::TaskIndex>& candidates,
                                              model::SlotIndex first_slot,

@@ -20,7 +20,11 @@ int play_schedule(const model::Network& net, const model::Schedule& schedule,
   const double slot_seconds = net.time().slot_seconds;
   int switches = 0;
 
-  // Per charger: coverage arcs of its coverable tasks, computed once.
+  // Per charger: coverage arcs of its coverable tasks, computed once, and the
+  // positions (ascending) of the coverable tasks its current orientation
+  // covers. An orientation changes only when the charger switches, so that
+  // is the only time the positions are recomputed; the deposits below keep
+  // their set and their order.
   std::vector<std::vector<geom::Arc>> arcs(static_cast<std::size_t>(n));
   for (model::ChargerIndex i = 0; i < n; ++i) {
     const auto tasks = net.coverable_tasks(i);
@@ -29,6 +33,7 @@ int play_schedule(const model::Network& net, const model::Schedule& schedule,
       arcs[static_cast<std::size_t>(i)].push_back(net.coverage_arc(i, j));
     }
   }
+  std::vector<std::vector<std::size_t>> covered(static_cast<std::size_t>(n));
 
   std::vector<std::optional<double>> current(static_cast<std::size_t>(n));
   for (model::SlotIndex k = 0; k < slots; ++k) {
@@ -44,16 +49,22 @@ int play_schedule(const model::Network& net, const model::Schedule& schedule,
         switching = !orientation.has_value() || *orientation != *assigned;
         orientation = assigned;
       }
-      if (switching) ++switches;
+      auto& charger_covered = covered[static_cast<std::size_t>(i)];
+      if (switching) {
+        ++switches;
+        const auto& charger_arcs = arcs[static_cast<std::size_t>(i)];
+        charger_covered.clear();
+        for (std::size_t t = 0; t < charger_arcs.size(); ++t) {
+          if (charger_arcs[t].contains(*orientation)) charger_covered.push_back(t);
+        }
+      }
       if (!orientation.has_value()) continue;  // Phi: silent
 
       const double real_seconds = net.time().effective_seconds(switching);
       const auto tasks = net.coverable_tasks(i);
-      const auto& charger_arcs = arcs[static_cast<std::size_t>(i)];
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
+      for (const std::size_t t : charger_covered) {
         const model::TaskIndex j = tasks[t];
         if (!net.tasks()[static_cast<std::size_t>(j)].active(k)) continue;
-        if (!charger_arcs[t].contains(*orientation)) continue;
         const double watts = net.potential_power(i, j);
         deposit(k, j, watts * real_seconds, watts * slot_seconds);
       }

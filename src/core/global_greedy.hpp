@@ -79,7 +79,9 @@ struct GlobalGreedyResult {
 GlobalGreedyResult schedule_global_greedy(const model::Network& net,
                                           const GlobalGreedyConfig& config = {});
 
-/// Runs global greedy over a precomputed ground set with initial energies.
+/// Runs global greedy over a precomputed ground set with initial energies
+/// (empty, or one entry per task; any other size throws
+/// std::invalid_argument).
 GlobalGreedyResult schedule_global_greedy_over(
     const model::Network& net, const std::vector<PolicyPartition>& partitions,
     const GlobalGreedyConfig& config, std::span<const double> initial_energy);

@@ -81,17 +81,35 @@ void row_terms_impl(const ShapeOp& op, const UtilityTable& table,
   }
 }
 
-template <typename ShapeOp>
-void row_terms_panel_impl(const ShapeOp& op, const UtilityTable& table,
-                          const double* energy, std::size_t stride,
-                          std::span<const int> samples, const RowView& rows,
-                          double* out) {
+// The panel sweep (see row_terms_panel). With `kSaturates` (false for
+// kCustom) a saturated column's term is written as +0.0 without pricing, and
+// a sample keeps its term row only when one of its columns is live.
+template <bool kSaturates, typename ShapeOp>
+std::size_t row_terms_panel_impl(const ShapeOp& op, const double* energy,
+                                 std::size_t stride, std::span<const int> samples,
+                                 const RowView& rows, double* out) {
   const std::size_t n = rows.size();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    row_terms_impl(op, table,
-                   energy + static_cast<std::size_t>(samples[i]) * stride, rows,
-                   out + i * n);
+  const model::TaskIndex* tasks = rows.tasks.data();
+  const double* delta = rows.delta.data();
+  const double* weight = rows.weight.data();
+  const double* required = rows.required.data();
+  std::size_t kept = 0;
+  for (const int s : samples) {
+    const double* e = energy + static_cast<std::size_t>(s) * stride;
+    double* terms = out + kept * n;
+    bool live = !kSaturates;
+    for (std::size_t t = 0; t < n; ++t) {
+      const double x = e[static_cast<std::size_t>(tasks[t])];
+      if (kSaturates && x >= required[t]) {
+        terms[t] = 0.0;
+        continue;
+      }
+      terms[t] = term_for(op, weight[t], required[t], x, delta[t]);
+      live = true;
+    }
+    if (live) ++kept;
   }
+  return kept;
 }
 
 }  // namespace
@@ -167,24 +185,22 @@ void row_terms(const UtilityTable& table, const double* energy, const RowView& r
   }
 }
 
-void row_terms_panel(const UtilityTable& table, const double* energy,
-                     std::size_t stride, std::span<const int> samples,
-                     const RowView& rows, double* out) {
+std::size_t row_terms_panel(const UtilityTable& table, const double* energy,
+                            std::size_t stride, std::span<const int> samples,
+                            const RowView& rows, double* out) {
   switch (table.kind) {
     case model::UtilityShapeKind::kLinear:
-      row_terms_panel_impl(LinearShapeOp{}, table, energy, stride, samples, rows, out);
-      break;
+      return row_terms_panel_impl<true>(LinearShapeOp{}, energy, stride, samples, rows,
+                                        out);
     case model::UtilityShapeKind::kSqrt:
-      row_terms_panel_impl(SqrtShapeOp{}, table, energy, stride, samples, rows, out);
-      break;
+      return row_terms_panel_impl<true>(SqrtShapeOp{}, energy, stride, samples, rows,
+                                        out);
     case model::UtilityShapeKind::kLog:
-      row_terms_panel_impl(LogShapeOp{table.log_k, table.log_norm}, table, energy,
-                           stride, samples, rows, out);
-      break;
+      return row_terms_panel_impl<true>(LogShapeOp{table.log_k, table.log_norm}, energy,
+                                        stride, samples, rows, out);
     default:
-      row_terms_panel_impl(CustomShapeOp{table.shape}, table, energy, stride,
-                           samples, rows, out);
-      break;
+      return row_terms_panel_impl<false>(CustomShapeOp{table.shape}, energy, stride,
+                                         samples, rows, out);
   }
 }
 

@@ -110,14 +110,22 @@ void row_terms(const UtilityTable& table, const double* energy, const RowView& r
 double row_term_sum(const UtilityTable& table, const double* energy,
                     const RowView& rows);
 
-/// Row terms of one row batch under several energy samples in one call:
-/// out[i * rows.size() + t] is the term of row t against panel sample
-/// samples[i], where sample s's per-task energies start at
-/// energy + s * stride. Each sample's sweep is exactly row_terms — one shape
-/// dispatch for the whole panel instead of one per sample.
-void row_terms_panel(const UtilityTable& table, const double* energy,
-                     std::size_t stride, std::span<const int> samples,
-                     const RowView& rows, double* out);
+/// Row terms of a partition's column batch (`rows` carries the weight and
+/// required columns) under several energy samples, pricing only the live
+/// columns. A column whose task's energy in a sample has reached its
+/// required energy (energy >= required) is saturated there: with a built-in
+/// shape its term is exactly +0.0, since weights, required energies and
+/// deltas are finite and non-negative (DESIGN §3.19), so it is written as
+/// +0.0 without pricing. kCustom shapes price every column.
+///
+/// Sample s's per-task energies start at energy + s * stride. Only the
+/// samples with a live column (every sample for kCustom) get a term row, in
+/// sample order: out[i * rows.size() + t] is column t's term in the i-th
+/// such sample. Returns the number of rows written; 0 means every marginal
+/// of the batch is +0.0 for these samples.
+std::size_t row_terms_panel(const UtilityTable& table, const double* energy,
+                            std::size_t stride, std::span<const int> samples,
+                            const RowView& rows, double* out);
 
 /// Batched deadline discounts: out[t] = table.tardiness_factor(tasks[t], k)
 /// for every row — one flat sweep over the SoA deadline columns. The

@@ -341,6 +341,13 @@ MarginalEngine::MarginalEngine(const model::Network& net, Config config,
       // mid-run under a concurrent toggle flip (results are bit-identical
       // either way, but the latch keeps the choice observable and stable).
       use_kernels_(util::kernels_enabled()) {
+  if (!initial_energy.empty() &&
+      initial_energy.size() != static_cast<std::size_t>(net.task_count())) {
+    throw std::invalid_argument("MarginalEngine: initial_energy has " +
+                                std::to_string(initial_energy.size()) +
+                                " entries for a network of " +
+                                std::to_string(net.task_count()) + " tasks");
+  }
   if (config_.colors < 1) config_.colors = 1;
   if (config_.samples < 1) config_.samples = 1;
   if (config_.colors == 1) config_.samples = 1;  // expectation is exact
@@ -423,8 +430,8 @@ double MarginalEngine::marginal(model::ChargerIndex i, model::SlotIndex k,
   return total / static_cast<double>(config_.samples);
 }
 
-void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c,
-                                         std::span<const int> sample_colors,
+bool MarginalEngine::partition_marginals(const PolicyPartition& partition, int c,
+                                         std::span<const int> matching,
                                          double* out) const {
   const std::size_t count = partition.policies.size();
   const std::size_t rows = partition.flat_tasks.size();
@@ -435,55 +442,51 @@ void MarginalEngine::partition_marginals(const PolicyPartition& partition, int c
     for (std::size_t q = 0; q < count; ++q) {
       out[q] = marginal(partition.charger, partition.slot, partition.policy_rows(q), c);
     }
-    return;
+    return true;
   }
   marginal_count_.fetch_add(count, std::memory_order_relaxed);
   for (std::size_t q = 0; q < count; ++q) out[q] = 0.0;
   const auto m = static_cast<std::size_t>(net_->task_count());
-  // Resolve the matching panel samples, then price the partition's
-  // deduplicated (task, delta) columns for all of them in one panel sweep.
-  // Scratch is thread_local rather than a member: the engine's const oracle
-  // surface is documented concurrency-safe (the parallel panel builds rely
-  // on it).
-  thread_local std::vector<int> matching;
-  matching.clear();
-  for (int s = 0; s < config_.samples; ++s) {
-    if (sample_colors[static_cast<std::size_t>(s)] == c) matching.push_back(s);
-  }
-  if (!matching.empty()) {
-    // Counter semantics match the scalar path, which prices every flat row
-    // once per matching sample — the column dedup only removes redundant
-    // arithmetic, not evaluations.
-    row_term_count_.fetch_add(static_cast<std::uint64_t>(rows) * matching.size(),
-                              std::memory_order_relaxed);
-    const std::size_t cols = partition.col_task.size();
-    const kernels::RowView column_rows{partition.col_task, partition.col_delta,
-                                       partition.col_weight, partition.col_required};
-    thread_local std::vector<double> col_terms;
-    col_terms.resize(matching.size() * cols);
-    kernels::row_terms_panel(*table_, energy_.data(), m, matching, column_rows,
-                             col_terms.data());
-    // Segmented gather-fold: policy q's inner sum visits its rows in row
-    // order (each row's term read through the column map — bit-identical,
-    // since rows sharing a column share their inputs), and out[q]
-    // accumulates inners in ascending sample order — exactly the
-    // marginal()/gain_in_sample() accumulation trajectory per policy.
-    const std::int32_t* offsets = partition.row_offsets.data();
-    const std::int32_t* col_of = partition.flat_col.data();
-    for (std::size_t i = 0; i < matching.size(); ++i) {
-      const double* terms = col_terms.data() + i * cols;
-      for (std::size_t q = 0; q < count; ++q) {
-        double inner = 0.0;
-        for (std::int32_t t = offsets[q]; t < offsets[q + 1]; ++t) {
-          inner += terms[static_cast<std::size_t>(col_of[t])];
-        }
-        out[q] += inner;
+  // Counter semantics match the scalar path, which prices every flat row
+  // once per matching sample: the column dedup and the saturation skip only
+  // remove arithmetic whose result is known, not evaluations.
+  row_term_count_.fetch_add(static_cast<std::uint64_t>(rows) * matching.size(),
+                            std::memory_order_relaxed);
+  const std::size_t cols = partition.col_task.size();
+  const kernels::RowView column_rows{partition.col_task, partition.col_delta,
+                                     partition.col_weight, partition.col_required};
+  // Price the columns for all matching samples in one panel sweep. Scratch
+  // is thread_local rather than a member: the engine's const oracle surface
+  // is documented concurrency-safe (the parallel panel builds rely on it).
+  thread_local std::vector<double> col_terms;
+  col_terms.resize(matching.size() * cols);
+  // Only the samples with a live column come back. Every term of the others
+  // is +0.0, so their inner sums are +0.0 and adding them to out[q] (never
+  // -0.0) changes no bit.
+  const std::size_t live = kernels::row_terms_panel(*table_, energy_.data(), m, matching,
+                                                    column_rows, col_terms.data());
+  if (live == 0) return false;
+  // Segmented gather-fold: policy q's inner sum visits its rows in row
+  // order (each row's term read through the column map — bit-identical,
+  // since rows sharing a column share their inputs), and out[q] accumulates
+  // inners in ascending sample order — exactly the marginal()/
+  // gain_in_sample() accumulation trajectory per policy.
+  const std::int32_t* offsets = partition.row_offsets.data();
+  const std::int32_t* col_of = partition.flat_col.data();
+  for (std::size_t i = 0; i < live; ++i) {
+    const double* terms = col_terms.data() + i * cols;
+    for (std::size_t q = 0; q < count; ++q) {
+      double inner = 0.0;
+      for (std::int32_t t = offsets[q]; t < offsets[q + 1]; ++t) {
+        inner += terms[static_cast<std::size_t>(col_of[t])];
       }
+      out[q] += inner;
     }
   }
   for (std::size_t q = 0; q < count; ++q) {
     out[q] /= static_cast<double>(config_.samples);
   }
+  return true;
 }
 
 double MarginalEngine::commit(model::ChargerIndex i, model::SlotIndex k,
@@ -550,20 +553,17 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
   if (applied) ++commit_count_;
 }
 
-void MarginalEngine::commit_energy(std::span<const int> sample_colors, int c,
+void MarginalEngine::commit_energy(std::span<const int> matching,
                                    std::span<const model::TaskIndex> tasks,
                                    std::span<const double> slot_energy) {
   const auto m = static_cast<std::size_t>(net_->task_count());
-  bool applied = false;
-  for (int s = 0; s < config_.samples; ++s) {
-    if (sample_colors[static_cast<std::size_t>(s)] != c) continue;
+  for (const int s : matching) {
     double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       energy[static_cast<std::size_t>(tasks[t])] += slot_energy[t];
     }
-    applied = true;
   }
-  if (applied) ++commit_count_;
+  if (!matching.empty()) ++commit_count_;
 }
 
 double MarginalEngine::row_term(int s, model::TaskIndex j, double delta) const {

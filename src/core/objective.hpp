@@ -166,9 +166,10 @@ class MarginalEngine {
   };
 
   /// `initial_energy`, when non-empty, must have one entry per task of the
-  /// network: energy already harvested (online re-planning). `table` is the
-  /// network's SoA utility table; engines of one online session share one
-  /// instead of each building its own (null = build it here).
+  /// network: energy already harvested (online re-planning); any other size
+  /// throws std::invalid_argument. `table` is the network's SoA utility
+  /// table; engines of one online session share one instead of each
+  /// building its own (null = build it here).
   MarginalEngine(const model::Network& net, Config config,
                  std::span<const double> initial_energy = {},
                  std::shared_ptr<const kernels::UtilityTable> table = nullptr);
@@ -204,18 +205,23 @@ class MarginalEngine {
 
   /// Marginals of EVERY policy of `partition` for color `c` in one call:
   /// out[q] = marginal(partition.charger, partition.slot, policy q, c), bit
-  /// for bit. `sample_colors[s]` must equal panel_color(seed(), s,
-  /// partition.charger, partition.slot, colors()): the offline scheduler
-  /// visits every partition once per color stage, so it hashes each panel
-  /// once up front. With the kernel path latched this prices the
-  /// partition's deduplicated (task, delta) columns across all matching
-  /// samples in one panel sweep, then gather-folds each policy's row segment
-  /// in row order — same per-policy accumulation order, same counter
-  /// totals, a fraction of the per-call overhead and of the arithmetic. With
-  /// the kernel path off it is the per-policy marginal() loop, the scalar
-  /// reference.
-  void partition_marginals(const PolicyPartition& partition, int c,
-                           std::span<const int> sample_colors, double* out) const;
+  /// for bit. `matching` must list, ascending, the panel samples s whose
+  /// panel_color(seed(), s, partition.charger, partition.slot, colors()) is
+  /// `c`: the offline scheduler visits every partition once per color
+  /// stage, so it hashes and groups each panel once up front. With the
+  /// kernel path latched this prices the partition's deduplicated
+  /// (task, delta) columns across all matching samples in one panel sweep,
+  /// then gather-folds each policy's row segment in row order — same
+  /// per-policy accumulation order, same counter totals, a fraction of the
+  /// per-call overhead and of the arithmetic. Columns whose task is
+  /// saturated in a sample are not priced, and samples without a live
+  /// column are not folded (kernels::row_terms_panel); the counters still
+  /// count them. Returns false when no column is live in any matching
+  /// sample: every out[q] is then +0.0, so no policy has a positive
+  /// marginal. With the kernel path off it is the per-policy marginal()
+  /// loop, the scalar reference, and always returns true.
+  bool partition_marginals(const PolicyPartition& partition, int c,
+                           std::span<const int> matching, double* out) const;
 
   /// Commits the S-C tuple; returns the realized marginal. Every commit form
   /// throws std::out_of_range when `i` is not a charger of the network.
@@ -238,15 +244,15 @@ class MarginalEngine {
                       std::span<const model::TaskIndex> tasks,
                       std::span<const double> slot_energy, int c);
 
-  /// Energy-only commit, for a caller that holds the panel colors of the
-  /// committing (charger, slot) and never reads the version counters (the
-  /// offline scheduler). `sample_colors` is the same panel
-  /// partition_marginals takes: the rows are added into every sample whose
-  /// color is `c`, with the energy bits commit_no_gain would produce, and
-  /// the commit is counted. No utility flatness test, version bump or panel
-  /// re-hash runs, so once an engine commits this way its versions no longer
-  /// certify cached marginals.
-  void commit_energy(std::span<const int> sample_colors, int c,
+  /// Energy-only commit, for a caller that holds the panel samples matching
+  /// the committing (charger, slot, color) and never reads the version
+  /// counters (the offline scheduler). `matching` is the list
+  /// partition_marginals takes: the rows are added into each of those
+  /// samples, with the energy bits commit_no_gain would produce, and the
+  /// commit is counted when the list is non-empty. No utility flatness
+  /// test, version bump or panel re-hash runs, so once an engine commits this
+  /// way its versions no longer certify cached marginals.
+  void commit_energy(std::span<const int> matching,
                      std::span<const model::TaskIndex> tasks,
                      std::span<const double> slot_energy);
 

@@ -1,6 +1,7 @@
 #include "core/offline.hpp"
 
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -45,14 +46,31 @@ OfflineResult schedule_offline_over(const model::Network& net,
       std::numeric_limits<double>::quiet_NaN());
 
   // Every partition is visited once per color stage, so its (pure) panel
-  // colors are hashed once up front: panel[p * samples + s] = color of
-  // sample s.
-  std::vector<int> panel(partitions.size() * static_cast<std::size_t>(samples));
+  // colors are hashed once up front and its samples grouped by color: the
+  // samples of partition p whose color is c are, ascending,
+  // grouped[p * samples + first[p * (colors + 1) + c] ...
+  //         p * samples + first[p * (colors + 1) + c + 1]).
+  const auto sample_count = static_cast<std::size_t>(samples);
+  const auto first_stride = static_cast<std::size_t>(colors) + 1;
+  std::vector<int> grouped(partitions.size() * sample_count);
+  std::vector<int> first(partitions.size() * first_stride, 0);
   util::parallel_for(partitions.size(), [&](std::size_t p) {
-    int* colors_of = panel.data() + p * static_cast<std::size_t>(samples);
-    for (int s = 0; s < samples; ++s) {
-      colors_of[s] = MarginalEngine::panel_color(engine.seed(), s, partitions[p].charger,
-                                                 partitions[p].slot, colors);
+    thread_local std::vector<int> color_of;
+    thread_local std::vector<int> cursor;
+    color_of.resize(sample_count);
+    for (std::size_t s = 0; s < sample_count; ++s) {
+      color_of[s] = MarginalEngine::panel_color(engine.seed(), static_cast<int>(s),
+                                                partitions[p].charger, partitions[p].slot,
+                                                colors);
+    }
+    // A counting sort by color, stable so that each group ascends.
+    int* begin = first.data() + p * first_stride;
+    for (const int color : color_of) ++begin[color + 1];
+    std::partial_sum(begin, begin + first_stride, begin);
+    cursor.assign(begin, begin + colors);
+    int* group = grouped.data() + p * sample_count;
+    for (std::size_t s = 0; s < sample_count; ++s) {
+      group[cursor[static_cast<std::size_t>(color_of[s])]++] = static_cast<int>(s);
     }
   });
   std::vector<double> marginals;  // one partition's marginals, reused
@@ -67,11 +85,16 @@ OfflineResult schedule_offline_over(const model::Network& net,
       double& prev = previous_orientation[static_cast<std::size_t>(partition.charger) *
                                               static_cast<std::size_t>(colors) +
                                           static_cast<std::size_t>(c)];
-      const std::span<const int> sample_colors(
-          panel.data() + p * static_cast<std::size_t>(samples),
-          static_cast<std::size_t>(samples));
+      const int* begin = first.data() + p * first_stride + c;
+      const std::span<const int> matching(grouped.data() + p * sample_count + begin[0],
+                                          static_cast<std::size_t>(begin[1] - begin[0]));
       marginals.resize(partition.policies.size());
-      engine.partition_marginals(partition, c, sample_colors, marginals.data());
+      // With every marginal +0.0 no policy is acceptable unless zero gains
+      // are committed, so the selection below would pick nothing.
+      if (!engine.partition_marginals(partition, c, matching, marginals.data()) &&
+          !config.commit_zero_marginal) {
+        continue;
+      }
       int best = -1;
       double best_marginal = 0.0;
       bool best_is_previous = false;
@@ -94,7 +117,7 @@ OfflineResult schedule_offline_over(const model::Network& net,
         // `best_marginal` is the exact gain commit() would recompute, and no
         // offline reader consults the version counters, so only the energy
         // accumulation remains to be done.
-        engine.commit_energy(sample_colors, c, partition.policy_tasks(bq),
+        engine.commit_energy(matching, partition.policy_tasks(bq),
                              partition.policy_energy(bq));
         selections[p * static_cast<std::size_t>(colors) + static_cast<std::size_t>(c)] =
             best;

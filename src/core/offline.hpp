@@ -5,7 +5,10 @@
 // order, greedily add the S-C tuple maximizing the expected sampled utility;
 // finally draw one color per partition and execute the matching selections.
 // Each (partition, color) visit prices every policy of the partition in one
-// batched MarginalEngine::partition_marginals call.
+// batched MarginalEngine::partition_marginals call, which prices only the
+// columns whose task is below its required energy in a matching sample; a
+// visit with no such column selects nothing, so its selection loop is
+// skipped unless zero-gain commits are on.
 // C = 1 is exactly the locally greedy algorithm (1/2 approximation of
 // HASTE-R); C -> infinity approaches 1 - 1/e; switching delay costs at most a
 // (1 - rho) factor (Theorem 5.1).
@@ -48,8 +51,10 @@ OfflineResult schedule_offline(const model::Network& net, const OfflineConfig& c
 /// Runs Algorithm 2 over a precomputed ground set (the online scheduler
 /// reuses this for its "what would the centralized planner do" reference),
 /// with per-task initial energies for re-planning. `initial_energy` may be
-/// empty (all zeros). The schedule returned covers [0, net.horizon()); only
-/// slots present in `partitions` receive assignments.
+/// empty (all zeros); otherwise it has one entry per task, or
+/// std::invalid_argument is thrown. The schedule returned covers
+/// [0, net.horizon()); only slots present in `partitions` receive
+/// assignments.
 OfflineResult schedule_offline_over(const model::Network& net,
                                     const std::vector<PolicyPartition>& partitions,
                                     const OfflineConfig& config,

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -14,8 +15,40 @@ namespace {
 
 constexpr int kMaxDepth = 128;
 
+bool key_less(const Json::Member& a, const Json::Member& b) { return a.first < b.first; }
+
+/// The comparator of every member lookup: a member before a key.
+bool member_before(const Json::Member& member, const std::string& key) {
+  return member.first < key;
+}
+
+/// Sorts parsed members by key, keeping the last of each run of equal keys.
+/// stable_sort keeps equal keys in input order, so the last of a run is the
+/// value parsed last.
+void sort_members(std::vector<Json::Member>& members) {
+  // Every document this library writes lists its keys in ascending order.
+  if (std::adjacent_find(members.begin(), members.end(),
+                         [](const Json::Member& a, const Json::Member& b) {
+                           return !key_less(a, b);
+                         }) == members.end()) {
+    return;
+  }
+  std::stable_sort(members.begin(), members.end(), key_less);
+  auto kept = members.begin();
+  for (auto run = members.begin(); run != members.end();) {
+    auto last = run;
+    while (last + 1 != members.end() && (last + 1)->first == run->first) ++last;
+    if (kept != last) *kept = std::move(*last);
+    ++kept;
+    run = last + 1;
+  }
+  members.erase(kept, members.end());
+}
+
+}  // namespace
+
 /// Recursive-descent JSON parser over a string_view.
-class Parser {
+class Json::Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
@@ -100,6 +133,7 @@ class Parser {
   Json parse_object(int depth) {
     expect('{');
     Json object = Json::object();
+    Object& members = std::get<Object>(object.value_);
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
@@ -107,10 +141,10 @@ class Parser {
     }
     for (;;) {
       skip_whitespace();
-      const std::string key = parse_string();
+      std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      object.set(key, parse_value(depth + 1));
+      members.emplace_back(std::move(key), parse_value(depth + 1));
       skip_whitespace();
       const char c = peek();
       if (c == ',') {
@@ -119,6 +153,7 @@ class Parser {
       }
       if (c == '}') {
         ++pos_;
+        sort_members(members);
         return object;
       }
       fail("expected ',' or '}' in object");
@@ -229,9 +264,23 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
+namespace {
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void dump_string(std::string& out, const std::string& value) {
   out += '"';
-  for (char c : value) {
+  // Runs of characters that need no escape are appended whole.
+  const char* run = value.data();
+  const char* const end = run + value.size();
+  while (run != end) {
+    const char* stop = std::find_if(run, end, needs_escape);
+    out.append(run, stop);
+    if (stop == end) break;
+    run = stop + 1;
+    const char c = *stop;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -240,14 +289,11 @@ void dump_string(std::string& out, const std::string& value) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+        out += buffer;
+      }
     }
   }
   out += '"';
@@ -256,7 +302,16 @@ void dump_string(std::string& out, const std::string& value) {
 void dump_number(std::string& out, double value) {
   if (!std::isfinite(value)) throw JsonError("cannot serialize non-finite number");
   char buffer[64];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  // The shortest round-trip form of an integral double below 1e5 in
+  // magnitude is its plain digits (from 1e5 on, "1e+05" is shorter), so the
+  // cheaper integer conversion writes the same text for the indices, slots
+  // and counts that fill most documents. -0.0 keeps the double path's "-0".
+  const int integral = value > -1e5 && value < 1e5 ? static_cast<int>(value) : 0;
+  const bool small_integer = value > -1e5 && value < 1e5 && integral == value &&
+                             (integral != 0 || !std::signbit(value));
+  const auto [ptr, ec] = small_integer
+                             ? std::to_chars(buffer, buffer + sizeof(buffer), integral)
+                             : std::to_chars(buffer, buffer + sizeof(buffer), value);
   if (ec != std::errc{}) throw JsonError("number formatting failed");
   out.append(buffer, ptr);
 }
@@ -271,13 +326,13 @@ void indent_to(std::string& out, int indent, int depth) {
 
 Json Json::array() {
   Json j;
-  j.type_ = Type::kArray;
+  j.value_.emplace<Array>();
   return j;
 }
 
 Json Json::object() {
   Json j;
-  j.type_ = Type::kObject;
+  j.value_.emplace<Object>();
   return j;
 }
 
@@ -285,12 +340,12 @@ Json Json::parse(std::string_view text) { return Parser(text).parse_document(); 
 
 bool Json::as_bool() const {
   if (!is_bool()) throw JsonError("not a bool");
-  return bool_;
+  return std::get<bool>(value_);
 }
 
 double Json::as_number() const {
   if (!is_number()) throw JsonError("not a number");
-  return number_;
+  return std::get<double>(value_);
 }
 
 std::int64_t Json::as_int() const {
@@ -307,97 +362,112 @@ std::int64_t Json::as_int() const {
 
 const std::string& Json::as_string() const {
   if (!is_string()) throw JsonError("not a string");
-  return string_;
+  return std::get<std::string>(value_);
 }
 
 std::size_t Json::size() const {
-  if (is_array()) return array_.size();
-  if (is_object()) return object_.size();
+  if (is_array()) return std::get<Array>(value_).size();
+  if (is_object()) return std::get<Object>(value_).size();
   throw JsonError("size() on non-container");
 }
 
 const Json& Json::at(std::size_t index) const {
   if (!is_array()) throw JsonError("indexing a non-array");
-  if (index >= array_.size()) throw JsonError("array index out of range");
-  return array_[index];
+  const Array& array = std::get<Array>(value_);
+  if (index >= array.size()) throw JsonError("array index out of range");
+  return array[index];
 }
 
 Json& Json::push_back(Json value) {
   if (!is_array()) throw JsonError("push_back on non-array");
-  array_.push_back(std::move(value));
-  return array_.back();
+  return std::get<Array>(value_).emplace_back(std::move(value));
+}
+
+const Json* Json::find(const std::string& key, const char* caller) const {
+  if (!is_object()) throw JsonError(std::string(caller) + " on non-object");
+  const Object& members = std::get<Object>(value_);
+  const auto it = std::lower_bound(members.begin(), members.end(), key, member_before);
+  return it != members.end() && it->first == key ? &it->second : nullptr;
 }
 
 bool Json::contains(const std::string& key) const {
-  if (!is_object()) throw JsonError("contains() on non-object");
-  return object_.count(key) != 0;
+  return find(key, "contains()") != nullptr;
 }
 
 const Json& Json::at(const std::string& key) const {
-  if (!is_object()) throw JsonError("key lookup on non-object");
-  const auto it = object_.find(key);
-  if (it == object_.end()) throw JsonError("missing key: " + key);
-  return it->second;
+  const Json* value = find(key, "key lookup");
+  if (value == nullptr) throw JsonError("missing key: " + key);
+  return *value;
 }
 
 Json& Json::set(const std::string& key, Json value) {
   if (!is_object()) throw JsonError("set() on non-object");
-  return object_[key] = std::move(value);
+  Object& members = std::get<Object>(value_);
+  if (members.empty() || members.back().first < key) {
+    return members.emplace_back(key, std::move(value)).second;
+  }
+  const auto it = std::lower_bound(members.begin(), members.end(), key, member_before);
+  if (it->first == key) return it->second = std::move(value);
+  return members.emplace(it, key, std::move(value))->second;
 }
 
-const std::map<std::string, Json>& Json::items() const {
+std::span<const Json::Member> Json::items() const {
   if (!is_object()) throw JsonError("items() on non-object");
-  return object_;
+  return std::get<Object>(value_);
 }
 
 double Json::number_or(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_number() : fallback;
+  const Json* value = find(key, "contains()");
+  return value != nullptr ? value->as_number() : fallback;
 }
 
 std::string Json::string_or(const std::string& key, const std::string& fallback) const {
-  return contains(key) ? at(key).as_string() : fallback;
+  const Json* value = find(key, "contains()");
+  return value != nullptr ? value->as_string() : fallback;
 }
 
 bool Json::bool_or(const std::string& key, bool fallback) const {
-  return contains(key) ? at(key).as_bool() : fallback;
+  const Json* value = find(key, "contains()");
+  return value != nullptr ? value->as_bool() : fallback;
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  switch (type_) {
+  switch (type()) {
     case Type::kNull:
       out += "null";
       return;
     case Type::kBool:
-      out += bool_ ? "true" : "false";
+      out += std::get<bool>(value_) ? "true" : "false";
       return;
     case Type::kNumber:
-      dump_number(out, number_);
+      dump_number(out, std::get<double>(value_));
       return;
     case Type::kString:
-      dump_string(out, string_);
+      dump_string(out, std::get<std::string>(value_));
       return;
     case Type::kArray: {
+      const Array& array = std::get<Array>(value_);
       out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < array.size(); ++i) {
         if (i != 0) out += ',';
         indent_to(out, indent, depth + 1);
-        array_[i].dump_to(out, indent, depth + 1);
+        array[i].dump_to(out, indent, depth + 1);
       }
-      if (!array_.empty()) indent_to(out, indent, depth);
+      if (!array.empty()) indent_to(out, indent, depth);
       out += ']';
       return;
     }
     case Type::kObject: {
+      const Object& members = std::get<Object>(value_);
       out += '{';
-      std::size_t i = 0;
-      for (const auto& [key, value] : object_) {
-        if (i++ != 0) out += ',';
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (i != 0) out += ',';
         indent_to(out, indent, depth + 1);
-        dump_string(out, key);
+        dump_string(out, members[i].first);
         out += indent < 0 ? ":" : ": ";
-        value.dump_to(out, indent, depth + 1);
+        members[i].second.dump_to(out, indent, depth + 1);
       }
-      if (!object_.empty()) indent_to(out, indent, depth);
+      if (!members.empty()) indent_to(out, indent, depth);
       out += '}';
       return;
     }

@@ -5,11 +5,13 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace haste::util {
@@ -21,20 +23,25 @@ class JsonError : public std::runtime_error {
 };
 
 /// A JSON value: null, bool, number (double), string, array, or object.
-/// Objects preserve no insertion order (std::map — deterministic dumps).
+/// A value holds only its own alternative (40 bytes). An object is one
+/// vector of (key, value) members kept sorted by key (std::string order)
+/// with unique keys, so dumps are deterministic whatever the insertion
+/// order.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  using Member = std::pair<std::string, Json>;
 
   /// Constructors for each type.
-  Json() : type_(Type::kNull) {}
-  Json(std::nullptr_t) : type_(Type::kNull) {}
-  Json(bool value) : type_(Type::kBool), bool_(value) {}
-  Json(double value) : type_(Type::kNumber), number_(value) {}
-  Json(int value) : type_(Type::kNumber), number_(value) {}
-  Json(std::int64_t value) : type_(Type::kNumber), number_(static_cast<double>(value)) {}
-  Json(const char* value) : type_(Type::kString), string_(value) {}
-  Json(std::string value) : type_(Type::kString), string_(std::move(value)) {}
+  Json() = default;
+  Json(std::nullptr_t) {}
+  Json(bool value) : value_(std::in_place_type<bool>, value) {}
+  Json(double value) : value_(std::in_place_type<double>, value) {}
+  Json(int value) : value_(std::in_place_type<double>, value) {}
+  Json(std::int64_t value)
+      : value_(std::in_place_type<double>, static_cast<double>(value)) {}
+  Json(const char* value) : value_(std::in_place_type<std::string>, value) {}
+  Json(std::string value) : value_(std::in_place_type<std::string>, std::move(value)) {}
 
   /// Factory helpers.
   static Json array();
@@ -44,16 +51,19 @@ class Json {
   /// lenient extension: the non-finite literals `NaN`, `Infinity`, and
   /// `-Infinity` parse as numbers (google-benchmark writes them into its
   /// JSON dumps, which bench_compare consumes). dump() stays strict and
-  /// refuses to serialize non-finite numbers.
+  /// refuses to serialize non-finite numbers. A key repeated within one
+  /// object keeps its last value. Each object's members are collected as
+  /// parsed and sorted once when the object closes, so parsing stays
+  /// O(k log k) in an object's key count whatever the key order.
   static Json parse(std::string_view text);
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   /// Typed accessors; throw JsonError on mismatch.
   bool as_bool() const;
@@ -61,16 +71,19 @@ class Json {
   std::int64_t as_int() const;  ///< number checked to be integral
   const std::string& as_string() const;
 
-  /// Array access.
+  /// Array access. The reference push_back returns is invalidated by a
+  /// later push_back into the same array.
   std::size_t size() const;  ///< array or object element count
   const Json& at(std::size_t index) const;
   Json& push_back(Json value);  ///< appends; returns the stored element
 
-  /// Object access.
+  /// Object access. set() appends when `key` sorts after every present key
+  /// and otherwise binary-searches; the reference it returns is invalidated
+  /// by a later set() of a new key into the same object.
   bool contains(const std::string& key) const;
   const Json& at(const std::string& key) const;
   Json& set(const std::string& key, Json value);  ///< insert/overwrite
-  const std::map<std::string, Json>& items() const;
+  std::span<const Member> items() const;          ///< members in key order
 
   /// Optional-with-default lookups for object fields.
   double number_or(const std::string& key, double fallback) const;
@@ -82,14 +95,16 @@ class Json {
   std::string dump(int indent = -1) const;
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
+  using Array = std::vector<Json>;
+  using Object = std::vector<Member>;  // sorted by key, keys unique
+  class Parser;
 
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Json> array_;
-  std::map<std::string, Json> object_;
+  void dump_to(std::string& out, int indent, int depth) const;
+  /// The member named `key`, or null when absent; throws when not an object.
+  const Json* find(const std::string& key, const char* caller) const;
+
+  // Alternatives in Type order, so index() is the type.
+  std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
 
 /// Reads an entire file and parses it; throws JsonError (parse) or

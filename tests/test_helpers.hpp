@@ -1,11 +1,15 @@
 // Shared helpers for building small random HASTE instances in tests.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/objective.hpp"
 #include "geom/angle.hpp"
 #include "model/network.hpp"
+#include "model/utility.hpp"
 #include "util/rng.hpp"
 
 namespace haste::testing_helpers {
@@ -50,6 +54,18 @@ inline model::Network random_network(util::Rng& rng, int n, int m, int max_slots
   return model::Network(std::move(chargers), std::move(tasks),
                         tiny_power(receiving_angle), time);
 }
+
+/// A concave bounded shape the kernel layer cannot identify: it reports
+/// kCustom, so every batched path falls back to value() and prices every
+/// row.
+class PowShape final : public model::UtilityShape {
+ public:
+  double value(double r) const override {
+    if (r <= 0.0) return 0.0;
+    return std::min(1.0, std::pow(r, 0.7));
+  }
+  std::string name() const override { return "pow"; }
+};
 
 /// Policy `q` of `partition` as an owned core::Policy (the message payload
 /// form), for tests that hand single policies to the engine.

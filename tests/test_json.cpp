@@ -1,15 +1,43 @@
-// Tests for util/json.hpp — the self-contained JSON DOM.
+// Tests for util/json.hpp — the self-contained JSON DOM: its value API, the
+// compact object layout's contract (key-ordered dumps whatever the insertion
+// order, last duplicate wins, sort-once parsing), byte-pinned dumps of a
+// 100/400 scenario and its schedule, and a seeded mutation sweep that must
+// never crash, hang, or accept text it cannot round-trip.
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "baseline/greedy_utility.hpp"
+#include "io/scenario_io.hpp"
+#include "sim/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace haste::util {
 namespace {
+
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::vector<std::string> keys_of(const Json& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.items()) keys.push_back(key);
+  return keys;
+}
 
 TEST(Json, DefaultIsNull) {
   const Json j;
@@ -169,6 +197,162 @@ TEST(Json, FileRoundTrip) {
   EXPECT_EQ(loaded.at("answer").as_int(), 42);
   std::remove(path.c_str());
   EXPECT_THROW(load_json_file(path), std::runtime_error);
+}
+
+
+TEST(JsonObject, DumpsInKeyOrderWhateverTheInsertionOrder) {
+  const std::vector<std::string> keys = {"slot", "charger", "orientation_rad", "b",
+                                         "orientation_deg", "a", "zz", ""};
+  Json forward = Json::object();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    forward.set(keys[i], static_cast<int>(i));
+  }
+  Json backward = Json::object();
+  for (std::size_t i = keys.size(); i-- > 0;) {
+    backward.set(keys[i], static_cast<int>(i));
+  }
+  EXPECT_EQ(forward.dump(), backward.dump());
+  EXPECT_EQ(forward.dump(),
+            R"({"":7,"a":5,"b":3,"charger":1,"orientation_deg":4,"orientation_rad":2,)"
+            R"("slot":0,"zz":6})");
+  // Overwriting keeps one member per key, in place.
+  forward.set("b", "again");
+  EXPECT_EQ(forward.size(), keys.size());
+  EXPECT_EQ(forward.at("b").as_string(), "again");
+}
+
+TEST(JsonObject, ParsedDuplicateKeyKeepsItsLastValue) {
+  const Json parsed = Json::parse(R"({"b": 1, "a": 2, "b": 3, "c": 4, "a": 5, "b": 6})");
+  EXPECT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed.at("a").as_int(), 5);
+  EXPECT_EQ(parsed.at("b").as_int(), 6);
+  EXPECT_EQ(parsed.at("c").as_int(), 4);
+  EXPECT_EQ(parsed.dump(), R"({"a":5,"b":6,"c":4})");
+  // Already-sorted text with a repeated key takes the sorting path too.
+  EXPECT_EQ(Json::parse(R"({"a": 1, "a": 2})").dump(), R"({"a":2})");
+}
+
+TEST(JsonObject, ItemsIterateInSortedOrder) {
+  const Json parsed = Json::parse(R"({"zeta": 1, "alpha": 2, "Mid": 3, "beta": {"y": 1, "x": 2}})");
+  EXPECT_EQ(keys_of(parsed), (std::vector<std::string>{"Mid", "alpha", "beta", "zeta"}));
+  EXPECT_EQ(keys_of(parsed.at("beta")), (std::vector<std::string>{"x", "y"}));
+  EXPECT_THROW(Json::array().items(), JsonError);
+}
+
+// The dumps of a 100/400 paper-preset scenario and of a schedule for it,
+// pinned byte for byte (FNV-1a of the text) at values captured with the
+// std::map-backed DOM this layout replaced.
+TEST(JsonObject, ScenarioAndScheduleDumpsAreBytePinned) {
+  sim::ScenarioConfig config = sim::ScenarioConfig::paper_default();
+  config.chargers = 100;
+  config.tasks = 400;
+  util::Rng rng(2018);
+  const model::Network net = sim::generate_scenario(config, rng);
+  const Json scenario = io::network_to_json(net);
+  const Json schedule = io::schedule_to_json(baseline::schedule_greedy_utility(net));
+  EXPECT_EQ(fnv1a(scenario.dump()), 0xfdb4b6f0e89d35acULL);
+  EXPECT_EQ(fnv1a(scenario.dump(2)), 0xb22b152d4504422eULL);
+  EXPECT_EQ(fnv1a(schedule.dump()), 0x25b29b90f11a050eULL);
+  EXPECT_EQ(fnv1a(schedule.dump(2)), 0x102948910629debeULL);
+  for (const Json* document : {&scenario, &schedule}) {
+    EXPECT_EQ(Json::parse(document->dump()).dump(), document->dump());
+    EXPECT_EQ(Json::parse(document->dump(2)).dump(2), document->dump(2));
+  }
+}
+
+// Parsing collects an object's members and sorts them once; inserting each
+// into the sorted vector as it arrives would be quadratic in the key count
+// for keys written in descending order. The ctest TIMEOUT bounds this case.
+TEST(JsonObject, HundredThousandDescendingKeysParseFast) {
+  constexpr int kKeys = 100'000;
+  std::string text = "{";
+  for (int i = kKeys; i-- > 0;) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%06d", i);
+    text += '"';
+    text += key;
+    text += "\":";
+    text += std::to_string(i);
+    if (i != 0) text += ',';
+  }
+  text += '}';
+  const Json parsed = Json::parse(text);
+  ASSERT_EQ(parsed.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(parsed.items().begin()->first, "k000000");
+  EXPECT_EQ(parsed.items().rbegin()->first, "k099999");
+  EXPECT_EQ(parsed.at("k054321").as_int(), 54321);
+}
+
+// Seeded mutation sweep over JSON documents the tests build: flipped,
+// inserted, deleted, duplicated and truncated bytes. Every mutant either
+// throws JsonError with a message, or parses, and then dump -> parse -> dump
+// reproduces the same text (a number dump() refuses — NaN, Infinity — must
+// also be a JsonError). Fixed seed and budget, so a failure reproduces.
+TEST(JsonFuzz, MutantsAreRejectedWithAMessageOrRoundTrip) {
+  std::vector<std::string> corpus = {
+      R"({"a": [1, 2.5, -3e2, true, false, null], "b": {"c": "d\n\u00e9"}})",
+      R"([{"charger": 0, "slot": 3, "orientation_rad": 1.25}, [], {}, ""])",
+      R"({"cv": NaN, "max": Infinity, "min": -Infinity, "escaped": "\"\\\/\b\f\r\t"})",
+      R"({"op":"arrive","tasks":[{"x":1.5,"y":2,"energy":5000}],"slot":12})",
+  };
+  {
+    sim::ScenarioConfig config = sim::ScenarioConfig::paper_default();
+    config.chargers = 4;
+    config.tasks = 10;
+    util::Rng rng(7);
+    const model::Network net = sim::generate_scenario(config, rng);
+    corpus.push_back(io::network_to_json(net).dump());
+    corpus.push_back(io::schedule_to_json(baseline::schedule_greedy_utility(net)).dump(2));
+  }
+  constexpr std::string_view kAlphabet = "{}[]:,\"\\ .-+eE0123456789truefalsnNIy\n\x01\xc3";
+  util::Rng rng(20181018);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iteration = 0; iteration < 3000; ++iteration) {
+    std::string text = corpus[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(corpus.size()) - 1))];
+    const int edits = static_cast<int>(rng.uniform_int(1, 4));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+      const char byte = kAlphabet[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kAlphabet.size()) - 1))];
+      switch (rng.uniform_int(0, 4)) {
+        case 0: text[at] = byte; break;
+        case 1: text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), byte); break;
+        case 2: text.erase(at, 1); break;
+        case 3: {
+          const auto length = static_cast<std::size_t>(rng.uniform_int(1, 16));
+          text.insert(at, text.substr(at, length));
+          break;
+        }
+        default: text.resize(at); break;
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "iteration " << iteration << ": " << text);
+    Json parsed;
+    try {
+      parsed = Json::parse(text);
+    } catch (const JsonError& error) {
+      EXPECT_NE(std::string(error.what()), "");
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    for (const int indent : {-1, 2}) {
+      std::string first;
+      try {
+        first = parsed.dump(indent);
+      } catch (const JsonError& error) {
+        EXPECT_NE(std::string(error.what()), "");
+        continue;
+      }
+      EXPECT_EQ(Json::parse(first).dump(indent), first);
+    }
+  }
+  // Both outcomes must actually occur, or the sweep tests nothing.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace

@@ -23,19 +23,8 @@
 namespace haste {
 namespace {
 
+using testing_helpers::PowShape;
 using testing_helpers::random_network;
-
-/// A concave bounded shape the kernel layer cannot identify: it must report
-/// kCustom and every batched path must fall back to value() — still batched,
-/// still bit-identical.
-class PowShape final : public model::UtilityShape {
- public:
-  double value(double r) const override {
-    if (r <= 0.0) return 0.0;
-    return std::min(1.0, std::pow(r, 0.7));
-  }
-  std::string name() const override { return "pow"; }
-};
 
 /// Rebuilds `net` with a different utility shape (same chargers, tasks,
 /// power model, and time grid).

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "baseline/greedy_utility.hpp"
 #include "core/evaluate.hpp"
+#include "core/global_greedy.hpp"
 #include "core/submodular.hpp"
 #include "test_helpers.hpp"
 
@@ -159,6 +165,48 @@ TEST(Offline, EmptyNetworkYieldsEmptySchedule) {
   EXPECT_EQ(result.schedule.charger_count(), 0);
   EXPECT_EQ(result.schedule.horizon(), 0);
   EXPECT_DOUBLE_EQ(result.planned_relaxed_utility, 0.0);
+}
+
+// A warm start must carry one energy per task: every scheduler that seeds
+// itself from one used to read a shorter span past its end. Each entry point
+// now throws std::invalid_argument naming both sizes (the sanitized twin
+// would report the out-of-bounds read if a check went missing).
+template <typename Run>
+void expect_rejects_short_initial_energy(Run run) {
+  util::Rng rng(5);
+  const model::Network net = random_network(rng, 3, 8);
+  const std::vector<double> short_energy(7, 100.0);
+  try {
+    run(net, std::span<const double>(short_energy));
+    ADD_FAILURE() << "a 7-entry initial_energy for 8 tasks was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(" 7 "), std::string::npos) << message;
+    EXPECT_NE(message.find(" 8 "), std::string::npos) << message;
+  }
+}
+
+TEST(InitialEnergy, OfflineRejectsAShortSpan) {
+  expect_rejects_short_initial_energy([](const model::Network& net,
+                                         std::span<const double> energy) {
+    schedule_offline_over(net, build_partitions(net), OfflineConfig{}, energy);
+  });
+}
+
+TEST(InitialEnergy, GlobalGreedyRejectsAShortSpan) {
+  expect_rejects_short_initial_energy([](const model::Network& net,
+                                         std::span<const double> energy) {
+    schedule_global_greedy_over(net, build_partitions(net), GlobalGreedyConfig{}, energy);
+  });
+}
+
+TEST(InitialEnergy, GreedyUtilityRejectsAShortSpan) {
+  expect_rejects_short_initial_energy([](const model::Network& net,
+                                         std::span<const double> energy) {
+    std::vector<model::TaskIndex> all(static_cast<std::size_t>(net.task_count()));
+    for (std::size_t j = 0; j < all.size(); ++j) all[j] = static_cast<model::TaskIndex>(j);
+    baseline::schedule_greedy_utility_over(net, all, 0, energy);
+  });
 }
 
 }  // namespace

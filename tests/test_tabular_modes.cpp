@@ -5,15 +5,25 @@
 // per-(task, sample) dirty tracking re-prices only the rows whose utilities
 // moved, across panel shapes, tie-break settings and warm starts. Online: the
 // nodes' incremental mode must walk the exact trajectory of their rebuild mode.
+// Saturation: the batched scheduler's unpriced saturated columns must not
+// change a bit against the reference, which prices every row.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/offline.hpp"
 #include "dist/online.hpp"
+#include "model/deadline.hpp"
+#include "model/utility.hpp"
 #include "offline_reference.hpp"
 #include "test_helpers.hpp"
+#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -95,6 +105,109 @@ TEST_P(TabularModeDifferential, OfflineWithInitialEnergyMatches) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TabularModeDifferential,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// The batched scheduler prices a partition column only while its task is
+// below its required energy in the sample; a saturated column's term is
+// written as +0.0 without pricing. This sweep pins that skip against the
+// per-policy reference, which prices every row: the three built-in shapes
+// (whose terms the skip relies on being exactly +0.0) and one kCustom shape
+// (which must keep full pricing), under every deadline decay (deadline
+// discounts scale row deltas by a factor in [0, 1]), from a cold start and
+// from warm starts that put each task exactly at its required energy, one
+// ulp below it, above it, or at 0. A task one ulp below crosses saturation
+// within the first commit that reaches it (e < E <= e + d), so a skip that
+// tested e + d instead of e would drop a positive term and fail here.
+class SaturationSkip : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// `base` with the given shape and deadline decay; ~70% of its tasks get a
+/// deadline release + U{1..duration} when the decay is active.
+model::Network saturation_instance(const model::Network& base, util::Rng& rng,
+                                   std::shared_ptr<const model::UtilityShape> shape,
+                                   model::DeadlinePolicy policy) {
+  std::vector<model::Task> tasks = base.tasks();
+  if (policy.active()) {
+    for (model::Task& task : tasks) {
+      const auto duration = task.end_slot - task.release_slot;
+      const auto grace = static_cast<model::SlotIndex>(rng.uniform_int(1, duration));
+      if (rng.uniform() < 0.7) task.deadline_slot = task.release_slot + grace;
+    }
+  }
+  return model::Network(base.chargers(), std::move(tasks), base.power_model(), base.time(),
+                        std::move(shape), policy);
+}
+
+/// Per task, one of: exactly E, one ulp below E, 1.5 E, or 0.
+std::vector<double> saturation_warm_start(const model::Network& net, util::Rng& rng) {
+  std::vector<double> initial;
+  for (const model::Task& task : net.tasks()) {
+    const double required = task.required_energy;
+    switch (rng.uniform_int(0, 3)) {
+      case 0: initial.push_back(required); break;
+      case 1: initial.push_back(std::nextafter(required, 0.0)); break;
+      case 2: initial.push_back(1.5 * required); break;
+      default: initial.push_back(0.0); break;
+    }
+  }
+  return initial;
+}
+
+TEST_P(SaturationSkip, BatchedMatchesFullPricingAcrossShapesAndDeadlines) {
+  // The skip lives on the kernel path, so the batched side runs there
+  // whatever HASTE_KERNELS says.
+  std::optional<util::ScopedKernelToggle> kernels;
+  if (util::kernels_compiled()) kernels.emplace(true);
+  util::Rng rng(GetParam());
+  const model::Network base = random_network(rng, 6, 16, 5);
+  const std::vector<std::shared_ptr<const model::UtilityShape>> shapes = {
+      std::make_shared<model::LinearBoundedShape>(),
+      std::make_shared<model::SqrtBoundedShape>(),
+      std::make_shared<model::LogBoundedShape>(),
+      std::make_shared<testing_helpers::PowShape>()};
+  const std::vector<model::DeadlinePolicy> policies = {
+      {},
+      {model::DeadlineDecay::kLinear, 2.0},
+      {model::DeadlineDecay::kExp, 3.0},
+      {model::DeadlineDecay::kHard, 0.0}};
+  for (const auto& shape : shapes) {
+    for (const model::DeadlinePolicy& policy : policies) {
+      const model::Network net = saturation_instance(base, rng, shape, policy);
+      const auto partitions = core::build_partitions(net);
+      const std::vector<double> warm = saturation_warm_start(net, rng);
+      for (const bool warm_start : {false, true}) {
+        for (const int colors : {1, 4}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "shape=" << shape->name() << " decay="
+                       << static_cast<int>(policy.decay) << " warm=" << warm_start
+                       << " C=" << colors);
+          core::OfflineConfig config = offline_config(colors, 16, GetParam(), true);
+          // Zero-gain commits turn the selection skip off; half the seeds
+          // cover them.
+          config.commit_zero_marginal = GetParam() % 2 == 0;
+          const std::span<const double> initial =
+              warm_start ? std::span<const double>(warm) : std::span<const double>();
+          const core::OfflineResult batched =
+              core::schedule_offline_over(net, partitions, config, initial);
+          const core::OfflineResult reference = reference_offline(
+              net, partitions, config, initial, ReferencePricing::kPerPolicy);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.planned_relaxed_utility),
+                    std::bit_cast<std::uint64_t>(reference.planned_relaxed_utility));
+          expect_identical_schedules(batched.schedule, reference.schedule);
+          // The counters keep counting every logical evaluation, skipped or
+          // not: the scalar path, which skips nothing, reports the same.
+          core::OfflineResult scalar;
+          {
+            util::ScopedKernelToggle off(false);
+            scalar = core::schedule_offline_over(net, partitions, config, initial);
+          }
+          EXPECT_EQ(batched.row_evaluations, scalar.row_evaluations);
+          EXPECT_EQ(batched.marginal_evaluations, scalar.marginal_evaluations);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SaturationSkip, ::testing::Range<std::uint64_t>(1, 9));
 
 class OnlineModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
