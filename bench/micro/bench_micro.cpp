@@ -130,50 +130,25 @@ void BM_OfflineSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_OfflineSchedule)->Args({10, 1})->Args({25, 1})->Args({50, 1})->Args({50, 4});
 
-void BM_GlobalGreedyMode(benchmark::State& state) {
-  // Head-to-head of the three marginal-evaluation modes across instance
-  // scales up to the fig07/fig15 offline size (paper-default 50 chargers /
-  // 200 tasks, swept here from 10 to 100 chargers at 4 tasks per charger so
-  // version-scan constant factors surface before paper scale). The
-  // `evaluations` counter is the number of marginal-gain evaluations the mode
-  // performed for one full schedule; `matches_lazy` is 1 when the produced
-  // schedule is identical to the lazy (seed) path.
-  const int n = static_cast<int>(state.range(1));
+void BM_GlobalGreedy(benchmark::State& state) {
+  // The lazy matroid greedy across instance scales up to twice the
+  // fig07/fig15 offline size (paper-default 50 chargers / 200 tasks, swept
+  // here from 10 to 100 chargers at 4 tasks per charger). The `evaluations`
+  // counter is the number of marginal-gain evaluations of one full schedule.
+  const int n = static_cast<int>(state.range(0));
   const model::Network net = make_network(n, 4 * n);
   const auto partitions = core::build_partitions(net);
-  const auto mode = static_cast<core::GreedyMode>(state.range(0));
-  const core::GlobalGreedyResult reference =
-      core::schedule_global_greedy_over(net, partitions, {core::GreedyMode::kLazy}, {});
-  core::GlobalGreedyResult result;
+  std::uint64_t evaluations = 0;
   for (auto _ : state) {
-    result = core::schedule_global_greedy_over(net, partitions, {mode}, {});
-    // Copy before DoNotOptimize: it marks its operand as asm-clobbered, which
-    // would invalidate the member we still read after the loop.
+    const core::GlobalGreedyResult result =
+        core::schedule_global_greedy_over(net, partitions, {});
+    evaluations = result.evaluations;
     double utility = result.planned_relaxed_utility;
     benchmark::DoNotOptimize(utility);
   }
-  bool matches = result.planned_relaxed_utility == reference.planned_relaxed_utility;
-  for (model::ChargerIndex i = 0; matches && i < net.charger_count(); ++i) {
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      if (result.schedule.assignment(i, k) != reference.schedule.assignment(i, k)) {
-        matches = false;
-        break;
-      }
-    }
-  }
-  state.counters["evaluations"] = static_cast<double>(result.evaluations);
-  state.counters["matches_lazy"] = matches ? 1.0 : 0.0;
+  state.counters["evaluations"] = static_cast<double>(evaluations);
 }
-void GlobalGreedyModeArgs(benchmark::internal::Benchmark* bench) {
-  bench->ArgNames({"mode", "n"});
-  for (const core::GreedyMode mode :
-       {core::GreedyMode::kEager, core::GreedyMode::kLazy, core::GreedyMode::kIncremental}) {
-    for (const int n : {10, 25, 50, 100}) {
-      bench->Args({static_cast<int>(mode), n});
-    }
-  }
-}
-BENCHMARK(BM_GlobalGreedyMode)->Apply(GlobalGreedyModeArgs);
+BENCHMARK(BM_GlobalGreedy)->ArgName("n")->Arg(10)->Arg(25)->Arg(50)->Arg(100);
 
 /// 1 when two offline results carry the same planned-utility bits and the
 /// same schedule, else 0.
@@ -457,8 +432,17 @@ int main(int argc, char** argv) {
 #endif
   benchmark::AddCustomContext(
       "haste_kernels", haste::util::kernels_compiled() ? "compiled" : "disabled");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Interleave the repetitions of all benchmarks in random order, so that a
+  // pair of twins compared by bench_compare --check (the dl:0/dl:1 and
+  // kernels:0/1 rows) samples the same stretch of host drift instead of
+  // running back to back. Placed before the caller's flags, which override
+  // it.
+  static char interleave[] = "--benchmark_enable_random_interleaving=true";
+  std::vector<char*> args(argv, argv + argc);
+  args.insert(args.begin() + 1, interleave);
+  int count = static_cast<int>(args.size());
+  benchmark::Initialize(&count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -19,9 +19,9 @@ struct Element {
   std::int32_t policy;
 };
 
-/// Heap entry: a cached gain for one element. `stamp` is the engine's commit
-/// count when the gain was evaluated; whether the cached value is still
-/// trustworthy depends on the evaluation mode (see header). `urgency` is the
+/// Heap entry: a cached gain for one element. `stamp` is the number of
+/// commits made when the gain was evaluated; an entry whose stamp is older
+/// than the current count holds only an upper bound (see header). `urgency` is the
 /// element's earliest task deadline (Task::kNoDeadline without deadlines), a
 /// static per-element property used only to break exact gain ties.
 struct HeapEntry {
@@ -47,7 +47,7 @@ struct HeapEntry {
 
 GlobalGreedyResult schedule_global_greedy_over(
     const model::Network& net, const std::vector<PolicyPartition>& partitions,
-    const GlobalGreedyConfig& config, std::span<const double> initial_energy) {
+    std::span<const double> initial_energy) {
   MarginalEngine engine(net, MarginalEngine::Config{1, 1, 1}, initial_energy);
   GlobalGreedyResult result;
   result.schedule = model::Schedule(net.charger_count(), net.horizon());
@@ -83,84 +83,13 @@ GlobalGreedyResult schedule_global_greedy_over(
     return engine.marginal(partition.charger, partition.slot, partition.policy_rows(q), 0);
   };
 
-  // Incremental mode: a per-row term cache. term_cache/term_version hold, per
-  // (element, row), the row's utility delta and the task version it was
-  // computed at; a refresh recomputes only the rows whose task version moved
-  // and re-sums the chain in row order, which reproduces a full evaluation
-  // bit for bit (the engine runs one sample here, so evaluation order is
-  // row-major in both paths). The version stamps double as the staleness
-  // test — the per-task counters make any inverted task -> elements index
-  // unnecessary, and with it the per-commit fan-out over every element that
-  // shares a task.
-  std::vector<std::size_t> term_offset;
-  std::vector<double> term_cache;
-  std::vector<std::uint64_t> term_version;
-  constexpr std::uint64_t kNeverEvaluated = ~std::uint64_t{0};
-  if (config.mode == GreedyMode::kIncremental) {
-    term_offset.assign(elements.size() + 1, 0);
-    for (std::size_t e = 0; e < elements.size(); ++e) {
-      const Element& el = elements[e];
-      const PolicyPartition& partition =
-          partitions[static_cast<std::size_t>(el.partition)];
-      term_offset[e + 1] =
-          term_offset[e] +
-          partition.policy_tasks(static_cast<std::size_t>(el.policy)).size();
-    }
-    term_cache.assign(term_offset.back(), 0.0);
-    term_version.assign(term_offset.back(), kNeverEvaluated);
-  }
-
-  // Refresh an element's cached gain, recomputing only the rows whose task
-  // version moved; returns the exact current gain. `corrections` (optional)
-  // accumulates the number of rows recomputed.
-  const auto refresh = [&](std::int32_t e, std::uint64_t* corrections) {
-    const Element& el = elements[static_cast<std::size_t>(e)];
-    const PolicyPartition& partition = partitions[static_cast<std::size_t>(el.partition)];
-    const auto q = static_cast<std::size_t>(el.policy);
-    const auto tasks = partition.policy_tasks(q);
-    const auto slot_energy = partition.policy_energy(q);
-    double* terms = term_cache.data() + term_offset[static_cast<std::size_t>(e)];
-    std::uint64_t* versions =
-        term_version.data() + term_offset[static_cast<std::size_t>(e)];
-    double gain = 0.0;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const std::uint64_t version = engine.task_version(tasks[t]);
-      if (versions[t] != version) {
-        terms[t] = engine.row_term(0, tasks[t], slot_energy[t]);
-        versions[t] = version;
-        if (corrections != nullptr) ++*corrections;
-      }
-      gain += terms[t];
-    }
-    return gain;
-  };
-
   // Initial heap build: before the first commit every marginal is independent
   // of the others, so evaluate them in parallel and heapify sequentially
   // (the comparator is a strict total order, so pop order is deterministic
-  // regardless of construction order). In incremental mode every row is
-  // stale, so the term cache is filled with one batched pricing call per
-  // element instead of refresh()'s per-row version-check-and-recompute —
-  // same terms, same ordered fold, a fraction of the oracle round-trips.
+  // regardless of construction order).
   std::vector<double> initial_gain(elements.size());
   util::parallel_for(elements.size(), [&](std::size_t e) {
-    if (config.mode == GreedyMode::kIncremental) {
-      const Element& el = elements[e];
-      const PolicyPartition& partition =
-          partitions[static_cast<std::size_t>(el.partition)];
-      const auto rows = partition.policy_rows(static_cast<std::size_t>(el.policy));
-      double* terms = term_cache.data() + term_offset[e];
-      std::uint64_t* versions = term_version.data() + term_offset[e];
-      engine.row_terms(0, rows, terms);
-      double gain = 0.0;
-      for (std::size_t t = 0; t < rows.size(); ++t) {
-        versions[t] = engine.task_version(rows.tasks[t]);
-        gain += terms[t];
-      }
-      initial_gain[e] = gain;
-    } else {
-      initial_gain[e] = evaluate(static_cast<std::int32_t>(e));
-    }
+    initial_gain[e] = evaluate(static_cast<std::int32_t>(e));
   });
   result.evaluations += elements.size();
 
@@ -179,52 +108,19 @@ GlobalGreedyResult schedule_global_greedy_over(
     if (partition_filled[static_cast<std::size_t>(el.partition)]) continue;
     if (top.bound <= 0.0) break;  // nothing positive remains (bounds only shrink)
 
-    switch (config.mode) {
-      case GreedyMode::kIncremental: {
-        // Certify the popped bound against the per-row version stamps:
-        // refresh recomputes exactly the rows whose task moved and returns
-        // the exact current gain. An unchanged gain means the entry was
-        // already exact and maximal — commit with zero re-evaluation. (A
-        // changed-but-equal gain commits too: exact and equal to the heap
-        // max is argmax regardless of which rows moved.)
-        const double fresh = refresh(top.element, &result.row_corrections);
-        if (fresh == top.bound) break;
-        top.bound = fresh;
-        top.stamp = commit_stamp;
-        if (fresh <= 0.0) continue;
-        // Nothing commits between a re-queue and the next pop, so if the
-        // refreshed entry still strictly beats the new heap top (same
-        // comparator, ids break ties) it would pop straight back — commit
-        // now and skip the round trip.
-        if (!heap.empty() && !(heap.top() < top)) {
-          heap.push(top);
-          continue;
-        }
-        break;
-      }
-      case GreedyMode::kLazy:
-        // Stale epoch: refresh and reinsert. By submodularity the fresh value
-        // is at most the stale bound, so the heap order stays sound.
-        if (top.stamp != commit_stamp) {
-          ++result.evaluations;
-          top.bound = evaluate(top.element);
-          top.stamp = commit_stamp;
-          if (top.bound > 0.0) heap.push(top);
-          continue;
-        }
-        break;
-      case GreedyMode::kEager: {
-        // Always re-evaluate before trusting the value.
-        ++result.evaluations;
-        const double fresh = evaluate(top.element);
-        if (fresh + 1e-15 < top.bound) {
-          top.bound = fresh;
-          if (fresh > 0.0) heap.push(top);
-          continue;
-        }
-        top.bound = fresh;
-        if (top.bound <= 0.0) continue;
-        break;
+    if (top.stamp != commit_stamp) {
+      // Stale epoch: refresh. By submodularity the fresh value is at most
+      // the stale bound, so the heap order stays sound.
+      ++result.evaluations;
+      top.bound = evaluate(top.element);
+      top.stamp = commit_stamp;
+      if (top.bound <= 0.0) continue;
+      // Nothing commits between a re-queue and the next pop, so an entry
+      // that still strictly beats the new heap top (same comparator, ids
+      // break ties) would pop straight back: commit it now instead.
+      if (!heap.empty() && !(heap.top() < top)) {
+        heap.push(top);
+        continue;
       }
     }
 
@@ -246,14 +142,12 @@ GlobalGreedyResult schedule_global_greedy_over(
   HASTE_OBS_COUNTER_ADD("greedy.row_evals", stats.row_terms);
   HASTE_OBS_COUNTER_ADD("greedy.marginal_evals", stats.marginals);
   HASTE_OBS_COUNTER_ADD("greedy.commits", stats.commits);
-  HASTE_OBS_COUNTER_ADD("greedy.row_corrections", result.row_corrections);
   HASTE_OBS_COUNTER_ADD("greedy.schedules", 1);
   return result;
 }
 
-GlobalGreedyResult schedule_global_greedy(const model::Network& net,
-                                          const GlobalGreedyConfig& config) {
-  return schedule_global_greedy_over(net, build_partitions(net), config, {});
+GlobalGreedyResult schedule_global_greedy(const model::Network& net) {
+  return schedule_global_greedy_over(net, build_partitions(net), {});
 }
 
 }  // namespace haste::core

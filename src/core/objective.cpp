@@ -354,7 +354,6 @@ MarginalEngine::MarginalEngine(const model::Network& net, Config config,
   const auto m = static_cast<std::size_t>(net.task_count());
   energy_.assign(static_cast<std::size_t>(config_.samples) * m, 0.0);
   sample_version_.assign(static_cast<std::size_t>(config_.samples) * m, 0);
-  task_version_.assign(m, 0);
   const auto n = static_cast<std::size_t>(net.charger_count());
   panel_colors_.assign(n * static_cast<std::size_t>(config_.samples), 0);
   panel_slot_.assign(n, -1);
@@ -545,7 +544,6 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
       // into saturated tasks dirty nothing.
       if (weighted_utility(tasks[t], after) != weighted_utility(tasks[t], before)) {
         ++versions[j];
-        ++task_version_[j];
       }
     }
     applied = true;
@@ -572,28 +570,6 @@ double MarginalEngine::row_term(int s, model::TaskIndex j, double delta) const {
   const double before =
       energy_[static_cast<std::size_t>(s) * m + static_cast<std::size_t>(j)];
   return weighted_utility(j, before + delta) - weighted_utility(j, before);
-}
-
-void MarginalEngine::row_terms(int s, const kernels::RowView& rows, double* out) const {
-  row_term_count_.fetch_add(rows.size(), std::memory_order_relaxed);
-  const auto m = static_cast<std::size_t>(net_->task_count());
-  const double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
-  if (use_kernels_) {
-    kernels::row_terms(*table_, energy, rows, out);
-    return;
-  }
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    const auto j = static_cast<std::size_t>(rows.tasks[t]);
-    const double before = energy[j];
-    out[t] = net_->weighted_task_utility(rows.tasks[t], before + rows.delta[t]) -
-             net_->weighted_task_utility(rows.tasks[t], before);
-  }
-}
-
-std::uint64_t MarginalEngine::version_sum(std::span<const model::TaskIndex> tasks) const {
-  std::uint64_t sum = 0;
-  for (model::TaskIndex j : tasks) sum += task_version_[static_cast<std::size_t>(j)];
-  return sum;
 }
 
 double MarginalEngine::expected_value() const {

@@ -28,13 +28,6 @@
 
 namespace haste::core {
 
-/// How the distributed nodes' TabularGreedy stages evaluate candidate
-/// marginals (the offline scheduler has a single batched path).
-enum class TabularMode {
-  kRebuild,      ///< re-evaluate every policy from scratch (reference path)
-  kIncremental,  ///< per-(task, sample) dirty tracking with cached row terms
-};
-
 /// One scheduling policy as a self-contained value: a dominant task set
 /// restricted to the tasks active in one slot. This is the payload the
 /// distributed negotiation ships in its HELLO/UPDATE messages; the offline
@@ -236,7 +229,7 @@ class MarginalEngine {
 
   /// Commit without re-evaluating the realized gain. For callers that
   /// selected the policy on an exact marginal they already hold (the
-  /// incremental nodes): the gain commit() would recompute is
+  /// distributed nodes): the gain commit() would recompute is
   /// bit for bit that value, so only the energy accumulation and the version
   /// bumps remain to be done. Identical state trajectory to commit(), zero
   /// row_term work.
@@ -272,9 +265,8 @@ class MarginalEngine {
   // unchanged is EXACT — not just a submodular upper bound. Commits that only
   // pour energy into saturated tasks bump nothing: utility shapes are concave
   // and non-decreasing, so a task that is flat across one commit stays flat
-  // for the rest of the run. The schedulers use this for zero-re-evaluation
-  // commits (global greedy) and cache reuse across remote commits
-  // (distributed nodes).
+  // for the rest of the run. The distributed nodes use this to reuse their
+  // cached terms across remote commits.
 
   /// Number of sample-level utility changes of task `j` in sample `s`.
   std::uint64_t sample_version(int s, model::TaskIndex j) const {
@@ -282,16 +274,6 @@ class MarginalEngine {
                                static_cast<std::size_t>(net_->task_count()) +
                            static_cast<std::size_t>(j)];
   }
-
-  /// Aggregate version of task `j`: the sum of its per-sample counters (one
-  /// read with S = 1, the global-greedy configuration).
-  std::uint64_t task_version(model::TaskIndex j) const {
-    return task_version_[static_cast<std::size_t>(j)];
-  }
-
-  /// Sum of the version counters of `tasks`. Versions only grow, so an
-  /// unchanged sum certifies every individual version is unchanged.
-  std::uint64_t version_sum(std::span<const model::TaskIndex> tasks) const;
 
   /// Total number of energy-changing commits so far.
   std::uint64_t commit_count() const { return commit_count_; }
@@ -308,12 +290,6 @@ class MarginalEngine {
   /// bit for bit, which lets callers cache per-row terms and refresh only the
   /// rows whose task version moved.
   double row_term(int s, model::TaskIndex j, double delta) const;
-
-  /// Batched row_term: out[t] = row_term(s, rows.tasks[t], rows.delta[t])
-  /// for every row, evaluated through the kernel layer when enabled
-  /// (bit-identical either way). This is how cache builds price whole
-  /// term panels in one call instead of one oracle round-trip per row.
-  void row_terms(int s, const kernels::RowView& rows, double* out) const;
 
   /// Whether this engine latched the data-oriented kernel path at
   /// construction (util::kernels_enabled() at that moment).
@@ -352,7 +328,6 @@ class MarginalEngine {
   // energy_[s * m + j]: accumulated relaxed energy of task j in sample s.
   std::vector<double> energy_;
   std::vector<std::uint64_t> sample_version_;  // [s * m + j] dirty counters
-  std::vector<std::uint64_t> task_version_;    // per-task sums over samples
   std::uint64_t commit_count_ = 0;
   std::vector<int> panel_colors_;             // [i * S + s], see commit_panel
   std::vector<model::SlotIndex> panel_slot_;  // [i]: slot of panel_colors_, -1 none

@@ -11,9 +11,8 @@ constexpr double kTieSlack = 1e-12;
 
 }  // namespace
 
-ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
-                         core::TabularMode mode)
-    : net_(&net), id_(id), mode_(mode), neighbors_(net.neighbors(id)) {
+ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id)
+    : net_(&net), id_(id), neighbors_(net.neighbors(id)) {
   neighbor_position_.assign(static_cast<std::size_t>(net.charger_count()), -1);
   for (std::size_t p = 0; p < neighbors_.size(); ++p) {
     neighbor_position_[static_cast<std::size_t>(neighbors_[p])] = static_cast<std::int32_t>(p);
@@ -22,6 +21,10 @@ ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id,
   neighbor_value_.assign(neighbors_.size(), 0.0);
   neighbor_heard_.assign(neighbors_.size(), 0);
   neighbor_decided_.assign(neighbors_.size(), 0);
+  const auto m = static_cast<std::size_t>(net.task_count());
+  term_cache_base_.assign(m, 0);
+  term_cache_term_.assign(m, 0.0);
+  term_cache_valid_.assign(m, 0);
 }
 
 Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks,
@@ -62,67 +65,35 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
   plan_col_task_.clear();
   plan_col_delta_.clear();
   plan_col_of_.assign(static_cast<std::size_t>(net_->task_count()), -1);
-  if (mode_ == core::TabularMode::kIncremental) {
-    for (std::size_t t = 0; t < hello.policy.tasks.size(); ++t) {
-      plan_col_of_[static_cast<std::size_t>(hello.policy.tasks[t])] =
-          static_cast<std::ptrdiff_t>(plan_col_task_.size());
-      plan_col_task_.push_back(hello.policy.tasks[t]);
-      plan_col_delta_.push_back(hello.policy.slot_energy[t]);
+  for (std::size_t t = 0; t < hello.policy.tasks.size(); ++t) {
+    plan_col_of_[static_cast<std::size_t>(hello.policy.tasks[t])] =
+        static_cast<std::ptrdiff_t>(plan_col_task_.size());
+    plan_col_task_.push_back(hello.policy.tasks[t]);
+    plan_col_delta_.push_back(hello.policy.slot_energy[t]);
+  }
+  const auto samples = static_cast<std::size_t>(ledger.samples());
+  plan_terms_.assign(plan_col_task_.size() * samples, 0.0);
+  plan_versions_.assign(plan_col_task_.size() * samples, 0);
+  for (std::size_t col = 0; col < plan_col_task_.size(); ++col) {
+    const auto j = static_cast<std::size_t>(plan_col_task_[col]);
+    // row_term(0, j, delta) on a fresh ledger is a pure function of the
+    // task's harvested base energy (delta never changes for a column), so
+    // a bitwise-equal base since the previous plan reuses the cached term
+    // — the re-plan's dominant row_term cost when energies are settled.
+    const std::uint64_t base_bits =
+        std::bit_cast<std::uint64_t>(ledger.energy(0, plan_col_task_[col]));
+    double term;
+    if (term_cache_valid_[j] != 0 && term_cache_base_[j] == base_bits) {
+      term = term_cache_term_[j];
+    } else {
+      term = ledger.row_term(0, plan_col_task_[col], plan_col_delta_[col]);
+      term_cache_base_[j] = base_bits;
+      term_cache_term_[j] = term;
+      term_cache_valid_[j] = 1;
     }
-    const auto samples = static_cast<std::size_t>(ledger.samples());
-    plan_terms_.assign(plan_col_task_.size() * samples, 0.0);
-    plan_versions_.assign(plan_col_task_.size() * samples, 0);
-    if (term_cache_valid_.size() != static_cast<std::size_t>(net_->task_count())) {
-      term_cache_base_.assign(static_cast<std::size_t>(net_->task_count()), 0);
-      term_cache_term_.assign(static_cast<std::size_t>(net_->task_count()), 0.0);
-      term_cache_valid_.assign(static_cast<std::size_t>(net_->task_count()), 0);
-    }
-    for (std::size_t col = 0; col < plan_col_task_.size(); ++col) {
-      const auto j = static_cast<std::size_t>(plan_col_task_[col]);
-      // row_term(0, j, delta) on a fresh ledger is a pure function of the
-      // task's harvested base energy (delta never changes for a column), so
-      // a bitwise-equal base since the previous plan reuses the cached term
-      // — the re-plan's dominant row_term cost when energies are settled.
-      const std::uint64_t base_bits =
-          std::bit_cast<std::uint64_t>(ledger.energy(0, plan_col_task_[col]));
-      double term;
-      if (term_cache_valid_[j] != 0 && term_cache_base_[j] == base_bits) {
-        term = term_cache_term_[j];
-      } else {
-        term = ledger.row_term(0, plan_col_task_[col], plan_col_delta_[col]);
-        term_cache_base_[j] = base_bits;
-        term_cache_term_[j] = term;
-        term_cache_valid_[j] = 1;
-      }
-      for (std::size_t s = 0; s < samples; ++s) plan_terms_[col * samples + s] = term;
-    }
+    for (std::size_t s = 0; s < samples; ++s) plan_terms_[col * samples + s] = term;
   }
   return hello;
-}
-
-void ChargerNode::prewarm_columns(const std::vector<model::TaskIndex>& tasks) {
-  if (mode_ != core::TabularMode::kIncremental) return;
-  const auto m = static_cast<std::size_t>(net_->task_count());
-  if (term_cache_valid_.size() != m) {
-    term_cache_base_.assign(m, 0);
-    term_cache_term_.assign(m, 0.0);
-    term_cache_valid_.assign(m, 0);
-  }
-  for (model::TaskIndex task : tasks) {
-    const auto j = static_cast<std::size_t>(task);
-    if (term_cache_valid_[j] != 0) continue;  // real entries stay authoritative
-    const double p = net_->potential_power(id_, task);
-    if (p <= 0.0) continue;  // not coverable: never becomes a plan column
-    const double delta = p * net_->time().slot_seconds;
-    // Matches row_term(0, task, delta) on a fresh ledger with zero base:
-    // weighted_utility(delta) - weighted_utility(0), computed through the
-    // scalar objective (bit-identical to the kernel table by contract).
-    const double term = net_->weighted_task_utility(task, delta) -
-                        net_->weighted_task_utility(task, 0.0);
-    term_cache_base_[j] = std::bit_cast<std::uint64_t>(0.0);
-    term_cache_term_[j] = term;
-    term_cache_valid_[j] = 1;
-  }
 }
 
 void ChargerNode::load_slot(model::SlotIndex slot) {
@@ -137,39 +108,37 @@ void ChargerNode::load_slot(model::SlotIndex slot) {
   // always in the HELLO coverable set, but register stragglers defensively
   // with never-priced stamps (ledger versions can be anything by now).
   slot_row_col_.clear();
-  if (mode_ == core::TabularMode::kIncremental) {
-    const auto samples = static_cast<std::size_t>(ledger_->samples());
-    for (std::size_t row = 0; row < slot_policies_.tasks.size(); ++row) {
-      const model::TaskIndex task = slot_policies_.tasks[row];
-      const double delta = slot_policies_.energy[row];
-      std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
-      if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
-        // Tardy rows carry a deadline-discounted slot_energy that deviates
-        // from the HELLO column's base delta; a column's cached terms are
-        // only reusable at the delta they were priced with, so mismatched
-        // rows get overflow columns keyed (task, delta). Linear scan: only
-        // tardy rows reach here, and each tardy (task, slot) pair
-        // contributes at most one distinct delta per plan.
-        col = -1;
-        for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
-          if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
-            col = static_cast<std::ptrdiff_t>(c);
-            break;
-          }
+  const auto samples = static_cast<std::size_t>(ledger_->samples());
+  for (std::size_t row = 0; row < slot_policies_.tasks.size(); ++row) {
+    const model::TaskIndex task = slot_policies_.tasks[row];
+    const double delta = slot_policies_.energy[row];
+    std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
+    if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
+      // Tardy rows carry a deadline-discounted slot_energy that deviates
+      // from the HELLO column's base delta; a column's cached terms are
+      // only reusable at the delta they were priced with, so mismatched
+      // rows get overflow columns keyed (task, delta). Linear scan: only
+      // tardy rows reach here, and each tardy (task, slot) pair
+      // contributes at most one distinct delta per plan.
+      col = -1;
+      for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
+        if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
+          col = static_cast<std::ptrdiff_t>(c);
+          break;
         }
       }
-      if (col < 0) {
-        col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
-        if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
-          plan_col_of_[static_cast<std::size_t>(task)] = col;
-        }
-        plan_col_task_.push_back(task);
-        plan_col_delta_.push_back(delta);
-        plan_terms_.resize(plan_terms_.size() + samples, 0.0);
-        plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
-      }
-      slot_row_col_.push_back(static_cast<std::size_t>(col));
     }
+    if (col < 0) {
+      col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
+      if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
+        plan_col_of_[static_cast<std::size_t>(task)] = col;
+      }
+      plan_col_task_.push_back(task);
+      plan_col_delta_.push_back(delta);
+      plan_terms_.resize(plan_terms_.size() + samples, 0.0);
+      plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
+    }
+    slot_row_col_.push_back(static_cast<std::size_t>(col));
   }
   slot_neighbors_.clear();
   for (std::size_t p = 0; p < neighbors_.size(); ++p) {
@@ -236,42 +205,25 @@ void ChargerNode::recompute_best() {
       previous_orientation_[static_cast<std::size_t>(stage_color_)];
   bool best_is_previous = false;
   for (std::size_t q = 0; q < slot_policies_.size(); ++q) {
-    double m = 0.0;
-    if (mode_ == core::TabularMode::kIncremental) {
-      PolicyTermCache& cache = stage_cache_[q];
-      if (cache.valid) {
-        // Lazy partition maxima: energies only grow and utilities are
-        // concave, so the last refreshed marginal is an upper bound on the
-        // current one. A policy whose bound cannot trigger either acceptance
-        // branch below leaves the fold state untouched — skip it without
-        // touching its rows.
-        const double bound = cache.marginal;
-        const bool can_alter =
-            best_policy_ < 0
-                ? bound > 0.0
-                : bound >= best_marginal_ * (1.0 - kTieSlack) - kTieSlack;
-        if (!can_alter) continue;
-      }
-      // Re-sum the shared column chain, re-pricing only the columns whose
-      // (task, sample) version moved since they were last priced.
-      m = refresh_policy(q);
-      cache.marginal = m;
-      cache.valid = true;
-    } else {
-      // Reuse the cached marginal when none of the policy's tasks changed
-      // since it was computed (checking versions is O(|tasks|) counter reads;
-      // a re-evaluation is utility-function calls per panel sample).
-      PolicyTermCache& cache = stage_cache_[q];
-      const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(q);
-      const std::uint64_t stamp = ledger_->version_sum(tasks);
-      if (!cache.valid || cache.stamp != stamp) {
-        cache.marginal = ledger_->marginal(id_, stage_slot_, tasks,
-                                           slot_policies_.policy_energy(q), stage_color_);
-        cache.stamp = stamp;
-        cache.valid = true;
-      }
-      m = cache.marginal;
+    PolicyTermCache& cache = stage_cache_[q];
+    if (cache.valid) {
+      // Lazy partition maxima: energies only grow and utilities are
+      // concave, so the last refreshed marginal is an upper bound on the
+      // current one. A policy whose bound cannot trigger either acceptance
+      // branch below leaves the fold state untouched — skip it without
+      // touching its rows.
+      const double bound = cache.marginal;
+      const bool can_alter =
+          best_policy_ < 0
+              ? bound > 0.0
+              : bound >= best_marginal_ * (1.0 - kTieSlack) - kTieSlack;
+      if (!can_alter) continue;
     }
+    // Re-sum the shared column chain, re-pricing only the columns whose
+    // (task, sample) version moved since they were last priced.
+    const double m = refresh_policy(q);
+    cache.marginal = m;
+    cache.valid = true;
     const bool is_previous =
         previous.has_value() && slot_policies_.orientation[q] == *previous;
     bool better = false;
@@ -367,14 +319,10 @@ Message ChargerNode::commit_current() {
   const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(best);
   const std::span<const double> energy = slot_policies_.policy_energy(best);
   const double orientation = slot_policies_.orientation[best];
-  // Under kIncremental, best_marginal_ came from an exactly-refreshed cache
-  // (recompute_best runs after every ledger change this node can see), so
-  // the realized gain is already known and commit can skip re-evaluating it.
-  if (mode_ == core::TabularMode::kIncremental) {
-    ledger_->commit_no_gain(id_, stage_slot_, tasks, energy, stage_color_);
-  } else {
-    ledger_->commit(id_, stage_slot_, tasks, energy, stage_color_);
-  }
+  // best_marginal_ came from an exactly-refreshed cache (recompute_best runs
+  // after every ledger change this node can see), so the realized gain is
+  // already known and commit can skip re-evaluating it.
+  ledger_->commit_no_gain(id_, stage_slot_, tasks, energy, stage_color_);
   selections_[static_cast<std::size_t>(stage_slot_) *
                   static_cast<std::size_t>(ledger_->colors()) +
               static_cast<std::size_t>(stage_color_)] = orientation;

@@ -42,16 +42,13 @@ namespace haste::dist {
 /// One charger participating in the distributed negotiation.
 class ChargerNode {
  public:
-  /// `mode` picks how stage marginals are evaluated: kIncremental keeps a
-  /// term cache shared by all stage policies, keyed by (distinct stage task,
-  /// relevant sample) and refreshed lazily via the ledger's per-(task,
-  /// sample) versions — plus per-policy upper bounds for lazy partition
-  /// maxima — so a re-negotiation after a remote UPDATE touches only the
-  /// dirtied columns of the policies still in contention; kRebuild keeps the
-  /// whole-policy marginal cache stamped with the aggregate version sum (the
-  /// reference path). The two are bit-identical.
-  ChargerNode(const model::Network& net, model::ChargerIndex id,
-              core::TabularMode mode = core::TabularMode::kIncremental);
+  /// Stage marginals are priced through a term cache shared by all stage
+  /// policies, keyed by (distinct stage task, relevant sample) and refreshed
+  /// lazily via the ledger's per-(task, sample) versions, plus per-policy
+  /// upper bounds for lazy partition maxima. A re-negotiation after a remote
+  /// UPDATE therefore touches only the dirtied columns of the policies still
+  /// in contention, and every marginal is exact.
+  ChargerNode(const model::Network& net, model::ChargerIndex id);
 
   model::ChargerIndex id() const { return id_; }
 
@@ -98,26 +95,13 @@ class ChargerNode {
   /// clearing those slots first.
   void write_schedule(model::Schedule& schedule, model::SlotIndex first_slot) const;
 
-  /// Speculative pre-provisioning (predictive scheduling): prices the
-  /// initial plan-column term of each coverable task in `tasks` at the
-  /// zero-harvest base and deposits it into the cross-plan term cache, so a
-  /// later begin_plan over those tasks hits the cache instead of paying a
-  /// cold row_term. Entries already priced are never overwritten (they are
-  /// exact for their own base), and a speculative entry is consulted only
-  /// when the task's actual base energy is bitwise 0.0 — a wrong guess
-  /// costs nothing but the speculation. Terms are computed through the
-  /// network objective, which is bit-identical to the engine's row_term by
-  /// the UtilityTable contract, so hits never change schedule bits — only
-  /// row_eval counts. No-op under kRebuild (no term cache).
-  void prewarm_columns(const std::vector<model::TaskIndex>& tasks);
-
  private:
   /// Builds the per-(plan, slot) state that the slot's C color stages share:
   /// the stage policies, their row -> plan-column map, and the neighbors
   /// that take part at the slot.
   void load_slot(model::SlotIndex slot);
   void recompute_best();
-  double refresh_policy(std::size_t q);  ///< lazily refreshed marginal (kIncremental)
+  double refresh_policy(std::size_t q);  ///< lazily refreshed marginal
   Message commit_current();  ///< commits best_policy_ and builds the UPDATE
   /// Position of charger `j` in neighbors_, or -1 when it is no neighbor.
   std::int32_t neighbor_position(model::ChargerIndex j) const {
@@ -128,7 +112,6 @@ class ChargerNode {
 
   const model::Network* net_;
   model::ChargerIndex id_;
-  core::TabularMode mode_;
 
   std::vector<core::DominantTaskSet> dominant_;
   core::MarginalEngine* ledger_ = nullptr;  // the current plan's, see begin_plan
@@ -147,7 +130,7 @@ class ChargerNode {
   // slot they describe (-1: none loaded this plan).
   model::SlotIndex loaded_slot_ = -1;
   core::SlotPolicies slot_policies_;
-  std::vector<std::size_t> slot_row_col_;  // [row] -> plan column (kIncremental)
+  std::vector<std::size_t> slot_row_col_;  // [row] -> plan column
   std::vector<int> slot_colors_;           // [s]: this node's panel color at the slot
   // Positions p of the neighbors with a policy at the slot: a neighbor takes
   // part iff some task it announced is active AND not dropped by the
@@ -165,16 +148,11 @@ class ChargerNode {
   // the only samples a stage marginal depends on (ascending, so lazy
   // refreshes re-sum in the ledger's evaluation order).
   std::vector<int> stage_samples_;
-  // Per stage policy: the last exactly-computed marginal. Under kRebuild the
-  // value is stamped with the ledger's task-version sum at evaluation time
-  // (versions only grow and a marginal depends on the ledger state only
-  // through those tasks' energies, so an unchanged stamp certifies the
-  // cached value is exact). Under kIncremental the value doubles as an upper
-  // bound for lazy partition maxima (marginals only shrink), and the actual
-  // pricing lives in the shared plan columns below.
+  // Per stage policy: the last exactly-computed marginal. It doubles as an
+  // upper bound for lazy partition maxima (marginals only shrink); the
+  // actual pricing lives in the shared plan columns below.
   struct PolicyTermCache {
     double marginal = 0.0;
-    std::uint64_t stamp = 0;
     bool valid = false;
   };
   std::vector<PolicyTermCache> stage_cache_;
@@ -185,7 +163,7 @@ class ChargerNode {
   std::vector<std::uint8_t> neighbor_heard_;    // [p]: a VALUE arrived this stage
   std::vector<std::uint8_t> neighbor_decided_;  // [p]: committed or passive
 
-  // kIncremental pricing, shared across policies AND stages of one plan: the
+  // Column pricing, shared across policies AND stages of one plan: the
   // per-slot energy a task would receive is orientation- and
   // slot-independent, so every policy of every stage covering task j prices
   // the same utility-delta term. Terms are keyed by (distinct coverable
@@ -207,9 +185,8 @@ class ChargerNode {
   // Last committed orientation per color (switch-avoiding tie-break).
   std::vector<std::optional<double>> previous_orientation_;
 
-  // Cross-plan reuse caches, effective when the same node object serves
-  // consecutive re-plans (OnlineConfig::reuse_nodes). Both memoize pure
-  // functions, so hitting them is bit-identical to recomputing:
+  // Cross-plan caches: the session keeps each node across re-plans. Both
+  // memoize pure functions, so hitting them is bit-identical to recomputing:
   //   - dominant sets depend only on (net, id, known_tasks);
   //   - a column's initial term row_term(0, task, delta) depends only on the
   //     task's harvested base energy (delta is fixed per column — the

@@ -66,9 +66,8 @@ void wire_and_hello(const model::Network& net, const std::vector<ChargerNode*>& 
 /// price against. Equivalent in guarantee to the election protocol (the
 /// order of a locally greedy run does not affect its 1/2 bound), but with
 /// one broadcast per selection instead of repeated VALUE elections.
-/// `nodes` is the alive fleet in ascending id order, owned by the caller —
-/// persistent across re-plans under OnlineConfig::reuse_nodes — and
-/// `ledger` the plan's energy state.
+/// `nodes` is the alive fleet in ascending id order, owned by the caller and
+/// persistent across re-plans, and `ledger` the plan's energy state.
 void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
                           const std::vector<ChargerNode*>& nodes,
                           const std::vector<model::TaskIndex>& known,
@@ -233,12 +232,9 @@ const NegotiationRecord* OnlineSession::on_arrival(
   if (predictor_ != nullptr &&
       predictor_->on_arrival(slot, tasks) != predict::CadenceAction::kReplanNow) {
     // Deferred: the batch joins the pending set and the negotiation it would
-    // have triggered is skipped. Speculatively price its plan columns (and
-    // those of any other predicted-hot unknown task) so the eventual re-plan
-    // starts warm.
+    // have triggered is skipped.
     pending_.insert(pending_.end(), tasks.begin(), tasks.end());
     predictor_->note_skipped();
-    prewarm(tasks);
     return nullptr;
   }
   flush_pending();
@@ -292,33 +288,6 @@ void OnlineSession::flush_pending() {
   std::sort(known_.begin(), known_.end());
 }
 
-void OnlineSession::prewarm(const std::vector<model::TaskIndex>& batch) {
-  if (predictor_ == nullptr || !config_.predictor.prewarm) return;
-  // Pre-provisioning targets the persistent fleet's plan-column caches;
-  // without node reuse (or with a non-negotiating strategy) there is no
-  // warm state to seed.
-  if (!config_.reuse_nodes) return;
-  if (config_.strategy != OnlineStrategy::kHaste &&
-      config_.strategy != OnlineStrategy::kHasteSequential) {
-    return;
-  }
-  std::vector<model::TaskIndex> unknown;
-  for (model::TaskIndex j = 0; j < net_.task_count(); ++j) {
-    if (!std::binary_search(known_.begin(), known_.end(), j)) unknown.push_back(j);
-  }
-  std::vector<model::TaskIndex> candidates = predictor_->hot_tasks(unknown);
-  candidates.insert(candidates.end(), batch.begin(), batch.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  if (candidates.empty()) return;
-  for (std::size_t i = 0; i < persistent_nodes_.size(); ++i) {
-    if (!alive_[i]) continue;
-    if (persistent_nodes_[i] != nullptr) {
-      persistent_nodes_[i]->prewarm_columns(candidates);
-    }
-  }
-}
-
 const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
                                                ReplanTrigger trigger) {
   // Re-planning is modeled as instantaneous computation whose *effect* is
@@ -360,7 +329,6 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
 
   const bool negotiated = config_.strategy == OnlineStrategy::kHaste ||
                           config_.strategy == OnlineStrategy::kHasteSequential;
-  std::vector<std::unique_ptr<ChargerNode>> scratch_nodes;  // non-reuse fleet
   std::vector<ChargerNode*> fleet;  // alive nodes, ascending id
   // The plan's one energy ledger: every node prices against it and each
   // commit is applied to it once (dist/node.hpp says why that is exact).
@@ -373,20 +341,12 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
     ledger.emplace(net_,
                    core::MarginalEngine::Config{config_.colors, config_.samples, config_.seed},
                    harvested, table_);
-    if (config_.reuse_nodes) {
-      persistent_nodes_.resize(static_cast<std::size_t>(net_.charger_count()));
-      for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
-        if (!alive_[static_cast<std::size_t>(i)]) continue;
-        auto& slot = persistent_nodes_[static_cast<std::size_t>(i)];
-        if (slot == nullptr) slot = std::make_unique<ChargerNode>(net_, i, config_.mode);
-        fleet.push_back(slot.get());
-      }
-    } else {
-      for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
-        if (!alive_[static_cast<std::size_t>(i)]) continue;
-        scratch_nodes.push_back(std::make_unique<ChargerNode>(net_, i, config_.mode));
-        fleet.push_back(scratch_nodes.back().get());
-      }
+    persistent_nodes_.resize(static_cast<std::size_t>(net_.charger_count()));
+    for (model::ChargerIndex i = 0; i < net_.charger_count(); ++i) {
+      if (!alive_[static_cast<std::size_t>(i)]) continue;
+      auto& slot = persistent_nodes_[static_cast<std::size_t>(i)];
+      if (slot == nullptr) slot = std::make_unique<ChargerNode>(net_, i);
+      fleet.push_back(slot.get());
     }
   }
 
@@ -441,9 +401,6 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
     const double plan_value = ledger.has_value() ? ledger->expected_value()
                                                  : std::numeric_limits<double>::quiet_NaN();
     predictor_->on_replan(event_slot, plan_value, known_.size());
-    // With the fleet freshly priced, speculate on the next wave: warm plan
-    // columns for unknown tasks in predicted-hot cells.
-    prewarm({});
   }
   result_.log.push_back(record);
   return &result_.log.back();

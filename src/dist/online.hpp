@@ -48,21 +48,8 @@ struct OnlineConfig {
   int samples = 16;        ///< color panel size (kHaste only)
   std::uint64_t seed = 1;  ///< shared seed (color panel + final sampling)
   std::vector<ChargerFailure> failures;  ///< failure injection (may be empty)
-  /// How nodes evaluate stage marginals (kHaste/kHasteSequential only):
-  /// kIncremental (default) reuses per-(row, sample) terms across remote
-  /// commits; kRebuild is the reference path. Bit-identical results.
-  core::TabularMode mode = core::TabularMode::kIncremental;
-  /// Keep each charger's ChargerNode alive across re-plans
-  /// (kHaste/kHasteSequential only) so its plan-level column store and
-  /// dominant-set extraction carry over between negotiations: columns whose
-  /// harvested base energy is unchanged since the previous plan skip their
-  /// re-pricing row_term, and an unchanged known-task set skips the dominant
-  /// re-extraction. Bit-identical to rebuilding the fleet per re-plan (the
-  /// reference path, `false`) — asserted by the differential tests.
-  bool reuse_nodes = true;
   /// Predictive cadence control (src/predict/): learn per-region arrival
-  /// rates online, defer re-plans while predictions hold, and speculatively
-  /// pre-provision plan columns for predicted-hot regions. Disabled by
+  /// rates online and defer re-plans while predictions hold. Disabled by
   /// default — the reactive path is bit-identical to a predictor-free
   /// build, pinned by the online_predict_differential suite.
   predict::PredictorConfig predictor;
@@ -111,9 +98,9 @@ struct OnlineResult {
 /// Events must arrive in non-decreasing slot order, with same-slot arrivals
 /// pushed before same-slot failures (the tie-break the event queue applies).
 /// Each event triggers at most one re-plan, whose effect is delayed by tau
-/// slots exactly as in the batch driver. Under OnlineConfig::reuse_nodes the
-/// per-charger negotiation state stays warm across events — the property
-/// that makes a long-lived serving session incremental rather than a replay.
+/// slots exactly as in the batch driver. The per-charger negotiation state
+/// stays warm across events — the property that makes a long-lived serving
+/// session incremental rather than a replay.
 class OnlineSession {
  public:
   /// Binds to `net`, which must outlive the session. `config.failures` is
@@ -151,9 +138,6 @@ class OnlineSession {
   const NegotiationRecord* replan(model::SlotIndex event_slot, ReplanTrigger trigger);
   void check_event(model::SlotIndex slot) const;
   void flush_pending();  ///< folds the deferred arrivals into known_
-  /// Speculatively prices plan columns on the persistent fleet for the
-  /// deferred batch plus every unknown task in a predicted-hot cell.
-  void prewarm(const std::vector<model::TaskIndex>& batch);
 
   const model::Network& net_;
   OnlineConfig config_;
@@ -164,8 +148,8 @@ class OnlineSession {
   /// touches it (bit-identity with predictor-free builds).
   std::unique_ptr<predict::Predictor> predictor_;
   std::vector<bool> alive_;
-  /// Per-charger negotiation state under reuse_nodes (lazily constructed on
-  /// the first re-plan a charger is alive for); unused otherwise.
+  /// Per-charger negotiation state, kept across re-plans (constructed on the
+  /// first negotiated re-plan a charger is alive for).
   std::vector<std::unique_ptr<ChargerNode>> persistent_nodes_;
   /// The network's utility table, built at the first negotiated re-plan and
   /// shared by the ledgers of every plan of the session.

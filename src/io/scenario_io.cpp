@@ -80,7 +80,7 @@ model::Network network_from_json(const Json& json) {
   const Json& tj = json.at("time");
   time.slot_seconds = tj.at("slot_seconds").as_number();
   time.rho = tj.at("rho").as_number();
-  time.tau = static_cast<model::SlotIndex>(tj.at("tau").as_int());
+  time.tau = util::index_from(tj.at("tau"), "tau");
 
   std::vector<model::Charger> chargers;
   const Json& cj = json.at("chargers");
@@ -96,13 +96,12 @@ model::Network network_from_json(const Json& json) {
     model::Task task;
     task.position = {entry.at("x").as_number(), entry.at("y").as_number()};
     task.orientation = geom::deg_to_rad(entry.at("facing_deg").as_number());
-    task.release_slot = static_cast<model::SlotIndex>(entry.at("release_slot").as_int());
-    task.end_slot = static_cast<model::SlotIndex>(entry.at("end_slot").as_int());
+    task.release_slot = util::index_from(entry.at("release_slot"), "release_slot");
+    task.end_slot = util::index_from(entry.at("end_slot"), "end_slot");
     task.required_energy = entry.at("required_energy_j").as_number();
     task.weight = entry.number_or("weight", 1.0);
     if (entry.contains("deadline_slot")) {
-      task.deadline_slot =
-          static_cast<model::SlotIndex>(entry.at("deadline_slot").as_int());
+      task.deadline_slot = util::index_from(entry.at("deadline_slot"), "deadline_slot");
     }
     tasks.push_back(task);
   }
@@ -124,24 +123,29 @@ Json schedule_to_json(const model::Schedule& schedule) {
   root.set("chargers", static_cast<int>(schedule.charger_count()));
   root.set("horizon", static_cast<int>(schedule.horizon()));
 
+  std::size_t assigned = 0;
+  for (model::ChargerIndex i = 0; i < schedule.charger_count(); ++i) {
+    for (model::SlotIndex k = 0; k < schedule.horizon(); ++k) {
+      if (schedule.assignment(i, k).has_value()) ++assigned;
+    }
+  }
   Json assignments = Json::array();
+  assignments.reserve(assigned);
   Json disabled = Json::array();
   for (model::ChargerIndex i = 0; i < schedule.charger_count(); ++i) {
     for (model::SlotIndex k = 0; k < schedule.horizon(); ++k) {
       const model::SlotAssignment a = schedule.assignment(i, k);
       if (a.has_value()) {
-        Json entry = Json::object();
-        entry.set("charger", static_cast<int>(i));
-        entry.set("slot", static_cast<int>(k));
         // orientation_rad is the exact double (decimal text round-trips
         // bit-for-bit); orientation_deg stays for human readability. The
         // deg->rad conversion moves ~25% of values by an ulp, and dominant-set
         // witnesses place a task exactly on the closed cone boundary, where
         // one ulp flips coverage — a loaded schedule must evaluate
         // bit-identically to the one that was saved.
-        entry.set("orientation_rad", *a);
-        entry.set("orientation_deg", geom::rad_to_deg(*a));
-        assignments.push_back(std::move(entry));
+        assignments.push_back(Json::object({{"charger", static_cast<int>(i)},
+                                            {"orientation_deg", geom::rad_to_deg(*a)},
+                                            {"orientation_rad", *a},
+                                            {"slot", static_cast<int>(k)}}));
       }
       if (schedule.disabled_at(i, k)) {
         Json entry = Json::object();
@@ -158,8 +162,8 @@ Json schedule_to_json(const model::Schedule& schedule) {
 }
 
 model::Schedule schedule_from_json(const Json& json) {
-  const auto chargers = static_cast<model::ChargerIndex>(json.at("chargers").as_int());
-  const auto horizon = static_cast<model::SlotIndex>(json.at("horizon").as_int());
+  const model::ChargerIndex chargers = util::index_from(json.at("chargers"), "chargers");
+  const model::SlotIndex horizon = util::index_from(json.at("horizon"), "horizon");
   model::Schedule schedule(chargers, horizon);
   const Json& assignments = json.at("assignments");
   for (std::size_t idx = 0; idx < assignments.size(); ++idx) {
@@ -169,16 +173,15 @@ model::Schedule schedule_from_json(const Json& json) {
     const double theta = entry.contains("orientation_rad")
                              ? entry.at("orientation_rad").as_number()
                              : geom::deg_to_rad(entry.at("orientation_deg").as_number());
-    schedule.assign(static_cast<model::ChargerIndex>(entry.at("charger").as_int()),
-                    static_cast<model::SlotIndex>(entry.at("slot").as_int()), theta);
+    schedule.assign(util::index_from(entry.at("charger"), "charger"),
+                    util::index_from(entry.at("slot"), "slot"), theta);
   }
   if (json.contains("disabled")) {
     const Json& disabled = json.at("disabled");
     for (std::size_t idx = 0; idx < disabled.size(); ++idx) {
       const Json& entry = disabled.at(idx);
-      schedule.disable_from(
-          static_cast<model::ChargerIndex>(entry.at("charger").as_int()),
-          static_cast<model::SlotIndex>(entry.at("from_slot").as_int()));
+      schedule.disable_from(util::index_from(entry.at("charger"), "charger"),
+                            util::index_from(entry.at("from_slot"), "from_slot"));
     }
   }
   return schedule;

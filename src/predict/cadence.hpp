@@ -44,7 +44,6 @@ struct PredictorConfig {
   int batch_slots = 4;           ///< per level: slots between forced re-plans
   int batch_tasks = 8;           ///< per level: non-hot backlog forcing re-plan
   double shortfall_factor = 0.5; ///< per-task value below factor * EWMA = miss
-  bool prewarm = true;           ///< speculatively price hot plan columns
 };
 
 /// What to do with one arrival event.

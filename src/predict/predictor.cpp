@@ -75,15 +75,4 @@ void Predictor::on_replan(model::SlotIndex slot, double plan_value,
   cadence_.on_replan(slot, held);
 }
 
-std::vector<model::TaskIndex> Predictor::hot_tasks(
-    const std::vector<model::TaskIndex>& candidates) const {
-  std::vector<model::TaskIndex> hot;
-  for (model::TaskIndex j : candidates) {
-    if (model_.task_hot(j, config_.hot_rate, config_.min_confidence)) {
-      hot.push_back(j);
-    }
-  }
-  return hot;
-}
-
 }  // namespace haste::predict

@@ -61,11 +61,6 @@ class Predictor {
   /// level: escalate while predictions hold, reset on a utility shortfall.
   void on_replan(model::SlotIndex slot, double plan_value, std::size_t known_tasks);
 
-  /// The subset of `candidates` sitting in predicted-hot cells — the tasks
-  /// worth speculatively pre-provisioning plan columns for.
-  std::vector<model::TaskIndex> hot_tasks(
-      const std::vector<model::TaskIndex>& candidates) const;
-
   const PredictorStats& stats() const { return stats_; }
   const PredictorConfig& config() const { return config_; }
   int level() const { return cadence_.level(); }

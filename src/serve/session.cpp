@@ -1,7 +1,6 @@
 #include "serve/session.hpp"
 
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,19 +34,6 @@ std::uint64_t u64_from(const Json& json) {
   return value;
 }
 
-// Slots, task ids and charger ids are 32-bit indices. A JSON number outside
-// that range must be rejected, not narrowed: a cast would wrap 2^32 to 0 and
-// act on the wrong slot, task or charger.
-std::int32_t index_from(const Json& json, const char* field) {
-  const std::int64_t value = json.as_int();
-  if (value < std::numeric_limits<std::int32_t>::min() ||
-      value > std::numeric_limits<std::int32_t>::max()) {
-    throw util::JsonError(std::string(field) + " " + std::to_string(value) +
-                          " is outside the index range");
-  }
-  return static_cast<std::int32_t>(value);
-}
-
 const char* strategy_name(dist::OnlineStrategy strategy) {
   switch (strategy) {
     case dist::OnlineStrategy::kHaste: return "haste";
@@ -64,16 +50,6 @@ dist::OnlineStrategy parse_strategy(const std::string& name) {
   if (name == "greedy-utility") return dist::OnlineStrategy::kGreedyUtility;
   if (name == "greedy-cover") return dist::OnlineStrategy::kGreedyCover;
   throw util::JsonError("unknown online strategy: " + name);
-}
-
-const char* tabular_mode_name(core::TabularMode mode) {
-  return mode == core::TabularMode::kRebuild ? "rebuild" : "incremental";
-}
-
-core::TabularMode parse_tabular_mode(const std::string& name) {
-  if (name == "incremental") return core::TabularMode::kIncremental;
-  if (name == "rebuild") return core::TabularMode::kRebuild;
-  throw util::JsonError("unknown tabular mode: " + name);
 }
 
 // The session lifecycle counters are the daemon's operational surface, so
@@ -131,8 +107,6 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
   json.set("colors", config.colors);
   json.set("samples", config.samples);
   json.set("seed", u64_json(config.seed));
-  json.set("mode", tabular_mode_name(config.mode));
-  json.set("reuse_nodes", config.reuse_nodes);
   Json predictor = Json::object();
   predictor.set("enabled", config.predictor.enabled);
   predictor.set("grid", config.predictor.grid);
@@ -144,7 +118,6 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
   predictor.set("batch_slots", config.predictor.batch_slots);
   predictor.set("batch_tasks", config.predictor.batch_tasks);
   predictor.set("shortfall_factor", config.predictor.shortfall_factor);
-  predictor.set("prewarm", config.predictor.prewarm);
   json.set("predictor", std::move(predictor));
   return json;
 }
@@ -155,8 +128,6 @@ dist::OnlineConfig online_config_from_json(const Json& json) {
   config.colors = static_cast<int>(json.number_or("colors", config.colors));
   config.samples = static_cast<int>(json.number_or("samples", config.samples));
   if (json.contains("seed")) config.seed = u64_from(json.at("seed"));
-  config.mode = parse_tabular_mode(json.string_or("mode", "incremental"));
-  config.reuse_nodes = json.bool_or("reuse_nodes", config.reuse_nodes);
   if (json.contains("predictor")) {
     const Json& predictor = json.at("predictor");
     predict::PredictorConfig& p = config.predictor;
@@ -170,7 +141,6 @@ dist::OnlineConfig online_config_from_json(const Json& json) {
     p.batch_slots = static_cast<int>(predictor.number_or("batch_slots", p.batch_slots));
     p.batch_tasks = static_cast<int>(predictor.number_or("batch_tasks", p.batch_tasks));
     p.shortfall_factor = predictor.number_or("shortfall_factor", p.shortfall_factor);
-    p.prewarm = predictor.bool_or("prewarm", p.prewarm);
   }
   return config;
 }
@@ -217,14 +187,14 @@ Reply Session::handle_request(const Json& request) {
 
   if (op == "arrive" || op == "fail") {
     if (!opened()) throw std::logic_error("no open session");
-    const model::SlotIndex slot = index_from(request.at("slot"), "slot");
+    const model::SlotIndex slot = util::index_from(request.at("slot"), "slot");
     const dist::NegotiationRecord* record = nullptr;
     if (op == "arrive") {
       const Json& tasks_json = request.at("tasks");
       std::vector<model::TaskIndex> tasks;
       tasks.reserve(tasks_json.size());
       for (std::size_t t = 0; t < tasks_json.size(); ++t) {
-        tasks.push_back(index_from(tasks_json.at(t), "task"));
+        tasks.push_back(util::index_from(tasks_json.at(t), "task"));
       }
       if (request.contains("deadlines")) {
         // Optional deadline echo: an arriving batch may restate its tasks'
@@ -245,7 +215,7 @@ Reply Session::handle_request(const Json& request) {
       }
       record = online_->on_arrival(slot, tasks);
     } else {
-      const model::ChargerIndex charger = index_from(request.at("charger"), "charger");
+      const model::ChargerIndex charger = util::index_from(request.at("charger"), "charger");
       record = online_->on_failure(charger, slot);
     }
     Json reply = Json::object();

@@ -53,7 +53,9 @@ namespace haste::serve {
 
 /// Exact JSON round-trip for the online driver configuration (strategy by
 /// name, seed as a decimal-string u64; `failures` is not carried — a serving
-/// session injects failures as events). Unknown strategy names throw.
+/// session injects failures as events). Unknown strategy names throw. Keys
+/// of options that no longer exist (the node pricing mode, node reuse and
+/// predictor column warming) are accepted and ignored.
 util::Json online_config_to_json(const dist::OnlineConfig& config);
 dist::OnlineConfig online_config_from_json(const util::Json& json);
 

@@ -112,7 +112,6 @@ RunMetrics run_algorithm(const model::Network& net, Algorithm algorithm,
       config.colors = params.colors;
       config.samples = params.samples;
       config.seed = params.seed;
-      config.mode = params.mode;
       switch (algorithm) {
         case Algorithm::kOnlineHaste:
           config.strategy = dist::OnlineStrategy::kHaste;

@@ -40,9 +40,6 @@ struct AlgoParams {
   int samples = 16;
   std::uint64_t seed = 1;
   std::uint64_t brute_force_budget = 5'000'000;  ///< kOfflineOptimalRelaxed only
-  /// Marginal-evaluation mode of the online HASTE variants' charger nodes;
-  /// bit-identical results either way. Offline HASTE has a single path.
-  core::TabularMode mode = core::TabularMode::kIncremental;
 };
 
 /// Metrics of one run.

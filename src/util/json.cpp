@@ -336,6 +336,13 @@ Json Json::object() {
   return j;
 }
 
+Json Json::object(std::vector<Member> members) {
+  sort_members(members);
+  Json j;
+  j.value_.emplace<Object>(std::move(members));
+  return j;
+}
+
 Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
 
 bool Json::as_bool() const {
@@ -369,6 +376,16 @@ std::size_t Json::size() const {
   if (is_array()) return std::get<Array>(value_).size();
   if (is_object()) return std::get<Object>(value_).size();
   throw JsonError("size() on non-container");
+}
+
+void Json::reserve(std::size_t count) {
+  if (is_array()) {
+    std::get<Array>(value_).reserve(count);
+  } else if (is_object()) {
+    std::get<Object>(value_).reserve(count);
+  } else {
+    throw JsonError("reserve() on non-container");
+  }
 }
 
 const Json& Json::at(std::size_t index) const {
@@ -478,6 +495,16 @@ std::string Json::dump(int indent) const {
   std::string out;
   dump_to(out, indent, 0);
   return out;
+}
+
+std::int32_t index_from(const Json& json, const char* field) {
+  const std::int64_t value = json.as_int();
+  if (value < std::numeric_limits<std::int32_t>::min() ||
+      value > std::numeric_limits<std::int32_t>::max()) {
+    throw JsonError(std::string(field) + " " + std::to_string(value) +
+                    " is outside the index range");
+  }
+  return static_cast<std::int32_t>(value);
 }
 
 Json load_json_file(const std::string& path) {

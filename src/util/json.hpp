@@ -46,6 +46,10 @@ class Json {
   /// Factory helpers.
   static Json array();
   static Json object();
+  /// An object of `members`, given in any order; a repeated key keeps its
+  /// last value, as in parse(). Building a small object in one step costs
+  /// one allocation instead of a set() per key.
+  static Json object(std::vector<Member> members);
 
   /// Parses a complete JSON document; trailing garbage is an error. One
   /// lenient extension: the non-finite literals `NaN`, `Infinity`, and
@@ -74,6 +78,7 @@ class Json {
   /// Array access. The reference push_back returns is invalidated by a
   /// later push_back into the same array.
   std::size_t size() const;  ///< array or object element count
+  void reserve(std::size_t count);  ///< array or object: room for `count` elements
   const Json& at(std::size_t index) const;
   Json& push_back(Json value);  ///< appends; returns the stored element
 
@@ -106,6 +111,11 @@ class Json {
   // Alternatives in Type order, so index() is the type.
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
+
+/// `json` as a 32-bit index (slot, task or charger id, or a count of them).
+/// A number outside the int32 range throws JsonError naming `field` instead
+/// of narrowing: a cast would silently wrap 2^32 + k to k.
+std::int32_t index_from(const Json& json, const char* field);
 
 /// Reads an entire file and parses it; throws JsonError (parse) or
 /// std::runtime_error (I/O).

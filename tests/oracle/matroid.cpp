@@ -1,4 +1,4 @@
-#include "core/matroid.hpp"
+#include "oracle/matroid.hpp"
 
 #include <algorithm>
 #include <stdexcept>

@@ -1,0 +1,301 @@
+#include "oracle/negotiation.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
+
+#include "core/dominant_sets.hpp"
+#include "core/evaluate.hpp"
+#include "dist/bus.hpp"
+
+namespace haste::oracle {
+
+namespace {
+
+constexpr double kTieSlack = 1e-12;  // the node's switch-avoiding tie band
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) { return bits(x) == bits(y); });
+}
+
+/// "charger i slot k color c" for mismatch reports.
+std::string stage_name(model::ChargerIndex i, model::SlotIndex k, int c) {
+  std::ostringstream out;
+  out << "charger " << i << " slot " << k << " color " << c;
+  return out.str();
+}
+
+/// Checks a node's commit (or its absence) against the pricer's choice.
+void check_update(const NodePricer::Choice& expected,
+                  const std::optional<dist::Message>& update, const std::string& stage,
+                  std::vector<std::string>& mismatches) {
+  if (update.has_value() != expected.positive) {
+    mismatches.push_back(stage + ": node " + (update ? "committed" : "did not commit") +
+                         ", pricer " + (expected.positive ? "has" : "has no") +
+                         " positive policy");
+    return;
+  }
+  if (!update) return;
+  if (bits(update->marginal) != bits(expected.marginal)) {
+    std::ostringstream out;
+    out.precision(17);
+    out << stage << ": UPDATE marginal " << update->marginal << ", pricer "
+        << expected.marginal;
+    mismatches.push_back(out.str());
+  }
+  if (bits(update->policy.orientation) != bits(expected.policy.orientation) ||
+      update->policy.tasks != expected.policy.tasks ||
+      !same_bits(update->policy.slot_energy, expected.policy.slot_energy)) {
+    mismatches.push_back(stage + ": UPDATE policy differs from the pricer's choice");
+  }
+}
+
+}  // namespace
+
+void NodePricer::begin_plan(const std::vector<model::TaskIndex>& known, int colors) {
+  dominant_ = core::extract_dominant_sets(*net_, id_, known);
+  previous_.assign(static_cast<std::size_t>(colors), std::nullopt);
+}
+
+NodePricer::Choice NodePricer::choose(const core::MarginalEngine& ledger,
+                                      model::SlotIndex slot, int color) const {
+  core::SlotPolicies policies;
+  core::make_slot_policies(*net_, id_, dominant_, slot, policies);
+  Choice choice;
+  choice.participates = policies.size() > 0;
+  const std::optional<double>& previous = previous_[static_cast<std::size_t>(color)];
+  std::ptrdiff_t best = -1;
+  bool best_is_previous = false;
+  for (std::size_t q = 0; q < policies.size(); ++q) {
+    const double m = ledger.marginal(id_, slot, policies.policy_tasks(q),
+                                     policies.policy_energy(q), color);
+    const bool is_previous = previous.has_value() && policies.orientation[q] == *previous;
+    const bool better =
+        best < 0 ? m > 0.0
+                 : m > choice.marginal * (1.0 + kTieSlack) + kTieSlack ||
+                       (is_previous && !best_is_previous &&
+                        m >= choice.marginal * (1.0 - kTieSlack) - kTieSlack);
+    if (better) {
+      best = static_cast<std::ptrdiff_t>(q);
+      choice.marginal = m;
+      best_is_previous = is_previous;
+    }
+  }
+  if (best >= 0) {
+    const auto q = static_cast<std::size_t>(best);
+    choice.positive = true;
+    choice.policy.orientation = policies.orientation[q];
+    const auto tasks = policies.policy_tasks(q);
+    const auto energy = policies.policy_energy(q);
+    choice.policy.tasks.assign(tasks.begin(), tasks.end());
+    choice.policy.slot_energy.assign(energy.begin(), energy.end());
+  }
+  return choice;
+}
+
+void NodePricer::committed(int color, double orientation) {
+  previous_[static_cast<std::size_t>(color)] = orientation;
+}
+
+PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int colors,
+                            const std::vector<dist::ChargerNode*>& nodes,
+                            const std::vector<bool>& alive,
+                            const std::vector<model::TaskIndex>& known,
+                            core::MarginalEngine& ledger, model::SlotIndex plan_start,
+                            model::Schedule& executed) {
+  PlanCheck check;
+  dist::BroadcastBus<dist::ChargerNode> bus;
+  std::vector<NodePricer> pricers;
+  for (dist::ChargerNode* node : nodes) {
+    bus.register_node(node->id(), node);
+    std::vector<model::ChargerIndex> neighbors;
+    for (model::ChargerIndex j : net.neighbors(node->id())) {
+      if (alive[static_cast<std::size_t>(j)]) neighbors.push_back(j);
+    }
+    bus.set_neighbors(node->id(), std::move(neighbors));
+    pricers.emplace_back(net, node->id());
+  }
+  const auto send = [&](dist::Message message) {
+    check.transcript.push_back(message);
+    bus.broadcast(std::move(message));
+  };
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    send(nodes[i]->begin_plan(known, ledger));
+    pricers[i].begin_plan(known, ledger.colors());
+  }
+  bus.flush_round();
+
+  // Pricing goes through the ledger's own oracle, so its row terms are
+  // tallied apart from the nodes'.
+  const auto choose = [&](std::size_t i, model::SlotIndex k, int c) {
+    const std::uint64_t before = ledger.stats().row_terms;
+    NodePricer::Choice choice = pricers[i].choose(ledger, k, c);
+    check.pricer_row_terms += ledger.stats().row_terms - before;
+    return choice;
+  };
+
+  std::vector<std::size_t> workers;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i]->has_work()) workers.push_back(i);
+  }
+  const int color_count = std::max(1, colors);
+
+  if (protocol == Protocol::kToken) {
+    for (int c = 0; c < color_count; ++c) {
+      for (const std::size_t i : workers) {
+        ++check.rounds;
+        for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+          if (!nodes[i]->begin_stage(k, c)) continue;
+          const NodePricer::Choice expected = choose(i, k, c);
+          const std::optional<dist::Message> update = nodes[i]->force_commit();
+          check_update(expected, update, stage_name(nodes[i]->id(), k, c), check.mismatches);
+          if (!update) continue;
+          pricers[i].committed(c, update->policy.orientation);
+          send(*update);
+        }
+        bus.flush_round();
+      }
+    }
+  } else {
+    std::vector<std::size_t> participants;
+    std::vector<NodePricer::Choice> expected(nodes.size());
+    for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+      for (int c = 0; c < color_count; ++c) {
+        participants.clear();
+        for (const std::size_t i : workers) {
+          if (nodes[i]->begin_stage(k, c)) participants.push_back(i);
+        }
+        const std::size_t round_cap = participants.size() + 3;
+        for (std::size_t stage_rounds = 0;; ++stage_rounds) {
+          const bool undecided = std::any_of(participants.begin(), participants.end(),
+                                             [&](std::size_t i) { return !nodes[i]->decided(); });
+          if (!undecided) break;
+          if (stage_rounds == round_cap) {
+            check.mismatches.push_back("slot " + std::to_string(k) + " color " +
+                                       std::to_string(c) + ": no convergence");
+            break;
+          }
+          ++check.rounds;
+          // Every commit that moves an undecided node's tasks reached it as
+          // an UPDATE last round, so the ledger as it stands now is what the
+          // node priced its VALUE on. Its commit later this round sees the
+          // same tasks unchanged: no neighbor commits in the same round.
+          for (const std::size_t i : participants) {
+            if (!nodes[i]->decided()) expected[i] = choose(i, k, c);
+          }
+          for (const std::size_t i : participants) {
+            const std::optional<dist::Message> value = nodes[i]->make_value_message();
+            if (!value) continue;
+            const double announced = expected[i].positive ? expected[i].marginal : 0.0;
+            if (!expected[i].participates || bits(value->marginal) != bits(announced)) {
+              std::ostringstream out;
+              out.precision(17);
+              out << stage_name(nodes[i]->id(), k, c) << ": VALUE " << value->marginal
+                  << ", pricer " << announced;
+              check.mismatches.push_back(out.str());
+            }
+            send(*value);
+          }
+          bus.flush_round();
+          for (const std::size_t i : participants) {
+            const std::optional<dist::Message> update = nodes[i]->try_commit();
+            if (!update) continue;
+            check_update(expected[i], update, stage_name(nodes[i]->id(), k, c),
+                         check.mismatches);
+            pricers[i].committed(c, update->policy.orientation);
+            send(*update);
+          }
+          bus.flush_round();
+        }
+      }
+    }
+  }
+
+  for (const std::size_t i : workers) nodes[i]->write_schedule(executed, plan_start);
+  for (dist::ChargerNode* node : nodes) {
+    if (node->has_work()) continue;
+    for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) executed.clear(node->id(), k);
+  }
+  check.deliveries = bus.stats().deliveries;
+  check.bytes = bus.stats().bytes;
+  return check;
+}
+
+CheckedRun run_online_checked(const model::Network& net, const dist::OnlineConfig& config) {
+  const bool negotiated = config.strategy == dist::OnlineStrategy::kHaste ||
+                          config.strategy == dist::OnlineStrategy::kHasteSequential;
+  if (!negotiated || !config.failures.empty() || config.predictor.enabled) {
+    throw std::invalid_argument(
+        "run_online_checked: only failure-free, predictor-off HASTE negotiations");
+  }
+  const Protocol protocol = config.strategy == dist::OnlineStrategy::kHaste
+                                ? Protocol::kElection
+                                : Protocol::kToken;
+  CheckedRun run;
+  dist::OnlineResult& result = run.result;
+  result.schedule = model::Schedule(net.charger_count(), net.horizon());
+  const std::vector<bool> alive(static_cast<std::size_t>(net.charger_count()), true);
+
+  std::map<model::SlotIndex, std::vector<model::TaskIndex>> batches;
+  for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+    batches[net.tasks()[static_cast<std::size_t>(j)].release_slot].push_back(j);
+  }
+  std::vector<model::TaskIndex> known;
+  for (const auto& [release_slot, batch] : batches) {
+    known.insert(known.end(), batch.begin(), batch.end());
+    std::sort(known.begin(), known.end());
+    const auto plan_start = static_cast<model::SlotIndex>(std::min<std::int64_t>(
+        std::int64_t{release_slot} + net.time().tau, net.horizon()));
+    if (plan_start >= net.horizon()) continue;
+    ++result.negotiations;
+
+    core::MarginalEngine ledger(
+        net, core::MarginalEngine::Config{config.colors, config.samples, config.seed},
+        core::prefix_task_energy(net, result.schedule, plan_start));
+    std::vector<std::unique_ptr<dist::ChargerNode>> owned;
+    std::vector<dist::ChargerNode*> fleet;
+    for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+      owned.push_back(std::make_unique<dist::ChargerNode>(net, i));
+      fleet.push_back(owned.back().get());
+    }
+    const PlanCheck check = negotiate_checked(net, protocol, config.colors, fleet, alive,
+                                              known, ledger, plan_start, result.schedule);
+
+    dist::NegotiationRecord record;
+    record.event_slot = release_slot;
+    record.plan_start = plan_start;
+    record.known_tasks = known.size();
+    record.alive_chargers = fleet.size();
+    record.messages = check.transcript.size();
+    record.rounds = check.rounds;
+    record.row_evals = ledger.stats().row_terms - check.pricer_row_terms;
+    result.messages += record.messages;
+    result.deliveries += check.deliveries;
+    result.message_bytes += check.bytes;
+    result.rounds += record.rounds;
+    result.row_evaluations += record.row_evals;
+    result.log.push_back(record);
+    for (const std::string& mismatch : check.mismatches) {
+      run.mismatches.push_back("plan at slot " + std::to_string(release_slot) + ": " +
+                               mismatch);
+    }
+  }
+  result.evaluation = core::evaluate_schedule(net, result.schedule);
+  return run;
+}
+
+bool same_message(const dist::Message& a, const dist::Message& b) {
+  return a.sender == b.sender && a.slot == b.slot && a.color == b.color &&
+         a.command == b.command && bits(a.marginal) == bits(b.marginal) &&
+         bits(a.policy.orientation) == bits(b.policy.orientation) &&
+         a.policy.tasks == b.policy.tasks &&
+         same_bits(a.policy.slot_energy, b.policy.slot_energy);
+}
+
+}  // namespace haste::oracle

@@ -1,0 +1,106 @@
+// Reference pricing for the distributed negotiation (Alg. 3), and a harness
+// that checks production charger nodes against it.
+//
+// NodePricer is a node's stage choice written the slow, obvious way: every
+// policy of the (slot, color) stage is priced with a fresh
+// MarginalEngine::marginal against the plan ledger, and the best one is
+// picked with the node's switch-avoiding tie rule (a policy that keeps the
+// color's previous orientation wins a tie within a 1e-12 relative band). It
+// keeps no term cache and no version stamps, so dist::ChargerNode's cached
+// pricing must reproduce it bit for bit.
+//
+// negotiate_checked drives production nodes through one plan as
+// dist/online.cpp does (the HELLO round, then the election rounds or the
+// ordered token protocol) and checks every VALUE marginal and every UPDATE
+// against one NodePricer per node. run_online_checked repeats that for each
+// arrival batch of an online run with a freshly built fleet per plan: the
+// reference that the session's persistent fleet must match.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/objective.hpp"
+#include "dist/node.hpp"
+#include "dist/online.hpp"
+
+namespace haste::oracle {
+
+/// Fresh-marginal stage pricing of one charger.
+class NodePricer {
+ public:
+  NodePricer(const model::Network& net, model::ChargerIndex id) : net_(&net), id_(id) {}
+
+  /// Starts a plan over `known` tasks: recomputes the dominant sets and
+  /// forgets the previous orientation of each of the `colors` colors.
+  void begin_plan(const std::vector<model::TaskIndex>& known, int colors);
+
+  /// The choice a node must make at a (slot, color) stage.
+  struct Choice {
+    bool participates = false;  ///< the slot has at least one policy
+    bool positive = false;      ///< some policy has a positive marginal
+    double marginal = 0.0;      ///< the best marginal (0 when none is positive)
+    dist::PolicyAnnouncement policy;  ///< the best policy's rows
+  };
+  Choice choose(const core::MarginalEngine& ledger, model::SlotIndex slot, int color) const;
+
+  /// The node committed `orientation` for `color`: the tie rule's new
+  /// previous orientation.
+  void committed(int color, double orientation);
+
+ private:
+  const model::Network* net_;
+  model::ChargerIndex id_;
+  std::vector<core::DominantTaskSet> dominant_;
+  std::vector<std::optional<double>> previous_;  // [color]
+};
+
+/// Which negotiation protocol a plan runs.
+enum class Protocol {
+  kElection,  ///< OnlineStrategy::kHaste
+  kToken,     ///< OnlineStrategy::kHasteSequential
+};
+
+/// What one checked plan produced.
+struct PlanCheck {
+  std::vector<dist::Message> transcript;  ///< every broadcast, in send order
+  std::uint64_t rounds = 0;               ///< election rounds or token turns
+  std::uint64_t deliveries = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t pricer_row_terms = 0;     ///< ledger row terms the pricers spent
+  std::vector<std::string> mismatches;    ///< disagreements with the pricers
+};
+
+/// Runs one plan over `nodes` (the alive fleet, ascending ids) on `ledger`,
+/// which holds the harvested energies, and writes the agreed plan into
+/// `executed` from `plan_start` on. Neighborhoods are restricted to
+/// `alive`. Every VALUE and UPDATE is checked against a NodePricer of its
+/// sender.
+PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int colors,
+                            const std::vector<dist::ChargerNode*>& nodes,
+                            const std::vector<bool>& alive,
+                            const std::vector<model::TaskIndex>& known,
+                            core::MarginalEngine& ledger, model::SlotIndex plan_start,
+                            model::Schedule& executed);
+
+/// An online run of negotiate_checked plans, and every mismatch they found.
+struct CheckedRun {
+  dist::OnlineResult result;
+  std::vector<std::string> mismatches;
+};
+
+/// Reference form of dist::run_online for the kHaste and kHasteSequential
+/// strategies without failures or predictor (anything else throws
+/// std::invalid_argument). Each arrival batch re-plans on a fresh ledger
+/// with a freshly built fleet; the result carries the same schedule,
+/// evaluation, Fig. 16 counters and log. Its row evaluations count the
+/// nodes' row terms only, not the pricers'.
+CheckedRun run_online_checked(const model::Network& net, const dist::OnlineConfig& config);
+
+/// True when two messages agree in every field, floating-point bits
+/// included.
+bool same_message(const dist::Message& a, const dist::Message& b);
+
+}  // namespace haste::oracle

@@ -1,4 +1,4 @@
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 
 #include <algorithm>
 #include <stdexcept>

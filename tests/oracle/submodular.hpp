@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "core/matroid.hpp"
+#include "oracle/matroid.hpp"
 #include "core/objective.hpp"
 #include "util/rng.hpp"
 

@@ -8,7 +8,7 @@
 
 #include "core/evaluate.hpp"
 #include "core/offline.hpp"
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 #include "geom/angle.hpp"
 #include "test_helpers.hpp"
 

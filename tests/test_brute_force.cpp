@@ -5,7 +5,7 @@
 
 #include "core/evaluate.hpp"
 #include "core/offline.hpp"
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 #include "test_helpers.hpp"
 
 namespace haste::baseline {

@@ -3,8 +3,8 @@
 // Differentials: the greedy schedulers against the exact branch-and-bound
 // optimum on deadline instances (the 1/2 guarantee must survive the plug-in
 // objective), the batched (rebuild) offline scheduler vs the per-policy and
-// incremental references, kernels on vs off, and online mode / node-reuse
-// sweeps — all bit-identical contracts.
+// incremental references, kernels on vs off, and the online session against
+// the fresh-marginal negotiation reference — all bit-identical contracts.
 //
 // Properties: tardiness decay monotone non-increasing, beta -> infinity
 // reproduces the base objective bit for bit, hard mode never emits a row for
@@ -26,6 +26,7 @@
 #include "io/scenario_io.hpp"
 #include "model/deadline.hpp"
 #include "offline_reference.hpp"
+#include "oracle/negotiation.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 #include "util/simd.hpp"
@@ -166,18 +167,17 @@ TEST_P(DeadlineSweep, OnlineModeAndReuseBitIdentical) {
   const model::Network net = with_deadlines(
       base, rng, model::DeadlinePolicy{model::DeadlineDecay::kLinear, 2.0});
 
+  // The session's persistent nodes against fresh nodes per re-plan whose
+  // every message is checked against the fresh-marginal pricer.
   dist::OnlineConfig config;
   config.colors = 2;
   config.samples = 4;
-  config.mode = core::TabularMode::kRebuild;
-  config.reuse_nodes = false;
-  const dist::OnlineResult reference = dist::run_online(net, config);
-  config.mode = core::TabularMode::kIncremental;
-  config.reuse_nodes = true;
+  const oracle::CheckedRun reference = oracle::run_online_checked(net, config);
   const dist::OnlineResult warm = dist::run_online(net, config);
 
-  expect_equal_schedules(reference.schedule, warm.schedule);
-  EXPECT_EQ(reference.evaluation.weighted_utility, warm.evaluation.weighted_utility);
+  EXPECT_TRUE(reference.mismatches.empty()) << reference.mismatches.front();
+  expect_equal_schedules(reference.result.schedule, warm.schedule);
+  EXPECT_EQ(reference.result.evaluation.weighted_utility, warm.evaluation.weighted_utility);
 }
 
 TEST_P(DeadlineSweep, PrefixEnergyAgreesWithFullEvaluation) {

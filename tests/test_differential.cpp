@@ -10,7 +10,7 @@
 #include "core/global_greedy.hpp"
 #include "core/local_search.hpp"
 #include "core/offline.hpp"
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 #include "dist/online.hpp"
 #include "io/scenario_io.hpp"
 #include "test_helpers.hpp"

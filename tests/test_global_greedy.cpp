@@ -3,9 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/evaluate.hpp"
 #include "core/offline.hpp"
-#include "core/submodular.hpp"
+#include "io/scenario_io.hpp"
+#include "oracle/global_greedy.hpp"
+#include "oracle/submodular.hpp"
+#include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 
 namespace haste::core {
@@ -14,23 +22,18 @@ namespace {
 using testing_helpers::random_network;
 
 TEST(GlobalGreedy, AllModesMatchExactly) {
+  // The lazy greedy against the eager reference, which re-evaluates every
+  // popped entry: same schedule on these tie-free instances.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng(seed);
     const model::Network net = random_network(rng, 3, 8, 4);
-    const GlobalGreedyResult eager =
-        schedule_global_greedy(net, {GreedyMode::kEager});
-    const GlobalGreedyResult lazy = schedule_global_greedy(net, {GreedyMode::kLazy});
-    const GlobalGreedyResult incremental =
-        schedule_global_greedy(net, {GreedyMode::kIncremental});
+    const GlobalGreedyResult eager = oracle::eager_global_greedy(net);
+    const GlobalGreedyResult lazy = schedule_global_greedy(net);
     EXPECT_NEAR(lazy.planned_relaxed_utility, eager.planned_relaxed_utility, 1e-9)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(incremental.planned_relaxed_utility, lazy.planned_relaxed_utility)
         << "seed " << seed;
     for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
       for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
         EXPECT_EQ(lazy.schedule.assignment(i, k), eager.schedule.assignment(i, k))
-            << "seed " << seed << " charger " << i << " slot " << k;
-        EXPECT_EQ(incremental.schedule.assignment(i, k), lazy.schedule.assignment(i, k))
             << "seed " << seed << " charger " << i << " slot " << k;
       }
     }
@@ -40,12 +43,9 @@ TEST(GlobalGreedy, AllModesMatchExactly) {
 TEST(GlobalGreedy, CheaperModesSaveEvaluations) {
   util::Rng rng(10);
   const model::Network net = random_network(rng, 4, 12, 5);
-  const GlobalGreedyResult eager = schedule_global_greedy(net, {GreedyMode::kEager});
-  const GlobalGreedyResult lazy = schedule_global_greedy(net, {GreedyMode::kLazy});
-  const GlobalGreedyResult incremental =
-      schedule_global_greedy(net, {GreedyMode::kIncremental});
+  const GlobalGreedyResult eager = oracle::eager_global_greedy(net);
+  const GlobalGreedyResult lazy = schedule_global_greedy(net);
   EXPECT_LE(lazy.evaluations, eager.evaluations);
-  EXPECT_LE(incremental.evaluations, lazy.evaluations);
 }
 
 TEST(GlobalGreedy, RespectsPartitionMatroid) {
@@ -107,8 +107,7 @@ TEST(GlobalGreedy, InitialEnergyRespected) {
     full[j] = net.tasks()[j].required_energy;
   }
   const auto partitions = build_partitions(net);
-  const GlobalGreedyResult result =
-      schedule_global_greedy_over(net, partitions, {}, full);
+  const GlobalGreedyResult result = schedule_global_greedy_over(net, partitions, full);
   for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
       EXPECT_FALSE(result.schedule.assignment(i, k).has_value());
@@ -120,6 +119,82 @@ TEST(GlobalGreedy, EmptyNetwork) {
   const model::Network net({}, {}, testing_helpers::tiny_power(), model::TimeGrid{});
   const GlobalGreedyResult result = schedule_global_greedy(net);
   EXPECT_DOUBLE_EQ(result.planned_relaxed_utility, 0.0);
+}
+
+// Golden global-greedy battery: pins the executed schedule (FNV-1a of its
+// JSON) and the planned-utility bits of fixed global-greedy runs, so any
+// rewrite of the matroid greedy's evaluation loop must reproduce the
+// reference trajectory exactly. Evaluation counts are not pinned: they
+// measure oracle work, not results.
+
+namespace golden {
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char byte : text) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+struct Golden {
+  std::uint64_t schedule_fnv = 0;  ///< over io::schedule_to_json(...).dump()
+  std::uint64_t planned_bits = 0;  ///< planned_relaxed_utility
+
+  friend bool operator==(const Golden&, const Golden&) = default;
+};
+
+Golden golden_of(const GlobalGreedyResult& result) {
+  return {fnv1a(io::schedule_to_json(result.schedule).dump()),
+          std::bit_cast<std::uint64_t>(result.planned_relaxed_utility)};
+}
+
+void expect_golden(const GlobalGreedyResult& result, const Golden& expected) {
+  const Golden actual = golden_of(result);
+  EXPECT_TRUE(actual == expected)
+      << std::hex << "actual {0x" << actual.schedule_fnv << "ULL, 0x" << actual.planned_bits
+      << "ULL}\nexpected {0x" << expected.schedule_fnv << "ULL, 0x" << expected.planned_bits
+      << "ULL}";
+}
+
+model::Network paper(int chargers, int tasks, std::uint64_t seed,
+                     const std::string& decay = "none") {
+  sim::ScenarioConfig config = sim::ScenarioConfig::paper_default();
+  config.chargers = chargers;
+  config.tasks = tasks;
+  config.deadline_decay = decay;
+  config.deadline_beta = 6.0;
+  config.deadline_fraction = 0.7;
+  util::Rng rng(seed);
+  return sim::generate_scenario(config, rng);
+}
+
+}  // namespace golden
+
+TEST(GlobalGreedyGolden, PaperScale) {
+  golden::expect_golden(schedule_global_greedy(golden::paper(50, 200, 41)),
+                        {0xff65b071fbb447f5ULL, 0x3fe75426b4f7f74dULL});
+}
+
+TEST(GlobalGreedyGolden, LinearDeadlines) {
+  golden::expect_golden(schedule_global_greedy(golden::paper(50, 200, 42, "linear")),
+                        {0x9fea974f63502d68ULL, 0x3fe4f76684f9a084ULL});
+}
+
+TEST(GlobalGreedyGolden, HardDeadlines) {
+  golden::expect_golden(schedule_global_greedy(golden::paper(50, 200, 43, "hard")),
+                        {0x660fa777006a0b36ULL, 0x3fe12a65fcd6165fULL});
+}
+
+TEST(GlobalGreedyGolden, WarmStartOverGroundSet) {
+  // The re-plan shape: a ground set from a later slot over harvested energy.
+  const model::Network net = golden::paper(50, 200, 44);
+  util::Rng rng(144);
+  std::vector<double> initial(static_cast<std::size_t>(net.task_count()));
+  for (double& energy : initial) energy = rng.uniform(0.0, 8'000.0);
+  golden::expect_golden(schedule_global_greedy_over(net, build_partitions(net, 20), initial),
+                        {0xc5b092118c44118fULL, 0x3fe9c6cf95cb5fe5ULL});
 }
 
 }  // namespace

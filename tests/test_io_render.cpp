@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/evaluate.hpp"
 #include "core/offline.hpp"
 #include "geom/angle.hpp"
 #include "io/scenario_io.hpp"
+#include "model/deadline.hpp"
 #include "sim/render.hpp"
 #include "test_helpers.hpp"
 #include "testbed/topologies.hpp"
@@ -144,6 +147,74 @@ TEST(ScenarioIo, MissingFieldsThrow) {
   EXPECT_THROW(network_from_json(util::Json::parse("{}")), util::JsonError);
   EXPECT_THROW(schedule_from_json(util::Json::parse("{\"chargers\": 2}")),
                util::JsonError);
+}
+
+/// `text` with the first integer value of `"field":` after `anchor`
+/// replaced by `value`.
+std::string with_field(std::string text, const std::string& anchor, const std::string& field,
+                       const std::string& value) {
+  const std::string key = "\"" + field + "\":";
+  const std::size_t at = text.find(key, text.find(anchor));
+  EXPECT_NE(at, std::string::npos) << field;
+  const std::size_t begin = at + key.size();
+  const std::size_t end = text.find_first_not_of("-0123456789", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+TEST(ScenarioIo, IndicesOutsideInt32AreRejectedNotNarrowed) {
+  // Narrowed to 32 bits, 2^32 + k is k: "end_slot": 4294967306 would load as
+  // 10. Every slot, index and count field must reject it, naming the field.
+  util::Rng rng(5);
+  const model::Network base = random_network(rng, 3, 4, 4);
+  std::vector<model::Task> tasks = base.tasks();
+  tasks[0].deadline_slot = tasks[0].end_slot;
+  const model::Network net(base.chargers(), tasks, base.power_model(), base.time(), nullptr,
+                           model::DeadlinePolicy{model::DeadlineDecay::kLinear, 4.0});
+  const std::string scenario = network_to_json(net).dump();
+  model::Schedule schedule(3, 5);
+  schedule.assign(0, 1, 0.5);
+  schedule.disable_from(2, 3);
+  const std::string plan = schedule_to_json(schedule).dump();
+
+  struct Case {
+    bool scenario;
+    const char* anchor;
+    const char* field;
+  };
+  const Case cases[] = {
+      {true, "\"time\"", "tau"},
+      {true, "\"tasks\"", "release_slot"},
+      {true, "\"tasks\"", "end_slot"},
+      {true, "\"tasks\"", "deadline_slot"},
+      {false, "{", "chargers"},
+      {false, "{", "horizon"},
+      {false, "\"assignments\"", "charger"},
+      {false, "\"assignments\"", "slot"},
+      {false, "\"disabled\"", "charger"},
+      {false, "\"disabled\"", "from_slot"},
+  };
+  for (const Case& c : cases) {
+    for (const char* value : {"4294967306", "4294967296", "-4294967295"}) {
+      SCOPED_TRACE(std::string(c.anchor) + " " + c.field + " = " + value);
+      const util::Json json =
+          util::Json::parse(with_field(c.scenario ? scenario : plan, c.anchor, c.field, value));
+      try {
+        if (c.scenario) {
+          network_from_json(json);
+        } else {
+          schedule_from_json(json);
+        }
+        ADD_FAILURE() << "loaded";
+      } catch (const util::JsonError& error) {
+        EXPECT_NE(std::string(error.what()).find(std::string(c.field) + " " + value),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
+  // The unmodified texts load.
+  EXPECT_NO_THROW(network_from_json(util::Json::parse(scenario)));
+  EXPECT_NO_THROW(schedule_from_json(util::Json::parse(plan)));
 }
 
 }  // namespace

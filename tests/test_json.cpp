@@ -232,6 +232,19 @@ TEST(JsonObject, ParsedDuplicateKeyKeepsItsLastValue) {
   EXPECT_EQ(Json::parse(R"({"a": 1, "a": 2})").dump(), R"({"a":2})");
 }
 
+TEST(JsonObject, BuiltInOneStepLikeParsedAndSetByKey) {
+  // The one-step factory sorts its members and keeps a repeated key's last
+  // value, exactly as parsing the same members in the same order would.
+  const Json built = Json::object({{"slot", 3}, {"charger", 1}, {"b", "x"}, {"charger", 2}});
+  EXPECT_EQ(built.dump(), R"({"b":"x","charger":2,"slot":3})");
+  EXPECT_EQ(built.dump(), Json::parse(R"({"slot":3,"charger":1,"b":"x","charger":2})").dump());
+  EXPECT_EQ(Json::object({}).dump(), "{}");
+  Json array = Json::array();
+  array.reserve(8);
+  EXPECT_EQ(array.size(), 0u);
+  EXPECT_THROW(Json(1).reserve(2), JsonError);
+}
+
 TEST(JsonObject, ItemsIterateInSortedOrder) {
   const Json parsed = Json::parse(R"({"zeta": 1, "alpha": 2, "Mid": 3, "beta": {"y": 1, "x": 2}})");
   EXPECT_EQ(keys_of(parsed), (std::vector<std::string>{"Mid", "alpha", "beta", "zeta"}));

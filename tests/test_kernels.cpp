@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "geom/angle.hpp"
 #include "model/network.hpp"
 #include "model/utility.hpp"
+#include "oracle/global_greedy.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -189,8 +191,10 @@ TEST(Kernels, EngineMarginalsBitIdenticalOnAndOff) {
             << shape->name() << " step " << step;
         // Version counters must agree too: the utility-filtered bump decides
         // cache certification in both schedulers.
-        for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
-          ASSERT_EQ(scalar->task_version(j), kernel->task_version(j));
+        for (int sample = 0; sample < config.samples; ++sample) {
+          for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+            ASSERT_EQ(scalar->sample_version(sample, j), kernel->sample_version(sample, j));
+          }
         }
       }
       ASSERT_EQ(scalar->expected_value(), kernel->expected_value());
@@ -210,12 +214,17 @@ TEST(Kernels, BatchedRowTermsMatchScalarRowTerm) {
   // Seed some state so energies differ per sample-color history.
   engine.commit(partitions[0].charger, partitions[0].slot,
                 partitions[0].policy_tasks(0), partitions[0].policy_energy(0), 0);
+  const auto table = core::kernels::UtilityTable::from(net);
+  std::vector<double> energy(static_cast<std::size_t>(net.task_count()));
   for (const auto& partition : partitions) {
     for (std::size_t q = 0; q < partition.policies.size(); ++q) {
       const auto rows = partition.policy_rows(q);
       for (int s = 0; s < engine.samples(); ++s) {
+        for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+          energy[static_cast<std::size_t>(j)] = engine.energy(s, j);
+        }
         std::vector<double> batched(rows.size());
-        engine.row_terms(s, rows, batched.data());
+        core::kernels::row_terms(table, energy.data(), rows, batched.data());
         for (std::size_t t = 0; t < rows.size(); ++t) {
           ASSERT_EQ(batched[t], engine.row_term(s, rows.tasks[t], rows.delta[t]))
               << "sample " << s << " row " << t;
@@ -292,21 +301,24 @@ TEST_P(KernelScheduleDifferential, GlobalGreedySchedulesBitIdenticalOnAndOff) {
   util::Rng rng(GetParam() + 1000);
   const model::Network net = random_network(rng, 6, 24, 5);
   const auto partitions = core::build_partitions(net);
-  for (const core::GreedyMode mode :
-       {core::GreedyMode::kLazy, core::GreedyMode::kIncremental, core::GreedyMode::kEager}) {
+  // The library's lazy greedy and the eager reference, each with the kernel
+  // path off and on.
+  const auto run_lazy = [&] { return core::schedule_global_greedy_over(net, partitions, {}); };
+  const auto run_eager = [&] { return oracle::eager_global_greedy(net, partitions); };
+  for (const auto& run : {std::function<core::GlobalGreedyResult()>(run_lazy),
+                          std::function<core::GlobalGreedyResult()>(run_eager)}) {
     core::GlobalGreedyResult off;
     core::GlobalGreedyResult on;
     {
       util::ScopedKernelToggle toggle(false);
-      off = core::schedule_global_greedy_over(net, partitions, {mode}, {});
+      off = run();
     }
     {
       util::ScopedKernelToggle toggle(true);
-      on = core::schedule_global_greedy_over(net, partitions, {mode}, {});
+      on = run();
     }
     EXPECT_EQ(off.planned_relaxed_utility, on.planned_relaxed_utility);
     EXPECT_EQ(off.evaluations, on.evaluations);
-    EXPECT_EQ(off.row_corrections, on.row_corrections);
     expect_identical_schedules(off.schedule, on.schedule);
   }
 }

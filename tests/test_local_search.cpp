@@ -6,7 +6,7 @@
 #include "baseline/random_orient.hpp"
 #include "core/evaluate.hpp"
 #include "core/offline.hpp"
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 #include "test_helpers.hpp"
 
 namespace haste::core {

@@ -1,6 +1,6 @@
 // Tests for core/matroid.hpp — the partition matroid of Lemma 4.1, checked
 // against the matroid axioms of Definition 4.3.
-#include "core/matroid.hpp"
+#include "oracle/matroid.hpp"
 
 #include <gtest/gtest.h>
 

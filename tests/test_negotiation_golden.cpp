@@ -8,9 +8,8 @@
 //  * the executed schedule (FNV-1a of its JSON) and the weighted-utility bits;
 //  * the predictor ledger of predictor-on sessions.
 //
-// Each case runs under both node TabularModes and with node reuse on and off;
-// all four must hit the same golden. Row-evaluation counts are deliberately
-// not pinned: they measure oracle work, not results.
+// Row-evaluation counts are deliberately not pinned: they measure oracle
+// work, not results.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -85,21 +84,11 @@ std::string describe(const Golden& g) {
   return out.str();
 }
 
-/// Runs `config` on `net` under both node TabularModes and with node reuse
-/// on and off, and requires every run to produce `expected`.
-void expect_golden(const model::Network& net, dist::OnlineConfig config,
+/// Runs `config` on `net` and requires the run to produce `expected`.
+void expect_golden(const model::Network& net, const dist::OnlineConfig& config,
                    const Golden& expected) {
-  for (const core::TabularMode mode :
-       {core::TabularMode::kIncremental, core::TabularMode::kRebuild}) {
-    for (const bool reuse : {true, false}) {
-      config.mode = mode;
-      config.reuse_nodes = reuse;
-      const Golden actual = golden_of(dist::run_online(net, config));
-      EXPECT_EQ(actual, expected)
-          << "mode " << (mode == core::TabularMode::kRebuild ? "rebuild" : "incremental")
-          << ", reuse " << reuse << ": actual " << describe(actual);
-    }
-  }
+  const Golden actual = golden_of(dist::run_online(net, config));
+  EXPECT_EQ(actual, expected) << "actual " << describe(actual);
 }
 
 /// A scaled-down paper instance: the paper's charger density, power model
@@ -286,29 +275,26 @@ TEST(NegotiationGolden, NodeEngineEnergiesFollowEveryRemoteCommit) {
   for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
     known[static_cast<std::size_t>(j)] = j;
   }
-  for (const core::TabularMode mode :
-       {core::TabularMode::kIncremental, core::TabularMode::kRebuild}) {
-    core::MarginalEngine ledger(net, engine);
-    std::vector<std::unique_ptr<dist::ChargerNode>> nodes;
-    for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
-      nodes.push_back(std::make_unique<dist::ChargerNode>(net, i, mode));
-    }
-    for (const auto& node : nodes) node->begin_plan(known, ledger);
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      for (int c = 0; c < engine.colors; ++c) {
-        for (const auto& node : nodes) {
-          if (!node->begin_stage(k, c)) continue;
-          const auto update = node->force_commit();
-          if (!update) continue;
-          for (const auto& other : nodes) {
-            if (other->id() != node->id()) other->receive(*update);
-          }
+  core::MarginalEngine ledger(net, engine);
+  std::vector<std::unique_ptr<dist::ChargerNode>> nodes;
+  for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+    nodes.push_back(std::make_unique<dist::ChargerNode>(net, i));
+  }
+  for (const auto& node : nodes) node->begin_plan(known, ledger);
+  for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
+    for (int c = 0; c < engine.colors; ++c) {
+      for (const auto& node : nodes) {
+        if (!node->begin_stage(k, c)) continue;
+        const auto update = node->force_commit();
+        if (!update) continue;
+        for (const auto& other : nodes) {
+          if (other->id() != node->id()) other->receive(*update);
         }
       }
     }
-    const auto bits = std::bit_cast<std::uint64_t>(ledger.expected_value());
-    EXPECT_EQ(bits, 0x3fd6631dceaf5a00ULL) << std::hex << bits;
   }
+  const auto bits = std::bit_cast<std::uint64_t>(ledger.expected_value());
+  EXPECT_EQ(bits, 0x3fd6631dceaf5a00ULL) << std::hex << bits;
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
 // Tests for dist/node.hpp — the per-charger negotiation state machine, with
-// emphasis on the marginal caches: the incremental per-(row, sample) term
-// cache must answer exactly like the rebuild (version-sum stamped) path at
-// every observable point, including after remote commits dirty its rows.
+// emphasis on its cached pricing: the per-(column, sample) term cache and the
+// cross-plan caches must answer exactly like the fresh-marginal reference
+// pricer (tests/oracle/negotiation.hpp) at every observable point, including
+// after remote commits dirty its columns and across consecutive plans of a
+// reused node.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "dist/node.hpp"
+#include "oracle/negotiation.hpp"
+#include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 
 namespace haste {
@@ -23,92 +29,211 @@ std::vector<model::TaskIndex> all_tasks(const model::Network& net) {
   return tasks;
 }
 
-// Drives an incremental-mode and a rebuild-mode twin of the same charger
-// through identical stage sequences, interleaving remote commits from a
-// second charger, and checks every announced marginal and every committed
-// policy agree bit for bit. Each twin prices against its own ledger, shared
-// with its own copy of the remote charger.
+// Drives one charger through every stage of a plan while a second charger
+// commits into the same ledger before each of its decisions, and checks
+// every announced marginal and every committed policy against the
+// fresh-marginal pricer, bit for bit: the node must re-price exactly the
+// columns the remote UPDATEs dirtied.
 TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     util::Rng rng(seed);
     const model::Network net = random_network(rng, 3, 10, 3);
     const core::MarginalEngine::Config config{2, 8, seed};
-    core::MarginalEngine ledger_a(net, config);
-    core::MarginalEngine ledger_b(net, config);
-    dist::ChargerNode incremental(net, 0, core::TabularMode::kIncremental);
-    dist::ChargerNode rebuild(net, 0, core::TabularMode::kRebuild);
-    dist::ChargerNode remote_a(net, 1, core::TabularMode::kIncremental);
-    dist::ChargerNode remote_b(net, 1, core::TabularMode::kIncremental);
+    core::MarginalEngine ledger(net, config);
+    dist::ChargerNode node(net, 0);
+    dist::ChargerNode remote(net, 1);
+    oracle::NodePricer pricer(net, 0);
 
     const std::vector<model::TaskIndex> known = all_tasks(net);
-    incremental.begin_plan(known, ledger_a);
-    remote_a.begin_plan(known, ledger_a);
-    rebuild.begin_plan(known, ledger_b);
-    remote_b.begin_plan(known, ledger_b);
+    node.begin_plan(known, ledger);
+    remote.begin_plan(known, ledger);
+    pricer.begin_plan(known, ledger.colors());
 
+    int commits_heard = 0;
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
       for (int c = 0; c < 2; ++c) {
-        const bool participates = incremental.begin_stage(k, c);
-        ASSERT_EQ(participates, rebuild.begin_stage(k, c));
-        const bool remote_works = remote_a.begin_stage(k, c);
-        ASSERT_EQ(remote_works, remote_b.begin_stage(k, c));
-
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " slot " << k << " color " << c);
+        const bool participates = node.begin_stage(k, c);
+        const oracle::NodePricer::Choice announced = pricer.choose(ledger, k, c);
+        ASSERT_EQ(participates, announced.participates);
         if (participates) {
-          const auto value_a = incremental.make_value_message();
-          const auto value_b = rebuild.make_value_message();
-          ASSERT_EQ(value_a.has_value(), value_b.has_value());
-          if (value_a) EXPECT_EQ(value_a->marginal, value_b->marginal);
+          const auto value = node.make_value_message();
+          ASSERT_TRUE(value.has_value());
+          EXPECT_EQ(value->marginal, announced.positive ? announced.marginal : 0.0);
         }
 
-        // A neighbor commits into each ledger and each twin hears the
-        // UPDATE; the incremental twin must re-price only the dirtied rows
-        // yet answer exactly like the from-scratch twin.
-        if (remote_works) {
-          const auto update_a = remote_a.force_commit();
-          const auto update_b = remote_b.force_commit();
-          ASSERT_EQ(update_a.has_value(), update_b.has_value());
-          if (update_a) {
-            EXPECT_EQ(update_a->policy.tasks, update_b->policy.tasks);
-            incremental.receive(*update_a);
-            rebuild.receive(*update_b);
+        // A neighbor commits into the ledger and the node hears the UPDATE.
+        if (remote.begin_stage(k, c)) {
+          if (const auto update = remote.force_commit()) {
+            node.receive(*update);
+            ++commits_heard;
           }
         }
 
         if (participates) {
-          const auto commit_a = incremental.force_commit();
-          const auto commit_b = rebuild.force_commit();
-          ASSERT_EQ(commit_a.has_value(), commit_b.has_value());
-          if (commit_a) {
-            EXPECT_EQ(commit_a->marginal, commit_b->marginal);
-            EXPECT_EQ(commit_a->policy.orientation, commit_b->policy.orientation);
-            EXPECT_EQ(commit_a->policy.tasks, commit_b->policy.tasks);
+          const oracle::NodePricer::Choice expected = pricer.choose(ledger, k, c);
+          const auto commit = node.force_commit();
+          ASSERT_EQ(commit.has_value(), expected.positive);
+          if (commit) {
+            EXPECT_EQ(commit->marginal, expected.marginal);
+            EXPECT_EQ(commit->policy.orientation, expected.policy.orientation);
+            EXPECT_EQ(commit->policy.tasks, expected.policy.tasks);
+            EXPECT_EQ(commit->policy.slot_energy, expected.policy.slot_energy);
+            pricer.committed(c, commit->policy.orientation);
           }
         }
       }
     }
-
-    model::Schedule schedule_a(net.charger_count(), net.horizon());
-    model::Schedule schedule_b(net.charger_count(), net.horizon());
-    incremental.write_schedule(schedule_a, 0);
-    rebuild.write_schedule(schedule_b, 0);
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      EXPECT_EQ(schedule_a.assignment(0, k), schedule_b.assignment(0, k)) << "slot " << k;
-    }
-    EXPECT_EQ(ledger_a.expected_value(), ledger_b.expected_value());
+    EXPECT_GT(commits_heard, 0) << "seed " << seed;
   }
 }
 
-// A node with no coverable work must stay passive in both modes.
+// A node with no coverable work must stay passive.
 TEST(ChargerNodeModes, NodeWithoutWorkStaysPassive) {
   util::Rng rng(4);
   const model::Network net = random_network(rng, 2, 6, 3);
   core::MarginalEngine ledger(net, core::MarginalEngine::Config{2, 4, 4});
-  dist::ChargerNode node(net, 0, core::TabularMode::kIncremental);
+  dist::ChargerNode node(net, 0);
   node.begin_plan({}, ledger);
   EXPECT_FALSE(node.has_work());
   EXPECT_FALSE(node.begin_stage(0, 0));
   EXPECT_TRUE(node.decided());
   EXPECT_EQ(node.make_value_message(), std::nullopt);
+}
+
+/// A small paper-preset field, optionally with deadlines on 70% of its
+/// tasks, dense enough that most chargers have neighbors.
+model::Network fleet_network(std::uint64_t seed, const char* decay) {
+  sim::ScenarioConfig config = sim::ScenarioConfig::paper_default();
+  config.field_width = 18.0;
+  config.field_height = 18.0;
+  config.chargers = 7;
+  config.tasks = 24;
+  config.duration_min_slots = 3;
+  config.duration_max_slots = 9;
+  config.release_window_slots = 6;
+  config.deadline_decay = decay;
+  config.deadline_beta = 2.0;
+  config.deadline_fraction = 0.7;
+  util::Rng rng(seed);
+  return sim::generate_scenario(config, rng);
+}
+
+/// One plan of the sequence: the known tasks, the harvested energies and
+/// the first slot the plan governs.
+struct Plan {
+  std::vector<model::TaskIndex> known;
+  std::vector<double> harvested;
+  model::SlotIndex plan_start = 0;
+};
+
+/// Four consecutive plans: the known set grows, then repeats verbatim, then
+/// grows to every task. Harvested energies start at zero; each later plan
+/// keeps some tasks' energies bit for bit (the node's cross-plan term cache
+/// hits), moves others, and puts some exactly at their required energy.
+std::vector<Plan> plan_sequence(const model::Network& net, util::Rng& rng) {
+  const std::vector<model::TaskIndex> everything = all_tasks(net);
+  const auto prefix = [&](std::size_t count) {
+    return std::vector<model::TaskIndex>(everything.begin(),
+                                         everything.begin() + static_cast<std::ptrdiff_t>(count));
+  };
+  const std::size_t m = everything.size();
+  std::vector<Plan> plans;
+  plans.push_back({prefix(m / 3), std::vector<double>(m, 0.0), 0});
+  std::vector<double> energy(m, 0.0);
+  const std::pair<std::size_t, model::SlotIndex> later[] = {
+      {2 * m / 3, 1}, {2 * m / 3, 1}, {m, 2}};
+  for (const auto& [count, start] : later) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const double draw = rng.uniform();
+      if (draw < 0.4) continue;  // unchanged since the previous plan
+      const double required = net.tasks()[j].required_energy;
+      energy[j] = draw < 0.55 ? required : rng.uniform(0.0, 0.8 * required);
+    }
+    plans.push_back({prefix(count), energy, start});
+  }
+  return plans;
+}
+
+std::string first_mismatch(const std::vector<std::string>& mismatches) {
+  return mismatches.empty() ? "" : mismatches.front();
+}
+
+// The node differential: a fleet of production nodes runs consecutive plans
+// under both protocols, and every VALUE marginal and UPDATE policy must match
+// the fresh-marginal pricer bit for bit. A fleet kept alive across the plans
+// (the online session's) and a fleet built afresh for each plan must send
+// identical messages and write identical schedules.
+TEST(ChargerNodeFleet, ConsecutivePlansMatchFreshMarginalPricer) {
+  std::size_t updates = 0;
+  for (const char* decay : {"none", "linear", "hard"}) {
+    for (const std::uint64_t seed : {31u, 32u, 33u}) {
+      const model::Network net = fleet_network(seed, decay);
+      util::Rng rng(seed * 7 + 1);
+      const std::vector<Plan> plans = plan_sequence(net, rng);
+      const std::vector<bool> alive(static_cast<std::size_t>(net.charger_count()), true);
+      for (const oracle::Protocol protocol :
+           {oracle::Protocol::kElection, oracle::Protocol::kToken}) {
+        std::vector<std::unique_ptr<dist::ChargerNode>> kept;
+        std::vector<dist::ChargerNode*> kept_fleet;
+        for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+          kept.push_back(std::make_unique<dist::ChargerNode>(net, i));
+          kept_fleet.push_back(kept.back().get());
+        }
+        const core::MarginalEngine::Config panel{2, 8, seed};
+        model::Schedule kept_schedule(net.charger_count(), net.horizon());
+        model::Schedule fresh_schedule(net.charger_count(), net.horizon());
+        for (std::size_t p = 0; p < plans.size(); ++p) {
+          SCOPED_TRACE(::testing::Message()
+                       << "decay " << decay << " seed " << seed << " protocol "
+                       << (protocol == oracle::Protocol::kElection ? "election" : "token")
+                       << " plan " << p);
+          const Plan& plan = plans[p];
+          core::MarginalEngine kept_ledger(net, panel, plan.harvested);
+          const oracle::PlanCheck kept_check =
+              oracle::negotiate_checked(net, protocol, panel.colors, kept_fleet, alive,
+                                        plan.known, kept_ledger, plan.plan_start,
+                                        kept_schedule);
+
+          std::vector<std::unique_ptr<dist::ChargerNode>> fresh;
+          std::vector<dist::ChargerNode*> fresh_fleet;
+          for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+            fresh.push_back(std::make_unique<dist::ChargerNode>(net, i));
+            fresh_fleet.push_back(fresh.back().get());
+          }
+          core::MarginalEngine fresh_ledger(net, panel, plan.harvested);
+          const oracle::PlanCheck fresh_check =
+              oracle::negotiate_checked(net, protocol, panel.colors, fresh_fleet, alive,
+                                        plan.known, fresh_ledger, plan.plan_start,
+                                        fresh_schedule);
+
+          EXPECT_TRUE(kept_check.mismatches.empty())
+              << kept_check.mismatches.size() << " mismatches, first: "
+              << first_mismatch(kept_check.mismatches);
+          EXPECT_TRUE(fresh_check.mismatches.empty())
+              << fresh_check.mismatches.size() << " mismatches, first: "
+              << first_mismatch(fresh_check.mismatches);
+          ASSERT_EQ(kept_check.transcript.size(), fresh_check.transcript.size());
+          for (std::size_t t = 0; t < kept_check.transcript.size(); ++t) {
+            ASSERT_TRUE(oracle::same_message(kept_check.transcript[t], fresh_check.transcript[t]))
+                << "message " << t << ": " << kept_check.transcript[t].describe() << " vs "
+                << fresh_check.transcript[t].describe();
+            if (kept_check.transcript[t].command == dist::Command::kUpdate) ++updates;
+          }
+          EXPECT_EQ(kept_check.rounds, fresh_check.rounds);
+          EXPECT_EQ(kept_ledger.expected_value(), fresh_ledger.expected_value());
+          for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+            for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
+              ASSERT_EQ(kept_schedule.assignment(i, k), fresh_schedule.assignment(i, k))
+                  << "charger " << i << " slot " << k;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The battery must actually negotiate.
+  EXPECT_GT(updates, 100u);
 }
 
 }  // namespace

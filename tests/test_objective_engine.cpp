@@ -6,7 +6,7 @@
 
 #include <set>
 
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 #include "test_helpers.hpp"
 
 namespace haste::core {

@@ -10,7 +10,7 @@
 #include "baseline/greedy_utility.hpp"
 #include "core/evaluate.hpp"
 #include "core/global_greedy.hpp"
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 #include "test_helpers.hpp"
 
 namespace haste::core {
@@ -196,7 +196,7 @@ TEST(InitialEnergy, OfflineRejectsAShortSpan) {
 TEST(InitialEnergy, GlobalGreedyRejectsAShortSpan) {
   expect_rejects_short_initial_energy([](const model::Network& net,
                                          std::span<const double> energy) {
-    schedule_global_greedy_over(net, build_partitions(net), GlobalGreedyConfig{}, energy);
+    schedule_global_greedy_over(net, build_partitions(net), energy);
   });
 }
 

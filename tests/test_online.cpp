@@ -13,6 +13,7 @@
 #include "core/evaluate.hpp"
 #include "core/offline.hpp"
 #include "io/scenario_io.hpp"
+#include "oracle/negotiation.hpp"
 #include "serve/client.hpp"
 #include "test_helpers.hpp"
 
@@ -200,34 +201,33 @@ TEST(Online, HasteBeatsBaselinesOnAverage) {
 }
 
 TEST(Online, NodeReuseIsBitIdenticalAndCheaper) {
-  // reuse_nodes keeps each ChargerNode alive across re-plans so unchanged
+  // The session keeps each ChargerNode alive across re-plans, so unchanged
   // columns skip their re-pricing row_term and an unchanged known-task set
   // skips dominant re-extraction. The acceptance contract: bit-identical
-  // schedules to the rebuild-per-re-plan reference, with strictly fewer
-  // row_term evaluations whenever there is more than one re-plan.
+  // schedules to fresh nodes per re-plan (checked message by message against
+  // the fresh-marginal pricer), with strictly fewer row_term evaluations
+  // whenever there is more than one re-plan.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     util::Rng rng(seed + 200);
     const model::Network net = random_network(rng, 4, 12, 5);
 
-    OnlineConfig reuse_config;
-    reuse_config.colors = 2;
-    reuse_config.samples = 8;
-    reuse_config.reuse_nodes = true;
-    const OnlineResult reuse = run_online(net, reuse_config);
+    OnlineConfig config;
+    config.colors = 2;
+    config.samples = 8;
+    const OnlineResult reuse = run_online(net, config);
+    const oracle::CheckedRun checked = oracle::run_online_checked(net, config);
+    const OnlineResult& fresh = checked.result;
 
-    OnlineConfig rebuild_config = reuse_config;
-    rebuild_config.reuse_nodes = false;
-    const OnlineResult rebuild = run_online(net, rebuild_config);
-
-    EXPECT_EQ(reuse.evaluation.weighted_utility, rebuild.evaluation.weighted_utility)
+    EXPECT_TRUE(checked.mismatches.empty()) << checked.mismatches.front();
+    EXPECT_EQ(reuse.evaluation.weighted_utility, fresh.evaluation.weighted_utility)
         << "seed " << seed;
-    EXPECT_EQ(reuse.messages, rebuild.messages) << "seed " << seed;
-    EXPECT_EQ(reuse.rounds, rebuild.rounds) << "seed " << seed;
-    ASSERT_EQ(reuse.schedule.charger_count(), rebuild.schedule.charger_count());
-    ASSERT_EQ(reuse.schedule.horizon(), rebuild.schedule.horizon());
+    EXPECT_EQ(reuse.messages, fresh.messages) << "seed " << seed;
+    EXPECT_EQ(reuse.rounds, fresh.rounds) << "seed " << seed;
+    ASSERT_EQ(reuse.schedule.charger_count(), fresh.schedule.charger_count());
+    ASSERT_EQ(reuse.schedule.horizon(), fresh.schedule.horizon());
     for (int i = 0; i < reuse.schedule.charger_count(); ++i) {
       for (model::SlotIndex k = 0; k < reuse.schedule.horizon(); ++k) {
-        ASSERT_EQ(reuse.schedule.assignment(i, k), rebuild.schedule.assignment(i, k))
+        ASSERT_EQ(reuse.schedule.assignment(i, k), fresh.schedule.assignment(i, k))
             << "seed " << seed << " charger " << i << " slot " << k;
       }
     }
@@ -239,15 +239,15 @@ TEST(Online, NodeReuseIsBitIdenticalAndCheaper) {
       return total;
     };
     EXPECT_EQ(logged_row_evals(reuse), reuse.row_evaluations) << "seed " << seed;
-    EXPECT_EQ(logged_row_evals(rebuild), rebuild.row_evaluations) << "seed " << seed;
-    EXPECT_GT(rebuild.row_evaluations, 0u) << "seed " << seed;
+    EXPECT_EQ(logged_row_evals(fresh), fresh.row_evaluations) << "seed " << seed;
+    EXPECT_GT(fresh.row_evaluations, 0u) << "seed " << seed;
 
     if (reuse.negotiations >= 2) {
       // Columns re-priced in re-plan r >= 2 whose base energy is unchanged
       // are exactly the savings; any multi-re-plan run has some.
-      EXPECT_LT(reuse.row_evaluations, rebuild.row_evaluations) << "seed " << seed;
+      EXPECT_LT(reuse.row_evaluations, fresh.row_evaluations) << "seed " << seed;
     } else {
-      EXPECT_EQ(reuse.row_evaluations, rebuild.row_evaluations) << "seed " << seed;
+      EXPECT_EQ(reuse.row_evaluations, fresh.row_evaluations) << "seed " << seed;
     }
   }
 }

@@ -20,6 +20,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "sim/scenario.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -550,19 +551,83 @@ TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
   config.colors = 3;
   config.samples = 9;
   config.seed = 0xFFFFFFFFFFFFFFFFULL;  // above 2^53: must survive as a string
-  config.mode = core::TabularMode::kRebuild;
-  config.reuse_nodes = false;
 
   const dist::OnlineConfig round = online_config_from_json(online_config_to_json(config));
   EXPECT_EQ(round.strategy, config.strategy);
   EXPECT_EQ(round.colors, config.colors);
   EXPECT_EQ(round.samples, config.samples);
   EXPECT_EQ(round.seed, config.seed);
-  EXPECT_EQ(round.mode, config.mode);
-  EXPECT_EQ(round.reuse_nodes, config.reuse_nodes);
 
   EXPECT_THROW(online_config_from_json(Json::parse(R"({"strategy":"nope"})")),
                util::JsonError);
+}
+
+TEST(ServeConfig, RemovedOptionKeysAreAcceptedAndIgnored) {
+  // The keys of deleted options ("mode", "reuse_nodes", "predictor.prewarm")
+  // still open a session and change nothing: every reply of a script whose
+  // open line carries them is byte-identical to the same script without.
+  // Bursty traffic with lenient predictor gates, so arrivals get deferred,
+  // and one charger failure.
+  sim::ScenarioConfig scenario = sim::ScenarioConfig::paper_default();
+  scenario.chargers = 8;
+  scenario.tasks = 30;
+  scenario.release_window_slots = 24;
+  scenario.burst_factor = 4.0;
+  scenario.hotspot_fraction = 0.6;
+  util::Rng rng(71);
+  const model::Network net = sim::generate_scenario(scenario, rng);
+  const std::vector<ReplayEvent> events = build_replay_events(net, {{2, 6}});
+
+  Json predictor = Json::object();
+  predictor.set("enabled", true);
+  predictor.set("max_level", 3);
+  predictor.set("hot_rate", 0.05);
+  predictor.set("min_confidence", 2.0);
+  Json plain = Json::object();
+  plain.set("colors", 2);
+  plain.set("samples", 4);
+  plain.set("predictor", predictor);
+  Json legacy = plain;
+  legacy.set("mode", "rebuild");
+  legacy.set("reuse_nodes", false);
+  predictor.set("prewarm", true);
+  legacy.set("predictor", std::move(predictor));
+
+  const auto replies = [&](const Json& config) {
+    Session session;
+    Json open = Json::object();
+    open.set("op", "open");
+    open.set("scenario", io::network_to_json(net));
+    open.set("config", config);
+    std::vector<std::string> lines{session.handle_line(open.dump()).line};
+    for (const ReplayEvent& event : events) {
+      Json line = Json::object();
+      line.set("op", event.is_failure ? "fail" : "arrive");
+      line.set("slot", static_cast<int>(event.slot));
+      if (event.is_failure) {
+        line.set("charger", static_cast<int>(event.charger));
+      } else {
+        Json tasks = Json::array();
+        for (const model::TaskIndex j : event.tasks) tasks.push_back(static_cast<int>(j));
+        line.set("tasks", std::move(tasks));
+      }
+      lines.push_back(session.handle_line(line.dump()).line);
+    }
+    lines.push_back(session.handle_line(R"({"op":"finish"})").line);
+    return lines;
+  };
+  const std::vector<std::string> expected = replies(plain);
+  EXPECT_EQ(replies(legacy), expected);
+  std::size_t deferred = 0;
+  for (const std::string& line : expected) {
+    const Json reply = Json::parse(line);
+    EXPECT_TRUE(reply.bool_or("ok", false)) << line;
+    if (reply.string_or("trigger", "") == "arrival" && !reply.bool_or("replanned", true)) {
+      ++deferred;
+    }
+  }
+  EXPECT_GT(deferred, 0u);
+  EXPECT_EQ(Json::parse(expected.back()).string_or("op", ""), "result");
 }
 
 }  // namespace

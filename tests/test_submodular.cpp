@@ -1,7 +1,7 @@
 // Tests for core/submodular.hpp: the HASTE-R objective is normalized,
 // monotone and submodular (Lemma 4.2), its constraint is a partition matroid
 // (Lemma 4.1), and the reference maximizers behave.
-#include "core/submodular.hpp"
+#include "oracle/submodular.hpp"
 
 #include <gtest/gtest.h>
 

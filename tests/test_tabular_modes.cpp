@@ -4,7 +4,8 @@
 // the per-policy reference and to the incremental reference, whose
 // per-(task, sample) dirty tracking re-prices only the rows whose utilities
 // moved, across panel shapes, tie-break settings and warm starts. Online: the
-// nodes' incremental mode must walk the exact trajectory of their rebuild mode.
+// nodes' cached pricing must walk the exact trajectory of the fresh-marginal
+// reference (tests/oracle/negotiation.hpp).
 // Saturation: the batched scheduler's unpriced saturated columns must not
 // change a bit against the reference, which prices every row.
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "model/deadline.hpp"
 #include "model/utility.hpp"
 #include "offline_reference.hpp"
+#include "oracle/negotiation.hpp"
 #include "test_helpers.hpp"
 #include "util/simd.hpp"
 
@@ -212,27 +214,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SaturationSkip, ::testing::Range<std::uint64_t>(
 class OnlineModeDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The distributed negotiation (elections and the sequential token protocol)
-// must also be mode-agnostic: remote UPDATEs dirty exactly the rows whose
-// utilities moved, so re-negotiation reproduces the rebuild marginals.
+// must price like the fresh-marginal reference: remote UPDATEs dirty exactly
+// the columns whose utilities moved, and the session's persistent fleet
+// walks the trajectory of a fleet built afresh for every re-plan.
 TEST_P(OnlineModeDifferential, NegotiationIncrementalMatchesRebuild) {
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 5, 12, 4);
   for (const dist::OnlineStrategy strategy :
        {dist::OnlineStrategy::kHaste, dist::OnlineStrategy::kHasteSequential}) {
-    dist::OnlineConfig rebuild;
-    rebuild.strategy = strategy;
-    rebuild.colors = 2;
-    rebuild.samples = 8;
-    rebuild.seed = GetParam();
-    rebuild.mode = core::TabularMode::kRebuild;
-    dist::OnlineConfig incremental = rebuild;
-    incremental.mode = core::TabularMode::kIncremental;
-    const dist::OnlineResult a = dist::run_online(net, rebuild);
-    const dist::OnlineResult b = dist::run_online(net, incremental);
-    EXPECT_EQ(a.evaluation.weighted_utility, b.evaluation.weighted_utility);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.rounds, b.rounds);
-    expect_identical_schedules(a.schedule, b.schedule);
+    dist::OnlineConfig config;
+    config.strategy = strategy;
+    config.colors = 2;
+    config.samples = 8;
+    config.seed = GetParam();
+    const oracle::CheckedRun reference = oracle::run_online_checked(net, config);
+    const dist::OnlineResult result = dist::run_online(net, config);
+    EXPECT_TRUE(reference.mismatches.empty()) << reference.mismatches.front();
+    EXPECT_EQ(result.evaluation.weighted_utility, reference.result.evaluation.weighted_utility);
+    EXPECT_EQ(result.messages, reference.result.messages);
+    EXPECT_EQ(result.rounds, reference.result.rounds);
+    expect_identical_schedules(result.schedule, reference.result.schedule);
   }
 }
 

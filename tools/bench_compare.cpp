@@ -11,12 +11,8 @@
 //       the harness was a release build (context "haste_build_type"; a file
 //       without the stamp predates it and was never validated — re-capture),
 //       every BM_OfflineTabular and BM_DeadlineSweep entry reproduced the
-//       kernels-off schedule (matches_scalar = 1), every non-eager
-//       BM_GlobalGreedyMode entry reproduced the lazy schedule (eager
-//       re-scores all policies each step and may legitimately pick a
-//       different member of a floating-point-tied maximum, so only the
-//       lazy/incremental pair carries a bit-identity contract), at the
-//       largest swept scale the kernel path (kernels:1) ran
+//       kernels-off schedule (matches_scalar = 1), at the largest swept
+//       scale the kernel path (kernels:1) ran
 //       BM_OfflineTabular at least 1.8x as fast as the scalar path
 //       (kernels:0), and an inert-deadline twin (dl:1) cost at most 5% over
 //       its deadline-free sibling.
@@ -108,28 +104,19 @@ int check_invariants(const std::string& path) {
   }
 
   // Every differential counter recorded 1 (schedules reproduced exactly).
-  // Eager global greedy is exempt from matches_lazy: it evaluates every
-  // policy every step, so among floating-point-tied maxima it can pick a
-  // different winner than the lazy heap order — a benign divergence, not a
-  // regression. The guarantee under test is lazy == incremental. The offline
-  // families must carry matches_scalar: a capture without it never checked
-  // the kernel path against the scalar one.
+  // The offline families must carry matches_scalar: a capture without it
+  // never checked the kernel path against the scalar one.
   for (const auto& [name, entry] : entries) {
-    const bool eager_greedy = name.rfind("BM_GlobalGreedyMode", 0) == 0 &&
-                              name_arg(name, "mode", -1.0) == 0.0;
     const bool offline = name.rfind("BM_OfflineTabular", 0) == 0 ||
                          name.rfind("BM_DeadlineSweep", 0) == 0;
     if (offline && !entry->contains("matches_scalar")) {
       std::cerr << "FAIL " << name << ": no matches_scalar counter\n";
       ++failures;
     }
-    for (const char* counter : {"matches_scalar", "matches_lazy"}) {
-      if (eager_greedy && std::string(counter) == "matches_lazy") continue;
-      if (entry->contains(counter) && entry->at(counter).as_number() != 1.0) {
-        std::cerr << "FAIL " << name << ": " << counter << " = "
-                  << entry->at(counter).as_number() << " (expected 1)\n";
-        ++failures;
-      }
+    if (entry->contains("matches_scalar") && entry->at("matches_scalar").as_number() != 1.0) {
+      std::cerr << "FAIL " << name << ": matches_scalar = "
+                << entry->at("matches_scalar").as_number() << " (expected 1)\n";
+      ++failures;
     }
   }
 

@@ -13,16 +13,12 @@
 //       hotspot drifting across the field) for the predictive scheduler;
 //       at their defaults the base geometry is untouched bit for bit.
 //   solve     --in FILE [--algorithm NAME] [--colors C] [--samples S]
-//             [--seed S] [--mode incremental|rebuild] [--out SCHEDULE]
-//             [--improve]
+//             [--seed S] [--out SCHEDULE] [--improve]
 //       Runs a scheduler on a scenario file; prints the outcome and
 //       optionally writes the evaluated schedule (the executed one for the
 //       online algorithms). --improve applies the local-search improver to
 //       the offline-haste and global-greedy schedules; with any other
-//       algorithm it exits 2. C and S must be >= 1. --mode picks how the
-//       online algorithms' charger nodes price their stage marginals
-//       (bit-identical either way); offline HASTE has a single path and
-//       ignores it.
+//       algorithm it exits 2. C and S must be >= 1.
 //   eval      --in FILE --schedule FILE
 //       Replays a stored schedule against a scenario and reports utilities.
 //   testbed   [--topology 1|2] [--online] [--colors C]
@@ -180,13 +176,6 @@ int cmd_solve(const util::Flags& flags) {
   params.colors = flags.get_int_in("colors", 4, 1);
   params.samples = flags.get_int_in("samples", 4 * std::int64_t{params.colors}, 1);
   params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string mode = flags.get("mode", "incremental");
-  if (mode != "incremental" && mode != "rebuild") {
-    std::cerr << "solve: --mode must be incremental or rebuild\n";
-    return 2;
-  }
-  params.mode =
-      mode == "rebuild" ? core::TabularMode::kRebuild : core::TabularMode::kIncremental;
 
   model::Schedule schedule(net.charger_count(), net.horizon());
   if (algorithm == "global-greedy") {
@@ -616,7 +605,7 @@ const std::vector<Command>& commands() {
         "window", "burst-factor", "burst-period", "hotspot-fraction", "hotspot-sigma",
         "seed"}},
       {"solve", cmd_solve,
-       {"in", "algorithm", "colors", "samples", "seed", "mode", "improve", "out"}},
+       {"in", "algorithm", "colors", "samples", "seed", "improve", "out"}},
       {"eval", cmd_eval, {"in", "schedule"}},
       {"testbed", cmd_testbed, {"topology", "colors", "online"}},
       {"render", cmd_render, {"in", "slot", "width", "height", "schedule", "svg"}},
