@@ -13,8 +13,8 @@ namespace {
 // batch instead of once per row. Each operator() is the exact floating-point
 // expression of the corresponding UtilityShape::value — same operations,
 // same special-case ordering — which is what keeps kernel marginals
-// bit-identical to the scalar path. Do not "simplify": e.g. folding Sqrt's
-// r <= 0 guard into std::min would turn sqrt(negative) into NaN and
+// bit-identical to the scalar definition. Do not "simplify": e.g. folding
+// Sqrt's r <= 0 guard into std::min would turn sqrt(negative) into NaN and
 // std::min(1.0, NaN) into 1.0, silently changing results for depleted rows.
 
 struct LinearShapeOp {
@@ -46,7 +46,7 @@ struct CustomShapeOp {
 
 // The per-row delta term: w * shape((e + d) / E) - w * shape(e / E). The
 // two weighted utilities are formed exactly as Network::weighted_task_utility
-// does (weight * shape(ratio)), subtracted in the scalar engine's order.
+// does (weight * shape(ratio)), subtracted in the scalar definition's order.
 template <typename ShapeOp>
 inline double term_for(const ShapeOp& op, double weight, double required,
                        double energy, double delta) {
@@ -131,17 +131,6 @@ UtilityTable UtilityTable::from(const model::Network& net) {
     table.weight.push_back(task.weight);
     table.required.push_back(task.required_energy);
   }
-  table.deadline_policy = net.deadline_policy();
-  table.has_deadlines = net.has_deadlines();
-  if (table.has_deadlines) {
-    table.deadline.reserve(tasks.size());
-    table.infeasible.reserve(tasks.size());
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      table.deadline.push_back(tasks[j].deadline_slot);
-      table.infeasible.push_back(
-          net.deadline_infeasible(static_cast<model::TaskIndex>(j)) ? 1 : 0);
-    }
-  }
   return table;
 }
 
@@ -204,28 +193,11 @@ std::size_t row_terms_panel(const UtilityTable& table, const double* energy,
   }
 }
 
-void tardiness_factors(const UtilityTable& table,
-                       std::span<const model::TaskIndex> tasks, model::SlotIndex k,
-                       double* out) {
-  const std::size_t n = tasks.size();
-  if (!table.has_deadlines) {
-    for (std::size_t t = 0; t < n; ++t) out[t] = 1.0;
-    return;
-  }
-  const model::SlotIndex* deadline = table.deadline.data();
-  const std::uint8_t* infeasible = table.infeasible.data();
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::size_t j = static_cast<std::size_t>(tasks[t]);
-    out[t] = infeasible[j] != 0 ? 0.0
-                                : table.deadline_policy.slot_factor(k, deadline[j]);
-  }
-}
-
 double row_term_sum(const UtilityTable& table, const double* energy,
                     const RowView& rows) {
   // Compute wide, reduce in order: terms are evaluated block-wise through the
   // vectorizable kernel, then accumulated strictly sequentially so the fold
-  // matches the scalar engine's left-to-right summation bit for bit. The
+  // matches the scalar definition's left-to-right summation bit for bit. The
   // block buffer lives on the stack because marginals run concurrently from
   // util::parallel_for — the engine must stay free of shared scratch.
   constexpr std::size_t kBlock = 128;

@@ -2,10 +2,10 @@
 //
 // BENCH_micro shows row evaluation — the per-(row, sample) utility delta
 // summed over a policy's CSR rows — is the cost driver of both schedulers at
-// every instance scale. The scalar path pays, per row, two virtual
-// UtilityShape::value dispatches, two bounds-checked Task loads, and a
-// double-indirect weight/required fetch. This module restructures that work
-// as SoA:
+// every instance scale. Priced through Network::weighted_task_utility, each
+// row pays two virtual UtilityShape::value dispatches, two bounds-checked
+// Task loads, and a double-indirect weight/required fetch. This module
+// restructures that work as SoA:
 //
 //  * UtilityTable — the network's per-task utility columns (weight, required
 //    energy) plus the shape id, so a weighted utility is a division, a
@@ -21,15 +21,15 @@
 //    auto-vectorize, then fold in row order.
 //
 // Bit-identity contract: every kernel performs, per element, exactly the
-// floating-point operations of the scalar reference in the same order
+// floating-point operations of the scalar definition in the same order
 //
 //   w * shape((e + delta) / E) - w * shape(e / E)
 //
 // and row_term_sum accumulates terms strictly in row order (terms are
-// *computed* in blocks, but *summed* sequentially), so a kernel-path marginal
-// equals the scalar-path marginal bit for bit. That is the invariant every
-// differential suite enforces, and it is what lets schedules stay identical
-// with the kernels on or off (util::kernels_enabled()).
+// *computed* in blocks, but *summed* sequentially), so a marginal equals the
+// fold of Network::weighted_task_utility over the same rows bit for bit.
+// That is the invariant every differential suite enforces against the
+// scalar pricing oracle in tests/oracle/.
 #pragma once
 
 #include <span>
@@ -48,15 +48,6 @@ struct UtilityTable {
   std::vector<double> required;  ///< per task: required energy E_j
   const model::UtilityShape* shape = nullptr;  ///< fallback for kCustom
 
-  // Deadline columns (scenario diversity: deadline-driven tasks). Rows are
-  // discounted at partition-construction time, so the marginal kernels above
-  // never touch these; they exist so batch builders can price a whole row
-  // batch's tardiness factors in one flat sweep (tardiness_factors below).
-  model::DeadlinePolicy deadline_policy;
-  bool has_deadlines = false;                ///< Network::has_deadlines()
-  std::vector<model::SlotIndex> deadline;    ///< per task; kNoDeadline if free
-  std::vector<std::uint8_t> infeasible;      ///< per task: hard-mode pruned
-
   /// Builds the columns from the network (one gather per task).
   static UtilityTable from(const model::Network& net);
 
@@ -67,16 +58,6 @@ struct UtilityTable {
   /// Weighted utility of task `j` at energy `x`; bit-identical to
   /// Network::weighted_task_utility(j, x).
   double weighted_utility(model::TaskIndex j, double x) const;
-
-  /// Deadline discount of task `j` in slot `k`; bit-identical to
-  /// Network::tardiness_factor(j, k) (both reduce to
-  /// model::DeadlinePolicy::slot_factor on the same inputs).
-  double tardiness_factor(model::TaskIndex j, model::SlotIndex k) const {
-    if (!has_deadlines) return 1.0;
-    const std::size_t idx = static_cast<std::size_t>(j);
-    if (infeasible[idx] != 0) return 0.0;
-    return deadline_policy.slot_factor(k, deadline[idx]);
-  }
 };
 
 /// One batch of policy rows in SoA form. `weight`/`required` are either
@@ -106,7 +87,7 @@ void row_terms(const UtilityTable& table, const double* energy, const RowView& r
 
 /// Sum of the row terms accumulated strictly in row order — the engine's
 /// evaluation order — with the term computation batched block-wise. This is
-/// the whole-policy gain in one sample, bit-identical to the scalar fold.
+/// the whole-policy gain in one sample, bit-identical to the row-order fold.
 double row_term_sum(const UtilityTable& table, const double* energy,
                     const RowView& rows);
 
@@ -126,16 +107,5 @@ double row_term_sum(const UtilityTable& table, const double* energy,
 std::size_t row_terms_panel(const UtilityTable& table, const double* energy,
                             std::size_t stride, std::span<const int> samples,
                             const RowView& rows, double* out);
-
-/// Batched deadline discounts: out[t] = table.tardiness_factor(tasks[t], k)
-/// for every row — one flat sweep over the SoA deadline columns. The
-/// partition builders instead test `k >= deadline` per row and call
-/// DeadlinePolicy::slot_factor only on binding rows (the common all-inert
-/// case must price nothing); this batched form stays for consumers that
-/// want a whole row batch per slot, and is pinned bit-equal to the scalar
-/// Network::tardiness_factor by the deadline test battery.
-void tardiness_factors(const UtilityTable& table,
-                       std::span<const model::TaskIndex> tasks, model::SlotIndex k,
-                       double* out);
 
 }  // namespace haste::core::kernels

@@ -9,7 +9,6 @@
 #include <type_traits>
 
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace haste::core {
 
@@ -336,11 +335,7 @@ MarginalEngine::MarginalEngine(const model::Network& net, Config config,
       config_(config),
       table_(table != nullptr ? std::move(table)
                               : std::make_shared<const kernels::UtilityTable>(
-                                    kernels::UtilityTable::from(net))),
-      // Latched once: a long-lived engine must not change evaluation path
-      // mid-run under a concurrent toggle flip (results are bit-identical
-      // either way, but the latch keeps the choice observable and stable).
-      use_kernels_(util::kernels_enabled()) {
+                                    kernels::UtilityTable::from(net))) {
   if (!initial_energy.empty() &&
       initial_energy.size() != static_cast<std::size_t>(net.task_count())) {
     throw std::invalid_argument("MarginalEngine: initial_energy has " +
@@ -402,20 +397,7 @@ double MarginalEngine::gain_in_sample(int s, const kernels::RowView& rows) const
   const auto m = static_cast<std::size_t>(net_->task_count());
   const double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
   row_term_count_.fetch_add(rows.size(), std::memory_order_relaxed);
-  if (use_kernels_) {
-    // Compute-wide / reduce-in-order kernel; bit-identical to the reference
-    // fold below (see core/kernels.hpp).
-    return kernels::row_term_sum(*table_, energy, rows);
-  }
-  double gain = 0.0;
-  for (std::size_t t = 0; t < rows.size(); ++t) {
-    const auto j = static_cast<std::size_t>(rows.tasks[t]);
-    const double before = energy[j];
-    const double after = before + rows.delta[t];
-    gain += net_->weighted_task_utility(static_cast<model::TaskIndex>(j), after) -
-            net_->weighted_task_utility(static_cast<model::TaskIndex>(j), before);
-  }
-  return gain;
+  return kernels::row_term_sum(*table_, energy, rows);
 }
 
 double MarginalEngine::marginal(model::ChargerIndex i, model::SlotIndex k,
@@ -429,26 +411,17 @@ double MarginalEngine::marginal(model::ChargerIndex i, model::SlotIndex k,
   return total / static_cast<double>(config_.samples);
 }
 
-bool MarginalEngine::partition_marginals(const PolicyPartition& partition, int c,
+bool MarginalEngine::partition_marginals(const PolicyPartition& partition,
                                          std::span<const int> matching,
                                          double* out) const {
   const std::size_t count = partition.policies.size();
   const std::size_t rows = partition.flat_tasks.size();
-  if (!use_kernels_ || rows == 0) {
-    // Scalar reference path (and degenerate partitions): the per-policy
-    // oracle loop, each call counting itself (and re-deriving its panel
-    // colors — this path is not performance-relevant).
-    for (std::size_t q = 0; q < count; ++q) {
-      out[q] = marginal(partition.charger, partition.slot, partition.policy_rows(q), c);
-    }
-    return true;
-  }
   marginal_count_.fetch_add(count, std::memory_order_relaxed);
   for (std::size_t q = 0; q < count; ++q) out[q] = 0.0;
   const auto m = static_cast<std::size_t>(net_->task_count());
-  // Counter semantics match the scalar path, which prices every flat row
-  // once per matching sample: the column dedup and the saturation skip only
-  // remove arithmetic whose result is known, not evaluations.
+  // Counters match the per-policy marginal() loop, which prices every flat
+  // row once per matching sample: the column dedup and the saturation skip
+  // only remove arithmetic whose result is known, not evaluations.
   row_term_count_.fetch_add(static_cast<std::uint64_t>(rows) * matching.size(),
                             std::memory_order_relaxed);
   const std::size_t cols = partition.col_task.size();
@@ -525,6 +498,7 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
                                     std::span<const double> slot_energy, int c) {
   const auto m = static_cast<std::size_t>(net_->task_count());
   const int* colors = commit_panel(i, k);
+  const kernels::UtilityTable& table = *table_;
   bool applied = false;
   for (int s = 0; s < config_.samples; ++s) {
     if (colors[s] != c) continue;
@@ -542,7 +516,7 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
       // evaluated at an energy >= before — is provably unchanged, and stays
       // unchanged for the rest of the run. In practice this means commits
       // into saturated tasks dirty nothing.
-      if (weighted_utility(tasks[t], after) != weighted_utility(tasks[t], before)) {
+      if (table.weighted_utility(tasks[t], after) != table.weighted_utility(tasks[t], before)) {
         ++versions[j];
       }
     }
@@ -569,7 +543,7 @@ double MarginalEngine::row_term(int s, model::TaskIndex j, double delta) const {
   const auto m = static_cast<std::size_t>(net_->task_count());
   const double before =
       energy_[static_cast<std::size_t>(s) * m + static_cast<std::size_t>(j)];
-  return weighted_utility(j, before + delta) - weighted_utility(j, before);
+  return table_->weighted_utility(j, before + delta) - table_->weighted_utility(j, before);
 }
 
 double MarginalEngine::expected_value() const {
@@ -578,7 +552,7 @@ double MarginalEngine::expected_value() const {
   for (int s = 0; s < config_.samples; ++s) {
     const double* energy = energy_.data() + static_cast<std::size_t>(s) * m;
     for (std::size_t j = 0; j < m; ++j) {
-      total += weighted_utility(static_cast<model::TaskIndex>(j), energy[j]);
+      total += table_->weighted_utility(static_cast<model::TaskIndex>(j), energy[j]);
     }
   }
   return total / static_cast<double>(config_.samples);

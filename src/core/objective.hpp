@@ -196,25 +196,23 @@ class MarginalEngine {
   double marginal(model::ChargerIndex i, model::SlotIndex k,
                   const kernels::RowView& rows, int c) const;
 
-  /// Marginals of EVERY policy of `partition` for color `c` in one call:
+  /// Marginals of EVERY policy of `partition` for one color c in one call:
   /// out[q] = marginal(partition.charger, partition.slot, policy q, c), bit
-  /// for bit. `matching` must list, ascending, the panel samples s whose
+  /// for bit. `matching` lists, ascending, the panel samples s whose
   /// panel_color(seed(), s, partition.charger, partition.slot, colors()) is
-  /// `c`: the offline scheduler visits every partition once per color
-  /// stage, so it hashes and groups each panel once up front. With the
-  /// kernel path latched this prices the partition's deduplicated
-  /// (task, delta) columns across all matching samples in one panel sweep,
-  /// then gather-folds each policy's row segment in row order — same
-  /// per-policy accumulation order, same counter totals, a fraction of the
-  /// per-call overhead and of the arithmetic. Columns whose task is
-  /// saturated in a sample are not priced, and samples without a live
-  /// column are not folded (kernels::row_terms_panel); the counters still
-  /// count them. Returns false when no column is live in any matching
-  /// sample: every out[q] is then +0.0, so no policy has a positive
-  /// marginal. With the kernel path off it is the per-policy marginal()
-  /// loop, the scalar reference, and always returns true.
-  bool partition_marginals(const PolicyPartition& partition, int c,
-                           std::span<const int> matching, double* out) const;
+  /// c: the offline scheduler visits every partition once per color stage,
+  /// so it hashes and groups each panel once up front. This prices the
+  /// partition's deduplicated (task, delta) columns across all matching
+  /// samples in one panel sweep, then gather-folds each policy's row segment
+  /// in row order — same per-policy accumulation order, same counter totals
+  /// as the per-policy marginal() loop, a fraction of the per-call overhead
+  /// and of the arithmetic. Columns whose task is saturated in a sample are
+  /// not priced, and samples without a live column are not folded
+  /// (kernels::row_terms_panel); the counters still count them. Returns
+  /// false when no column is live in any matching sample: every out[q] is
+  /// then +0.0, so no policy has a positive marginal.
+  bool partition_marginals(const PolicyPartition& partition, std::span<const int> matching,
+                           double* out) const;
 
   /// Commits the S-C tuple; returns the realized marginal. Every commit form
   /// throws std::out_of_range when `i` is not a charger of the network.
@@ -291,10 +289,6 @@ class MarginalEngine {
   /// rows whose task version moved.
   double row_term(int s, model::TaskIndex j, double delta) const;
 
-  /// Whether this engine latched the data-oriented kernel path at
-  /// construction (util::kernels_enabled() at that moment).
-  bool using_kernels() const { return use_kernels_; }
-
   /// Evaluation-effort counters, updated by the const oracle methods (thread
   /// safe: the initial panel builds evaluate rows in parallel).
   struct Stats {
@@ -314,17 +308,9 @@ class MarginalEngine {
   /// charger: a charger commits in up to C color stages of one slot.
   const int* commit_panel(model::ChargerIndex i, model::SlotIndex k);
 
-  /// Network::weighted_task_utility through the SoA table when the kernel
-  /// path is latched; bit-identical by the UtilityTable contract.
-  double weighted_utility(model::TaskIndex j, double x) const {
-    return use_kernels_ ? table_->weighted_utility(j, x)
-                        : net_->weighted_task_utility(j, x);
-  }
-
   const model::Network* net_;
   Config config_;
   std::shared_ptr<const kernels::UtilityTable> table_;  // SoA utility columns
-  bool use_kernels_ = false;     // latched once at construction
   // energy_[s * m + j]: accumulated relaxed energy of task j in sample s.
   std::vector<double> energy_;
   std::vector<std::uint64_t> sample_version_;  // [s * m + j] dirty counters

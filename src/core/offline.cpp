@@ -27,7 +27,7 @@ OfflineResult schedule_offline_over(const model::Network& net,
   const int colors = engine.colors();
   const int samples = engine.samples();
 
-  HASTE_OBS_SPAN(schedule_span, "offline.schedule");
+  obs::Span schedule_span("offline.schedule");
   schedule_span.arg("chargers", util::Json(net.charger_count()));
   schedule_span.arg("tasks", util::Json(net.task_count()));
   schedule_span.arg("partitions", util::Json(static_cast<std::int64_t>(partitions.size())));
@@ -78,7 +78,7 @@ OfflineResult schedule_offline_over(const model::Network& net,
   for (int c = 0; c < colors; ++c) {
     // One span per color stage: coarse enough to stay invisible in the
     // per-partition hot loop, fine enough to see the stage skew per trace.
-    HASTE_OBS_SPAN(color_span, "offline.color");
+    obs::Span color_span("offline.color");
     color_span.arg("color", util::Json(c));
     for (std::size_t p = 0; p < partitions.size(); ++p) {
       const PolicyPartition& partition = partitions[p];
@@ -91,7 +91,7 @@ OfflineResult schedule_offline_over(const model::Network& net,
       marginals.resize(partition.policies.size());
       // With every marginal +0.0 no policy is acceptable unless zero gains
       // are committed, so the selection below would pick nothing.
-      if (!engine.partition_marginals(partition, c, matching, marginals.data()) &&
+      if (!engine.partition_marginals(partition, matching, marginals.data()) &&
           !config.commit_zero_marginal) {
         continue;
       }

@@ -310,9 +310,8 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   const std::uint64_t deliveries_before = result_.deliveries;
   const std::uint64_t bytes_before = result_.message_bytes;
 
-  // Protocol-level span (like cli.solve and shard.run): the re-plan is the
-  // serving daemon's unit of work, so its span and latency histogram exist
-  // even in -DHASTE_OBS=OFF builds.
+  // The re-plan is the serving daemon's unit of work: one span and one
+  // latency histogram sample each.
   obs::Span replan_span("online.replan");
   replan_span.arg("trigger", util::Json(trigger == ReplanTrigger::kArrival
                                             ? "arrival"
@@ -390,9 +389,8 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   HASTE_OBS_COUNTER_ADD("bus.broadcasts", record.messages);
   HASTE_OBS_COUNTER_ADD("bus.deliveries", result_.deliveries - deliveries_before);
   HASTE_OBS_COUNTER_ADD("bus.bytes", result_.message_bytes - bytes_before);
-  static obs::Histogram& replan_latency =
-      obs::MetricsRegistry::instance().histogram("online.replan.latency_us");
-  replan_latency.record(static_cast<double>(obs::Tracer::now_us() - started_us));
+  HASTE_OBS_HISTOGRAM_RECORD("online.replan.latency_us",
+                             static_cast<double>(obs::Tracer::now_us() - started_us));
   if (predictor_ != nullptr) {
     // Feed the negotiated plan value back so the cadence controller can
     // escalate (predictions held) or reset on a utility shortfall. The

@@ -13,9 +13,9 @@
 // needs — the greedy/kernel/online machinery consumes pre-discounted rows
 // unchanged.
 //
-// This header is the single source of truth for the decay arithmetic: the
-// scalar path (Network::tardiness_factor) and any batched path must both
-// call factor()/slot_factor() so the bits agree everywhere.
+// This header is the single source of truth for the decay arithmetic:
+// Network::tardiness_factor and the partition builders both call
+// factor()/slot_factor() so the bits agree everywhere.
 #pragma once
 
 #include <cmath>

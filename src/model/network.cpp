@@ -6,7 +6,6 @@
 
 #include "geom/angle.hpp"
 #include "geom/kernel.hpp"
-#include "util/simd.hpp"
 
 namespace haste::model {
 
@@ -33,36 +32,28 @@ Network::Network(std::vector<Charger> chargers, std::vector<Task> tasks, PowerMo
   coverable_.assign(n, {});
   potential_power_.assign(n, {});
   potential_flat_.assign(n * m, 0.0);
-  // Kernel path: the n*m coverage sweep tests every charger against every
-  // task's receiving sector. Classify all charger positions per task with one
-  // SectorKernel batch (column-major bitmap, covered[j * n + i]), then run the
-  // same i-major fill computing power only for covered pairs. SectorKernel's
-  // bit-compatibility contract plus reusing range_power/incidence_gain verbatim
-  // keeps every table entry identical to the scalar sweep.
-  std::vector<std::uint8_t> covered;
-  const bool batch_coverage = util::kernels_enabled() && n > 0 && m > 0;
-  if (batch_coverage) {
-    std::vector<geom::Vec2> positions;
-    positions.reserve(n);
-    for (const Charger& charger : chargers_) positions.push_back(charger.position);
-    covered.assign(m * n, 0);
-    for (std::size_t j = 0; j < m; ++j) {
-      const geom::SectorKernel receiving(
-          power_.receiving_sector(tasks_[j].position, tasks_[j].orientation));
-      receiving.classify(positions, covered.data() + j * n);
-    }
+  // The n*m coverage sweep tests every charger against every task's
+  // receiving sector. Classify all charger positions per task with one
+  // SectorKernel batch (column-major bitmap, covered[j * n + i]), then run an
+  // i-major fill computing power only for covered pairs. SectorKernel's
+  // bit-compatibility contract plus reusing range_power/incidence_gain
+  // verbatim keeps every entry identical to PowerModel::potential_power.
+  std::vector<geom::Vec2> positions;
+  positions.reserve(n);
+  for (const Charger& charger : chargers_) positions.push_back(charger.position);
+  std::vector<std::uint8_t> covered(m * n, 0);
+  for (std::size_t j = 0; j < m; ++j) {
+    const geom::SectorKernel receiving(
+        power_.receiving_sector(tasks_[j].position, tasks_[j].orientation));
+    receiving.classify(positions, covered.data() + j * n);
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
-      double p;
-      if (batch_coverage) {
-        if (covered[j * n + i] == 0) continue;  // potential_power would be 0
-        p = power_.range_power(geom::distance(chargers_[i].position, tasks_[j].position)) *
-            power_.incidence_gain(chargers_[i].position, tasks_[j].position,
-                                  tasks_[j].orientation);
-      } else {
-        p = power_.potential_power(chargers_[i].position, tasks_[j]);
-      }
+      if (covered[j * n + i] == 0) continue;  // potential_power would be 0
+      const double p =
+          power_.range_power(geom::distance(chargers_[i].position, tasks_[j].position)) *
+          power_.incidence_gain(chargers_[i].position, tasks_[j].position,
+                                tasks_[j].orientation);
       if (p > 0.0) {
         coverable_[i].push_back(static_cast<TaskIndex>(j));
         potential_power_[i].push_back(p);

@@ -1,8 +1,6 @@
 // Instrumentation entry points. The classes in metrics.hpp / trace.hpp are
-// always compiled (snapshots ride the shard wire protocol in every build);
-// these macros are how hot paths touch them, and they compile to nothing
-// when the tree is configured with -DHASTE_OBS=OFF — guaranteeing the
-// schedulers behave bit-identically with observability stripped.
+// always compiled (snapshots ride the shard wire protocol); these macros are
+// how hot paths touch them. Spans are plain obs::Span values.
 //
 // Counter/gauge/histogram macros cache the registry lookup in a
 // function-local static, so the steady-state cost is the instrument's own
@@ -12,19 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-namespace haste::obs {
-
-/// Drop-in stand-in for Span when HASTE_OBS is off: same surface, no code.
-struct NullSpan {
-  bool active() const { return false; }
-  void arg(const std::string&, util::Json) {}
-};
-
-}  // namespace haste::obs
-
-#ifdef HASTE_OBS
-
-#define HASTE_OBS_SPAN(var, name) ::haste::obs::Span var{(name)}
 #define HASTE_OBS_COUNTER_ADD(name, delta)                                   \
   do {                                                                       \
     static ::haste::obs::Counter& haste_obs_counter_ =                       \
@@ -49,36 +34,3 @@ struct NullSpan {
         ::haste::obs::MetricsRegistry::instance().histogram(name);           \
     haste_obs_histogram_.record(value);                                      \
   } while (0)
-#define HASTE_OBS_INSTANT(name) ::haste::obs::Tracer::instance().instant(name)
-
-#else  // !HASTE_OBS
-
-// The no-op forms still (void)-evaluate their operands so a variable used
-// only for instrumentation does not become unused in -DHASTE_OBS=OFF builds.
-#define HASTE_OBS_SPAN(var, name) [[maybe_unused]] ::haste::obs::NullSpan var {}
-#define HASTE_OBS_COUNTER_ADD(name, delta) \
-  do {                                     \
-    (void)(name);                          \
-    (void)(delta);                         \
-  } while (0)
-#define HASTE_OBS_GAUGE_SET(name, value) \
-  do {                                   \
-    (void)(name);                        \
-    (void)(value);                       \
-  } while (0)
-#define HASTE_OBS_GAUGE_ADD(name, delta) \
-  do {                                   \
-    (void)(name);                        \
-    (void)(delta);                       \
-  } while (0)
-#define HASTE_OBS_HISTOGRAM_RECORD(name, value) \
-  do {                                          \
-    (void)(name);                               \
-    (void)(value);                              \
-  } while (0)
-#define HASTE_OBS_INSTANT(name) \
-  do {                          \
-    (void)(name);               \
-  } while (0)
-
-#endif  // HASTE_OBS

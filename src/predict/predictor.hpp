@@ -2,10 +2,8 @@
 //
 // Composes the ArrivalModel (what will arrive where) with the
 // CadenceController (what to do about it) and owns the subsystem's
-// telemetry. Like the online re-plan span, the predict.* counters are
-// protocol-level instruments: they are registered directly against the
-// metrics registry so they exist even in -DHASTE_OBS=OFF builds — the
-// predict-sweep validation chain requires them. A plain Stats copy is kept
+// telemetry. The predict.* counters are protocol-level instruments that the
+// predict-sweep validation chain requires. A plain Stats copy is kept
 // alongside so tests and the sweep driver can read per-run numbers without
 // diffing the global registry.
 #pragma once

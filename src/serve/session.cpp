@@ -52,14 +52,6 @@ dist::OnlineStrategy parse_strategy(const std::string& name) {
   throw util::JsonError("unknown online strategy: " + name);
 }
 
-// The session lifecycle counters are the daemon's operational surface, so
-// like the online.replan span they bypass the HASTE_OBS gate and exist even
-// in -DHASTE_OBS=OFF builds (the per-request counters in server.cpp stay
-// gated — they are diagnostics, not contract).
-obs::Counter& lifecycle_counter(const char* name) {
-  return obs::MetricsRegistry::instance().counter(name);
-}
-
 Json error_reply(const std::string& message) {
   Json reply = Json::object();
   reply.set("ok", false);
@@ -154,8 +146,7 @@ Reply Session::handle_line(const std::string& line) {
   } catch (const std::exception& error) {
     // Parse errors, protocol violations, and scheduler exceptions all land
     // here: the session is in an unknown state, so the connection closes.
-    static obs::Counter& errors = lifecycle_counter("serve.errors");
-    errors.add(1);
+    HASTE_OBS_COUNTER_ADD("serve.errors", 1);
     return Reply{error_reply(error.what()).dump(), /*close=*/true};
   }
 }
@@ -174,8 +165,7 @@ Reply Session::handle_request(const Json& request) {
     online_ = std::make_unique<dist::OnlineSession>(*net, config);
     net_ = std::move(net);
     predictor_enabled_ = config.predictor.enabled;
-    static obs::Counter& opened_sessions = lifecycle_counter("serve.sessions.opened");
-    opened_sessions.add(1);
+    HASTE_OBS_COUNTER_ADD("serve.sessions.opened", 1);
     Json reply = Json::object();
     reply.set("ok", true);
     reply.set("op", "opened");
@@ -204,8 +194,7 @@ Reply Session::handle_request(const Json& request) {
         const std::string problem =
             check_deadline_echo(*net_, request.at("deadlines"), tasks);
         if (!problem.empty()) {
-          static obs::Counter& rejects = lifecycle_counter("serve.deadline_rejects");
-          rejects.add(1);
+          HASTE_OBS_COUNTER_ADD("serve.deadline_rejects", 1);
           Json reply = Json::object();
           reply.set("ok", false);
           reply.set("op", "reject");
@@ -270,8 +259,7 @@ Reply Session::finish_reply() {
     predictor.set("batched", u64_json(result.predictor.batched));
     reply.set("predictor", std::move(predictor));
   }
-  static obs::Counter& finished_sessions = lifecycle_counter("serve.sessions.finished");
-  finished_sessions.add(1);
+  HASTE_OBS_COUNTER_ADD("serve.sessions.finished", 1);
   // The result is the session's terminal reply: one run per connection keeps
   // the protocol state machine trivially restartable (reconnect to re-open).
   return Reply{reply.dump(), /*close=*/true};

@@ -745,7 +745,7 @@ class ShardRunner {
   };
 
   void drive() {
-    HASTE_OBS_SPAN(drive_span, "shard.drive");
+    obs::Span drive_span("shard.drive");
     drive_span.arg("shards", Json(static_cast<int>(shards_.size())));
     const Clock::time_point started = Clock::now();
     admit_spawned_workers(started);

@@ -163,12 +163,8 @@ bool TcpSocket::send_line(const std::string& line) {
   if (max_outbox_bytes_ > 0 && outbox_.size() > max_outbox_bytes_) {
     // The peer stopped draining its socket; an unbounded backlog here is
     // driver memory held hostage by one stalled worker. Kill the connection.
-    // Ungated (like the serve lifecycle counters): the overflow kill is
-    // contract — surfaced in shard manifests — so the counter must exist
-    // even in -DHASTE_OBS=OFF builds.
-    static obs::Counter& overflow_counter =
-        obs::MetricsRegistry::instance().counter("net.overflow");
-    overflow_counter.add(1);
+    // The overflow kill is contract: shard manifests surface this counter.
+    HASTE_OBS_COUNTER_ADD("net.overflow", 1);
     close();
     return false;
   }

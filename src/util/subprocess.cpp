@@ -249,12 +249,8 @@ void LineBuffer::overflow() {
   overflowed_ = true;
   buffer_.clear();
   buffer_.shrink_to_fit();  // a ballooned partial line is why the cap exists
-  // Ungated (like the serve lifecycle counters): the overflow kill is
-  // contract — surfaced in shard manifests — so the counter must exist
-  // even in -DHASTE_OBS=OFF builds.
-  static obs::Counter& overflow_counter =
-      obs::MetricsRegistry::instance().counter("net.overflow");
-  overflow_counter.add(1);
+  // The overflow kill is contract: shard manifests surface this counter.
+  HASTE_OBS_COUNTER_ADD("net.overflow", 1);
 }
 
 }  // namespace haste::util

@@ -64,7 +64,7 @@ void NodePricer::begin_plan(const std::vector<model::TaskIndex>& known, int colo
 }
 
 NodePricer::Choice NodePricer::choose(const core::MarginalEngine& ledger,
-                                      model::SlotIndex slot, int color) const {
+                                      model::SlotIndex slot, int color) {
   core::SlotPolicies policies;
   core::make_slot_policies(*net_, id_, dominant_, slot, policies);
   Choice choice;
@@ -73,8 +73,8 @@ NodePricer::Choice NodePricer::choose(const core::MarginalEngine& ledger,
   std::ptrdiff_t best = -1;
   bool best_is_previous = false;
   for (std::size_t q = 0; q < policies.size(); ++q) {
-    const double m = ledger.marginal(id_, slot, policies.policy_tasks(q),
-                                     policies.policy_energy(q), color);
+    const double m = pricing_.marginal(ledger, id_, slot, policies.policy_tasks(q),
+                                       policies.policy_energy(q), color);
     const bool is_previous = previous.has_value() && policies.orientation[q] == *previous;
     const bool better =
         best < 0 ? m > 0.0
@@ -131,15 +131,6 @@ PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int co
   }
   bus.flush_round();
 
-  // Pricing goes through the ledger's own oracle, so its row terms are
-  // tallied apart from the nodes'.
-  const auto choose = [&](std::size_t i, model::SlotIndex k, int c) {
-    const std::uint64_t before = ledger.stats().row_terms;
-    NodePricer::Choice choice = pricers[i].choose(ledger, k, c);
-    check.pricer_row_terms += ledger.stats().row_terms - before;
-    return choice;
-  };
-
   std::vector<std::size_t> workers;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i]->has_work()) workers.push_back(i);
@@ -152,7 +143,7 @@ PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int co
         ++check.rounds;
         for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
           if (!nodes[i]->begin_stage(k, c)) continue;
-          const NodePricer::Choice expected = choose(i, k, c);
+          const NodePricer::Choice expected = pricers[i].choose(ledger, k, c);
           const std::optional<dist::Message> update = nodes[i]->force_commit();
           check_update(expected, update, stage_name(nodes[i]->id(), k, c), check.mismatches);
           if (!update) continue;
@@ -187,7 +178,7 @@ PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int co
           // node priced its VALUE on. Its commit later this round sees the
           // same tasks unchanged: no neighbor commits in the same round.
           for (const std::size_t i : participants) {
-            if (!nodes[i]->decided()) expected[i] = choose(i, k, c);
+            if (!nodes[i]->decided()) expected[i] = pricers[i].choose(ledger, k, c);
           }
           for (const std::size_t i : participants) {
             const std::optional<dist::Message> value = nodes[i]->make_value_message();
@@ -274,7 +265,7 @@ CheckedRun run_online_checked(const model::Network& net, const dist::OnlineConfi
     record.alive_chargers = fleet.size();
     record.messages = check.transcript.size();
     record.rounds = check.rounds;
-    record.row_evals = ledger.stats().row_terms - check.pricer_row_terms;
+    record.row_evals = ledger.stats().row_terms;
     result.messages += record.messages;
     result.deliveries += check.deliveries;
     result.message_bytes += check.bytes;

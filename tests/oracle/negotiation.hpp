@@ -2,11 +2,11 @@
 // that checks production charger nodes against it.
 //
 // NodePricer is a node's stage choice written the slow, obvious way: every
-// policy of the (slot, color) stage is priced with a fresh
-// MarginalEngine::marginal against the plan ledger, and the best one is
-// picked with the node's switch-avoiding tie rule (a policy that keeps the
-// color's previous orientation wins a tie within a 1e-12 relative band). It
-// keeps no term cache and no version stamps, so dist::ChargerNode's cached
+// policy of the (slot, color) stage is priced with a fresh scalar marginal
+// (oracle/pricing.hpp) against the plan ledger, and the best one is picked
+// with the node's switch-avoiding tie rule (a policy that keeps the color's
+// previous orientation wins a tie within a 1e-12 relative band). It keeps no
+// term cache and no version stamps, so dist::ChargerNode's cached kernel
 // pricing must reproduce it bit for bit.
 //
 // negotiate_checked drives production nodes through one plan as
@@ -25,13 +25,15 @@
 #include "core/objective.hpp"
 #include "dist/node.hpp"
 #include "dist/online.hpp"
+#include "oracle/pricing.hpp"
 
 namespace haste::oracle {
 
 /// Fresh-marginal stage pricing of one charger.
 class NodePricer {
  public:
-  NodePricer(const model::Network& net, model::ChargerIndex id) : net_(&net), id_(id) {}
+  NodePricer(const model::Network& net, model::ChargerIndex id)
+      : net_(&net), id_(id), pricing_(net) {}
 
   /// Starts a plan over `known` tasks: recomputes the dominant sets and
   /// forgets the previous orientation of each of the `colors` colors.
@@ -44,7 +46,7 @@ class NodePricer {
     double marginal = 0.0;      ///< the best marginal (0 when none is positive)
     dist::PolicyAnnouncement policy;  ///< the best policy's rows
   };
-  Choice choose(const core::MarginalEngine& ledger, model::SlotIndex slot, int color) const;
+  Choice choose(const core::MarginalEngine& ledger, model::SlotIndex slot, int color);
 
   /// The node committed `orientation` for `color`: the tie rule's new
   /// previous orientation.
@@ -53,6 +55,7 @@ class NodePricer {
  private:
   const model::Network* net_;
   model::ChargerIndex id_;
+  ScalarPricing pricing_;
   std::vector<core::DominantTaskSet> dominant_;
   std::vector<std::optional<double>> previous_;  // [color]
 };
@@ -69,7 +72,6 @@ struct PlanCheck {
   std::uint64_t rounds = 0;               ///< election rounds or token turns
   std::uint64_t deliveries = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t pricer_row_terms = 0;     ///< ledger row terms the pricers spent
   std::vector<std::string> mismatches;    ///< disagreements with the pricers
 };
 
@@ -96,7 +98,7 @@ struct CheckedRun {
 /// std::invalid_argument). Each arrival batch re-plans on a fresh ledger
 /// with a freshly built fleet; the result carries the same schedule,
 /// evaluation, Fig. 16 counters and log. Its row evaluations count the
-/// nodes' row terms only, not the pricers'.
+/// nodes' row terms, which the ledger keeps; the pricers count their own.
 CheckedRun run_online_checked(const model::Network& net, const dist::OnlineConfig& config);
 
 /// True when two messages agree in every field, floating-point bits

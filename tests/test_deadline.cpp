@@ -3,8 +3,9 @@
 // Differentials: the greedy schedulers against the exact branch-and-bound
 // optimum on deadline instances (the 1/2 guarantee must survive the plug-in
 // objective), the batched (rebuild) offline scheduler vs the per-policy and
-// incremental references, kernels on vs off, and the online session against
-// the fresh-marginal negotiation reference — all bit-identical contracts.
+// incremental references and, visit by visit, vs the scalar pricing oracle,
+// and the online session against the fresh-marginal negotiation reference —
+// all bit-identical contracts.
 //
 // Properties: tardiness decay monotone non-increasing, beta -> infinity
 // reproduces the base objective bit for bit, hard mode never emits a row for
@@ -12,14 +13,16 @@
 // zero-deadline / negative-slack edges.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "baseline/brute_force.hpp"
 #include "core/evaluate.hpp"
 #include "core/global_greedy.hpp"
-#include "core/kernels.hpp"
 #include "core/objective.hpp"
 #include "core/offline.hpp"
 #include "dist/online.hpp"
@@ -29,7 +32,6 @@
 #include "oracle/negotiation.hpp"
 #include "sim/scenario.hpp"
 #include "test_helpers.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -132,32 +134,28 @@ TEST_P(DeadlineSweep, RebuildAndIncrementalBitIdentical) {
 }
 
 TEST_P(DeadlineSweep, KernelsOnOffBitIdentical) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
+  // The kernel path against the scalar pricing oracle on discounted rows:
+  // every visit's batched marginals, the counters, the planned utility bits
+  // and the schedule.
   util::Rng rng(GetParam() * 13 + 2);
   const model::Network base = make_base(rng);
   for (const model::DeadlinePolicy& policy : sweep_policies()) {
     const model::Network net = with_deadlines(base, rng, policy);
+    const auto partitions = core::build_partitions(net);
     core::OfflineConfig config;
     config.colors = 2;
     config.samples = 4;
-    model::Schedule scalar(net.charger_count(), net.horizon());
-    model::Schedule kernel(net.charger_count(), net.horizon());
-    double scalar_utility = 0.0;
-    double kernel_utility = 0.0;
-    {
-      util::ScopedKernelToggle off(false);
-      const core::OfflineResult result = core::schedule_offline(net, config);
-      scalar = result.schedule;
-      scalar_utility = result.planned_relaxed_utility;
-    }
-    {
-      util::ScopedKernelToggle on(true);
-      const core::OfflineResult result = core::schedule_offline(net, config);
-      kernel = result.schedule;
-      kernel_utility = result.planned_relaxed_utility;
-    }
-    expect_equal_schedules(scalar, kernel);
-    EXPECT_EQ(scalar_utility, kernel_utility);
+    std::vector<std::string> mismatches;
+    const core::OfflineResult scalar = testing_helpers::reference_offline(
+        net, partitions, config, {}, testing_helpers::ReferencePricing::kPerPolicy,
+        testing_helpers::batched_pricing_check(mismatches));
+    const core::OfflineResult kernel = core::schedule_offline(net, config);
+    EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+    expect_equal_schedules(scalar.schedule, kernel.schedule);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar.planned_relaxed_utility),
+              std::bit_cast<std::uint64_t>(kernel.planned_relaxed_utility));
+    EXPECT_EQ(scalar.row_evaluations, kernel.row_evaluations);
+    EXPECT_EQ(scalar.marginal_evaluations, kernel.marginal_evaluations);
   }
 }
 
@@ -306,33 +304,6 @@ TEST(DeadlinePolicy, HardModeNeverEmitsAnInfeasibleRow) {
     }
   }
   EXPECT_GT(rows_checked, 0);
-}
-
-TEST(DeadlinePolicy, BatchedKernelFactorsMatchTheScalarNetworkPath) {
-  // The kernel layer's batched tardiness_factors and the scalar
-  // Network::tardiness_factor both reduce to DeadlinePolicy::slot_factor;
-  // pin that they agree bitwise on every (task, slot), including infeasible
-  // hard-mode tasks (0 everywhere) and deadline-free tasks (exactly 1).
-  for (const model::DeadlinePolicy& policy : sweep_policies()) {
-    util::Rng rng(4242);
-    const model::Network base = random_network(rng, 3, 8, 4);
-    const model::Network net = with_deadlines(base, rng, policy, 0.7);
-    const core::kernels::UtilityTable table = core::kernels::UtilityTable::from(net);
-    std::vector<model::TaskIndex> tasks(static_cast<std::size_t>(net.task_count()));
-    for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
-      tasks[static_cast<std::size_t>(j)] = j;
-    }
-    std::vector<double> factors(tasks.size());
-    for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      core::kernels::tardiness_factors(table, tasks, k, factors.data());
-      for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
-        EXPECT_EQ(factors[static_cast<std::size_t>(j)], net.tardiness_factor(j, k))
-            << "decay " << model::DeadlinePolicy::decay_name(policy.decay)
-            << " task " << j << " slot " << k;
-        EXPECT_EQ(table.tardiness_factor(j, k), net.tardiness_factor(j, k));
-      }
-    }
-  }
 }
 
 TEST(DeadlinePolicy, TighterBetaNeverImprovesAFixedSchedule) {

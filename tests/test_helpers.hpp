@@ -2,7 +2,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,6 +78,33 @@ inline core::Policy owned_policy(const core::PolicyPartition& partition, std::si
   return core::Policy{partition.policies[q].orientation,
                       {tasks.begin(), tasks.end()},
                       {energy.begin(), energy.end()}};
+}
+
+/// A visit probe for reference_offline (offline_reference.hpp): prices each
+/// visited partition with the library's batched
+/// MarginalEngine::partition_marginals on the reference's ledger and records
+/// every policy whose marginal differs from the reference's in any bit.
+inline auto batched_pricing_check(std::vector<std::string>& mismatches) {
+  return [&mismatches](const core::MarginalEngine& ledger,
+                       const core::PolicyPartition& partition, int color,
+                       std::span<const double> expected) {
+    std::vector<int> matching;
+    for (int s = 0; s < ledger.samples(); ++s) {
+      if (core::MarginalEngine::panel_color(ledger.seed(), s, partition.charger,
+                                            partition.slot, ledger.colors()) == color) {
+        matching.push_back(s);
+      }
+    }
+    std::vector<double> batched(expected.size());
+    ledger.partition_marginals(partition, matching, batched.data());
+    for (std::size_t q = 0; q < expected.size(); ++q) {
+      if (std::bit_cast<std::uint64_t>(batched[q]) != std::bit_cast<std::uint64_t>(expected[q])) {
+        mismatches.push_back("charger " + std::to_string(partition.charger) + " slot " +
+                             std::to_string(partition.slot) + " color " +
+                             std::to_string(color) + " policy " + std::to_string(q));
+      }
+    }
+  };
 }
 
 }  // namespace haste::testing_helpers

@@ -1,14 +1,16 @@
 // Differential tests for the data-oriented kernel layer (core/kernels) and
-// its integration into the marginal engine and the schedulers: every batched
-// path must be bit-identical to the scalar reference — per weighted utility,
-// per row term, per marginal, and for whole schedules with the kernels
-// toggled on and off.
+// its integration into the marginal engine, the coverage table and the
+// schedulers: every batched path must be bit-identical to the scalar
+// definitions in tests/oracle/pricing.hpp — per weighted utility, per row
+// term, per marginal, per coverage entry, and for whole schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/global_greedy.hpp"
@@ -17,10 +19,11 @@
 #include "geom/angle.hpp"
 #include "model/network.hpp"
 #include "model/utility.hpp"
+#include "offline_reference.hpp"
 #include "oracle/global_greedy.hpp"
+#include "oracle/pricing.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -149,27 +152,18 @@ TEST(Kernels, RowViewWeightColumnsAreEquivalent) {
 }
 
 TEST(Kernels, EngineMarginalsBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
+  // The engine's marginals, commit gains, expected value and version bumps
+  // against the scalar definitions read off the same ledger.
   util::Rng rng(43);
   for (const auto& shape : all_shapes()) {
     const model::Network net = with_shape(random_network(rng, 5, 20, 5), shape);
     const auto partitions = core::build_partitions(net);
     ASSERT_FALSE(partitions.empty());
     const core::MarginalEngine::Config config{3, 6, 99};
-    std::unique_ptr<core::MarginalEngine> scalar;
-    std::unique_ptr<core::MarginalEngine> kernel;
-    {
-      util::ScopedKernelToggle off(false);
-      scalar = std::make_unique<core::MarginalEngine>(net, config);
-    }
-    {
-      util::ScopedKernelToggle on(true);
-      kernel = std::make_unique<core::MarginalEngine>(net, config);
-    }
-    EXPECT_FALSE(scalar->using_kernels());
-    EXPECT_TRUE(kernel->using_kernels());
+    core::MarginalEngine engine(net, config);
+    oracle::ScalarPricing scalar(net);
     // Interleave marginals and commits; every observable must stay bitwise
-    // equal between the two engines.
+    // equal to the scalar definition.
     util::Rng walk(7);
     for (int step = 0; step < 60; ++step) {
       const auto p = static_cast<std::size_t>(
@@ -178,39 +172,55 @@ TEST(Kernels, EngineMarginalsBitIdenticalOnAndOff) {
       const auto q = static_cast<std::size_t>(
           walk.uniform_int(0, static_cast<int>(partition.policies.size()) - 1));
       const int c = walk.uniform_int(0, config.colors - 1);
-      ASSERT_EQ(scalar->marginal(partition.charger, partition.slot,
-                                 partition.policy_rows(q), c),
-                kernel->marginal(partition.charger, partition.slot,
-                                 partition.policy_rows(q), c))
+      const double expected =
+          scalar.marginal(engine, partition.charger, partition.slot,
+                          partition.policy_tasks(q), partition.policy_energy(q), c);
+      ASSERT_EQ(engine.marginal(partition.charger, partition.slot,
+                                partition.policy_rows(q), c),
+                expected)
           << shape->name() << " step " << step;
       if (step % 3 == 0) {
-        ASSERT_EQ(scalar->commit(partition.charger, partition.slot,
-                                 partition.policy_tasks(q), partition.policy_energy(q), c),
-                  kernel->commit(partition.charger, partition.slot,
-                                 partition.policy_tasks(q), partition.policy_energy(q), c))
-            << shape->name() << " step " << step;
-        // Version counters must agree too: the utility-filtered bump decides
-        // cache certification in both schedulers.
+        const auto cells = static_cast<std::size_t>(config.samples * net.task_count());
+        std::vector<double> before(cells);
+        std::vector<std::uint64_t> versions(cells);
         for (int sample = 0; sample < config.samples; ++sample) {
           for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
-            ASSERT_EQ(scalar->sample_version(sample, j), kernel->sample_version(sample, j));
+            const auto at = static_cast<std::size_t>(sample * net.task_count() + j);
+            before[at] = engine.energy(sample, j);
+            versions[at] = engine.sample_version(sample, j);
+          }
+        }
+        ASSERT_EQ(engine.commit(partition.charger, partition.slot,
+                                partition.policy_tasks(q), partition.policy_energy(q), c),
+                  expected)
+            << shape->name() << " step " << step;
+        // A (task, sample) version moves exactly when the task's utility
+        // did: the bump decides cache certification in the negotiation.
+        for (int sample = 0; sample < config.samples; ++sample) {
+          for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+            const auto at = static_cast<std::size_t>(sample * net.task_count() + j);
+            const bool moved = net.weighted_task_utility(j, engine.energy(sample, j)) !=
+                               net.weighted_task_utility(j, before[at]);
+            ASSERT_EQ(engine.sample_version(sample, j), versions[at] + (moved ? 1 : 0))
+                << shape->name() << " step " << step << " sample " << sample << " task " << j;
           }
         }
       }
-      ASSERT_EQ(scalar->expected_value(), kernel->expected_value());
+      ASSERT_EQ(engine.expected_value(), scalar.expected_value(engine));
     }
+    // commit() prices its gain without counting an oracle call.
+    EXPECT_EQ(engine.stats().marginals, scalar.marginals());
   }
 }
 
 TEST(Kernels, BatchedRowTermsMatchScalarRowTerm) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(47);
   const model::Network net = random_network(rng, 4, 15);
   const auto partitions = core::build_partitions(net);
   ASSERT_FALSE(partitions.empty());
   const core::MarginalEngine::Config config{2, 4, 5};
-  util::ScopedKernelToggle on(true);
   core::MarginalEngine engine(net, config);
+  oracle::ScalarPricing scalar(net);
   // Seed some state so energies differ per sample-color history.
   engine.commit(partitions[0].charger, partitions[0].slot,
                 partitions[0].policy_tasks(0), partitions[0].policy_energy(0), 0);
@@ -226,7 +236,9 @@ TEST(Kernels, BatchedRowTermsMatchScalarRowTerm) {
         std::vector<double> batched(rows.size());
         core::kernels::row_terms(table, energy.data(), rows, batched.data());
         for (std::size_t t = 0; t < rows.size(); ++t) {
-          ASSERT_EQ(batched[t], engine.row_term(s, rows.tasks[t], rows.delta[t]))
+          const double expected = scalar.row_term(engine, s, rows.tasks[t], rows.delta[t]);
+          ASSERT_EQ(batched[t], expected) << "sample " << s << " row " << t;
+          ASSERT_EQ(engine.row_term(s, rows.tasks[t], rows.delta[t]), expected)
               << "sample " << s << " row " << t;
         }
       }
@@ -235,42 +247,33 @@ TEST(Kernels, BatchedRowTermsMatchScalarRowTerm) {
 }
 
 TEST(Kernels, NetworkCoverageBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
-  util::Rng rng_a(53);
-  util::Rng rng_b(53);
   // Narrow receiving sectors so the batched sector classification actually
   // carries the coverage decision.
-  std::unique_ptr<model::Network> scalar;
-  std::unique_ptr<model::Network> kernel;
-  {
-    util::ScopedKernelToggle off(false);
-    scalar = std::make_unique<model::Network>(
-        random_network(rng_a, 8, 40, 4, geom::kPi / 3.0));
-  }
-  {
-    util::ScopedKernelToggle on(true);
-    kernel = std::make_unique<model::Network>(
-        random_network(rng_b, 8, 40, 4, geom::kPi / 3.0));
-  }
-  ASSERT_EQ(scalar->charger_count(), kernel->charger_count());
-  ASSERT_EQ(scalar->task_count(), kernel->task_count());
-  for (model::ChargerIndex i = 0; i < scalar->charger_count(); ++i) {
-    const auto scalar_cover = scalar->coverable_tasks(i);
-    const auto kernel_cover = kernel->coverable_tasks(i);
-    ASSERT_EQ(std::vector<model::TaskIndex>(scalar_cover.begin(), scalar_cover.end()),
-              std::vector<model::TaskIndex>(kernel_cover.begin(), kernel_cover.end()))
-        << "charger " << i;
-    for (model::TaskIndex j = 0; j < scalar->task_count(); ++j) {
-      ASSERT_EQ(scalar->potential_power(i, j), kernel->potential_power(i, j))
-          << "charger " << i << " task " << j;
+  util::Rng rng(53);
+  const model::Network net = random_network(rng, 8, 40, 4, geom::kPi / 3.0);
+  const std::vector<double> table = oracle::coverage_table(net);
+  const auto m = static_cast<std::size_t>(net.task_count());
+  std::size_t covered = 0;
+  for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+    std::vector<model::TaskIndex> expected;
+    for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+      const double power = table[static_cast<std::size_t>(i) * m + static_cast<std::size_t>(j)];
+      ASSERT_EQ(net.potential_power(i, j), power) << "charger " << i << " task " << j;
+      if (power > 0.0) expected.push_back(j);
     }
+    const auto cover = net.coverable_tasks(i);
+    ASSERT_EQ(std::vector<model::TaskIndex>(cover.begin(), cover.end()), expected)
+        << "charger " << i;
+    covered += expected.size();
   }
+  // Some pairs on each side of the sector test, or the check is vacuous.
+  EXPECT_GT(covered, 0u);
+  EXPECT_LT(covered, table.size());
 }
 
 class KernelScheduleDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KernelScheduleDifferential, OfflineSchedulesBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam());
   const model::Network net = random_network(rng, 6, 24, 5);
   const auto partitions = core::build_partitions(net);
@@ -278,49 +281,48 @@ TEST_P(KernelScheduleDifferential, OfflineSchedulesBitIdenticalOnAndOff) {
   config.colors = 3;
   config.samples = 6;
   config.seed = GetParam();
-  core::OfflineResult off;
-  core::OfflineResult on;
-  {
-    util::ScopedKernelToggle toggle(false);
-    off = core::schedule_offline_over(net, partitions, config, {});
-  }
-  {
-    util::ScopedKernelToggle toggle(true);
-    on = core::schedule_offline_over(net, partitions, config, {});
-  }
-  EXPECT_EQ(off.planned_relaxed_utility, on.planned_relaxed_utility);
-  // Same counter totals, not just the same answer: the batched kernel path
-  // must account for exactly the rows the per-policy scalar path priced.
-  EXPECT_EQ(off.row_evaluations, on.row_evaluations);
-  EXPECT_EQ(off.marginal_evaluations, on.marginal_evaluations);
-  expect_identical_schedules(off.schedule, on.schedule);
+  std::vector<std::string> mismatches;
+  const core::OfflineResult reference =
+      testing_helpers::reference_offline(net, partitions, config, {},
+                                         testing_helpers::ReferencePricing::kPerPolicy,
+                                         testing_helpers::batched_pricing_check(mismatches));
+  const core::OfflineResult library = core::schedule_offline_over(net, partitions, config, {});
+  EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(library.planned_relaxed_utility),
+            std::bit_cast<std::uint64_t>(reference.planned_relaxed_utility));
+  // Same counter totals, not just the same answer: the batched path must
+  // account for exactly the rows the per-policy reference priced.
+  EXPECT_EQ(library.row_evaluations, reference.row_evaluations);
+  EXPECT_EQ(library.marginal_evaluations, reference.marginal_evaluations);
+  expect_identical_schedules(library.schedule, reference.schedule);
 }
 
 TEST_P(KernelScheduleDifferential, GlobalGreedySchedulesBitIdenticalOnAndOff) {
-  if (!util::kernels_compiled()) GTEST_SKIP() << "kernels compiled out";
   util::Rng rng(GetParam() + 1000);
   const model::Network net = random_network(rng, 6, 24, 5);
   const auto partitions = core::build_partitions(net);
-  // The library's lazy greedy and the eager reference, each with the kernel
-  // path off and on.
-  const auto run_lazy = [&] { return core::schedule_global_greedy_over(net, partitions, {}); };
-  const auto run_eager = [&] { return oracle::eager_global_greedy(net, partitions); };
-  for (const auto& run : {std::function<core::GlobalGreedyResult()>(run_lazy),
-                          std::function<core::GlobalGreedyResult()>(run_eager)}) {
-    core::GlobalGreedyResult off;
-    core::GlobalGreedyResult on;
-    {
-      util::ScopedKernelToggle toggle(false);
-      off = run();
-    }
-    {
-      util::ScopedKernelToggle toggle(true);
-      on = run();
-    }
-    EXPECT_EQ(off.planned_relaxed_utility, on.planned_relaxed_utility);
-    EXPECT_EQ(off.evaluations, on.evaluations);
-    expect_identical_schedules(off.schedule, on.schedule);
-  }
+  // The library's lazy greedy against its scalar-priced twin, whose every
+  // evaluation is held against the engine's marginal on the same ledger.
+  std::vector<std::string> mismatches;
+  const core::GlobalGreedyResult scalar = oracle::lazy_global_greedy(
+      net, partitions, {},
+      [&](const core::MarginalEngine& ledger, const core::PolicyPartition& partition,
+          std::size_t q, double gain) {
+        const double engine_gain =
+            ledger.marginal(partition.charger, partition.slot, partition.policy_rows(q), 0);
+        if (std::bit_cast<std::uint64_t>(engine_gain) != std::bit_cast<std::uint64_t>(gain)) {
+          mismatches.push_back("charger " + std::to_string(partition.charger) + " slot " +
+                               std::to_string(partition.slot) + " policy " +
+                               std::to_string(q));
+        }
+      });
+  const core::GlobalGreedyResult library =
+      core::schedule_global_greedy_over(net, partitions, {});
+  EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(library.planned_relaxed_utility),
+            std::bit_cast<std::uint64_t>(scalar.planned_relaxed_utility));
+  EXPECT_EQ(library.evaluations, scalar.evaluations);
+  expect_identical_schedules(library.schedule, scalar.schedule);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelScheduleDifferential,

@@ -10,9 +10,8 @@
 //    utility.
 //
 // Row- and marginal-evaluation counts are deliberately not pinned: they
-// measure oracle work, not results. ctest re-runs the suite with the kernel
-// path forced each way (HASTE_KERNELS=0/1), and a sanitized duplicate runs
-// it under ASan/UBSan.
+// measure oracle work, not results. A sanitized duplicate runs the suite
+// under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -1,8 +1,8 @@
 // Predictive-scheduler battery (src/predict/ + its dist/serve threading).
 //
-// Differentials: the predictor-off online driver against itself across
-// kernels on/off and against fresh nodes per re-plan (the reactive path must
-// stay bit-identical to a predictor-free build), the enabled-but-leashed
+// Differentials: the predictor-off online driver against fresh nodes per
+// re-plan priced by the scalar oracle (the reactive path must stay
+// bit-identical to a predictor-free build), the enabled-but-leashed
 // degenerate case (max_level = 0) against predictor-off on the FULL result —
 // schedule bits, utility doubles, and every NegotiationRecord counter
 // including row_evals — and a serve::Session replay against the local
@@ -31,7 +31,6 @@
 #include "test_helpers.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -291,38 +290,27 @@ TEST(Cadence, SurpriseAndShortfallResetTrust) {
 
 TEST(OnlinePredict, DisabledPredictorBitIdenticalAcrossKernelsAndReuse) {
   // The reactive path must not depend on the predictor's existence: with
-  // predictor.enabled = false (the default), the kernel toggle and the
-  // session's node reuse leave every bit unchanged. This is the
-  // predictor-off half of the online_predict_differential contract; the
-  // cross-build half (identical to a pre-predictor checkout) follows because
-  // this path never constructs a predict:: object.
+  // predictor.enabled = false (the default), the session prices every stage
+  // exactly like the scalar pricing oracle, and its node reuse leaves every
+  // bit unchanged. The cross-build half of the contract (identical to a
+  // pre-predictor checkout) follows because this path never constructs a
+  // predict:: object.
   const model::Network net = bursty_network(small_bursty_config(), 21);
   dist::OnlineConfig config;
   config.colors = 2;
   config.samples = 4;
-  std::vector<dist::OnlineResult> results;  // kernels off, on
-  for (const bool kernels : {false, true}) {
-    util::ScopedKernelToggle toggle(kernels);
-    results.push_back(dist::run_online(net, config));
-    EXPECT_EQ(results.back().replans_skipped, 0u);
-    EXPECT_EQ(results.back().predictor, predict::PredictorStats{});
-  }
-  {
-    // Kernels on vs off: fully identical, row_evals included.
-    SCOPED_TRACE("kernels");
-    expect_equal_results(results[1], results[0]);
-  }
-  {
-    // Persistent nodes vs a fresh fleet per re-plan: identical bits and
-    // message ledger, but the persistent column store legitimately SKIPS
-    // re-pricing row_terms for columns whose base energy is unchanged —
-    // row-eval counts are exempt by contract.
-    SCOPED_TRACE("reuse");
-    const oracle::CheckedRun fresh = oracle::run_online_checked(net, config);
-    EXPECT_TRUE(fresh.mismatches.empty()) << fresh.mismatches.front();
-    expect_equal_results(results[1], fresh.result, /*compare_row_evals=*/false);
-    EXPECT_LE(results[1].row_evaluations, fresh.result.row_evaluations);
-  }
+  const dist::OnlineResult result = dist::run_online(net, config);
+  EXPECT_EQ(result.replans_skipped, 0u);
+  EXPECT_EQ(result.predictor, predict::PredictorStats{});
+  // A fresh fleet per re-plan, every VALUE and UPDATE checked against the
+  // scalar-priced NodePricer: identical bits and message ledger, but the
+  // persistent column store legitimately SKIPS re-pricing row_terms for
+  // columns whose base energy is unchanged — row-eval counts are exempt by
+  // contract.
+  const oracle::CheckedRun fresh = oracle::run_online_checked(net, config);
+  EXPECT_TRUE(fresh.mismatches.empty()) << fresh.mismatches.front();
+  expect_equal_results(result, fresh.result, /*compare_row_evals=*/false);
+  EXPECT_LE(result.row_evaluations, fresh.result.row_evaluations);
 }
 
 TEST(OnlinePredict, LevelZeroNoPrewarmIsFullPassThrough) {

@@ -249,11 +249,7 @@ TEST(ShardTcpAuth, WrongTokenWorkersAreRejectedAndPoolStarves) {
   options.connect_wait_seconds = 1.0;
   EXPECT_THROW(run_trials_sharded(tiny_config(), tiny_variants(), 2, 42, options),
                std::runtime_error);
-#ifdef HASTE_OBS
   EXPECT_GT(counter_value("shard.auth_reject"), rejects_before);
-#else
-  (void)rejects_before;
-#endif
 }
 
 TEST(ShardTcpAuth, SilentWorkerIsRejectedNotAdmitted) {
@@ -267,11 +263,7 @@ TEST(ShardTcpAuth, SilentWorkerIsRejectedNotAdmitted) {
   options.connect_wait_seconds = 0.5;
   EXPECT_THROW(run_trials_sharded(tiny_config(), tiny_variants(), 2, 43, options),
                std::runtime_error);
-#ifdef HASTE_OBS
   EXPECT_GT(counter_value("shard.auth_reject"), rejects_before);
-#else
-  (void)rejects_before;
-#endif
 }
 
 TEST(ShardTcpAuth, RejectedTcpWorkersDoNotPoisonAHybridPool) {
@@ -296,26 +288,18 @@ TEST(ShardTcpAuth, RejectedTcpWorkersDoNotPoisonAHybridPool) {
     // Opens the gate on the first counted rejection. Bounded, so a run that
     // never rejects fails the expectation below instead of hanging.
     std::jthread opener([&](std::stop_token stop) {
-#ifdef HASTE_OBS
       const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
       while (!stop.stop_requested() && counter_value("shard.auth_reject") <= rejects_before &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
-#else
-      (void)stop;
-#endif
       std::ofstream(gate) << "open\n";
     });
     sharded = run_trials_sharded(tiny_config(), tiny_variants(), 6, 44, options);
   }
   std::remove(gate.c_str());
   expect_results_equal(sharded, reference);
-#ifdef HASTE_OBS
   EXPECT_GT(counter_value("shard.auth_reject"), rejects_before);
-#else
-  (void)rejects_before;
-#endif
 }
 
 // --- Tentpole: worker observability payloads over the wire protocol. ---
@@ -335,10 +319,8 @@ TEST(ShardTcpObs, WorkerMetricsAndTraceMergeIntoDriver) {
 
   // Every worker ships a cumulative snapshot; merged totals must cover every
   // shard exactly once (shard.served is bumped once per served request).
-#ifdef HASTE_OBS
   ASSERT_TRUE(worker_metrics.counters.count("shard.served"));
   EXPECT_EQ(worker_metrics.counters.at("shard.served"), 3u);  // 6 trials / 2 per shard
-#endif
 
   // The driver's trace now holds worker-side spans under the workers' own
   // pids (distinct processes) next to its own shard.attempt spans.
@@ -372,12 +354,8 @@ TEST(ShardTcpObs, CumulativeSnapshotsSurviveRetriesWithoutDoubleCounting) {
   const TrialResults sharded =
       run_trials_sharded(tiny_config(), tiny_variants(), 6, 46, options);
   expect_results_equal(sharded, reference);
-#ifdef HASTE_OBS
   ASSERT_TRUE(worker_metrics.counters.count("shard.served"));
   EXPECT_EQ(worker_metrics.counters.at("shard.served"), 3u);
-#else
-  (void)worker_metrics;
-#endif
 }
 
 TEST(ShardTcp, EmptyPoolTimesOutWhenNoWorkerConnects) {

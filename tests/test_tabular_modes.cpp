@@ -3,8 +3,9 @@
 // stage, must be bit-identical — same schedules, same planned utilities — to
 // the per-policy reference and to the incremental reference, whose
 // per-(task, sample) dirty tracking re-prices only the rows whose utilities
-// moved, across panel shapes, tie-break settings and warm starts. Online: the
-// nodes' cached pricing must walk the exact trajectory of the fresh-marginal
+// moved, across panel shapes, tie-break settings and warm starts. Both price
+// through the scalar oracle (tests/oracle/pricing.hpp). Online: the nodes'
+// cached pricing must walk the exact trajectory of the fresh-marginal
 // reference (tests/oracle/negotiation.hpp).
 // Saturation: the batched scheduler's unpriced saturated columns must not
 // change a bit against the reference, which prices every row.
@@ -14,8 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/offline.hpp"
@@ -25,7 +26,6 @@
 #include "offline_reference.hpp"
 #include "oracle/negotiation.hpp"
 #include "test_helpers.hpp"
-#include "util/simd.hpp"
 
 namespace haste {
 namespace {
@@ -68,6 +68,8 @@ void expect_offline_matches_references(const model::Network& net,
       reference_offline(net, partitions, config, initial, ReferencePricing::kIncremental);
   EXPECT_EQ(rebuild.planned_relaxed_utility, per_policy.planned_relaxed_utility);
   expect_identical_schedules(rebuild.schedule, per_policy.schedule);
+  EXPECT_EQ(rebuild.row_evaluations, per_policy.row_evaluations);
+  EXPECT_EQ(rebuild.marginal_evaluations, per_policy.marginal_evaluations);
   EXPECT_EQ(rebuild.planned_relaxed_utility, incremental.planned_relaxed_utility);
   expect_identical_schedules(rebuild.schedule, incremental.schedule);
   // Cached terms must actually be reused, or the incremental side is vacuous.
@@ -154,10 +156,6 @@ std::vector<double> saturation_warm_start(const model::Network& net, util::Rng& 
 }
 
 TEST_P(SaturationSkip, BatchedMatchesFullPricingAcrossShapesAndDeadlines) {
-  // The skip lives on the kernel path, so the batched side runs there
-  // whatever HASTE_KERNELS says.
-  std::optional<util::ScopedKernelToggle> kernels;
-  if (util::kernels_compiled()) kernels.emplace(true);
   util::Rng rng(GetParam());
   const model::Network base = random_network(rng, 6, 16, 5);
   const std::vector<std::shared_ptr<const model::UtilityShape>> shapes = {
@@ -189,20 +187,20 @@ TEST_P(SaturationSkip, BatchedMatchesFullPricingAcrossShapesAndDeadlines) {
               warm_start ? std::span<const double>(warm) : std::span<const double>();
           const core::OfflineResult batched =
               core::schedule_offline_over(net, partitions, config, initial);
-          const core::OfflineResult reference = reference_offline(
-              net, partitions, config, initial, ReferencePricing::kPerPolicy);
+          // Every visit's batched marginals against the reference's, which
+          // price every row.
+          std::vector<std::string> mismatches;
+          const core::OfflineResult reference =
+              reference_offline(net, partitions, config, initial, ReferencePricing::kPerPolicy,
+                                testing_helpers::batched_pricing_check(mismatches));
+          EXPECT_TRUE(mismatches.empty()) << mismatches.front();
           EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.planned_relaxed_utility),
                     std::bit_cast<std::uint64_t>(reference.planned_relaxed_utility));
           expect_identical_schedules(batched.schedule, reference.schedule);
           // The counters keep counting every logical evaluation, skipped or
-          // not: the scalar path, which skips nothing, reports the same.
-          core::OfflineResult scalar;
-          {
-            util::ScopedKernelToggle off(false);
-            scalar = core::schedule_offline_over(net, partitions, config, initial);
-          }
-          EXPECT_EQ(batched.row_evaluations, scalar.row_evaluations);
-          EXPECT_EQ(batched.marginal_evaluations, scalar.marginal_evaluations);
+          // not: the reference, which skips nothing, reports the same.
+          EXPECT_EQ(batched.row_evaluations, reference.row_evaluations);
+          EXPECT_EQ(batched.marginal_evaluations, reference.marginal_evaluations);
         }
       }
     }

@@ -10,17 +10,12 @@
 //       Validates the invariants a committed BENCH_micro.json must satisfy:
 //       the harness was a release build (context "haste_build_type"; a file
 //       without the stamp predates it and was never validated — re-capture),
-//       every BM_OfflineTabular and BM_DeadlineSweep entry reproduced the
-//       kernels-off schedule (matches_scalar = 1), at the largest swept
-//       scale the kernel path (kernels:1) ran
-//       BM_OfflineTabular at least 1.8x as fast as the scalar path
-//       (kernels:0), and an inert-deadline twin (dl:1) cost at most 5% over
-//       its deadline-free sibling.
+//       an inert-deadline BM_OfflineTabular twin (dl:1) cost at most 5% over
+//       its deadline-free sibling, and the predictor kept its negotiation
+//       and utility trade.
 //
 // Wired as ctest cases (see tools/CMakeLists.txt) so tier-1 runs both the
 // self-diff and the --check of the committed baseline.
-#include <algorithm>
-#include <cmath>
 #include <iostream>
 #include <map>
 #include <string>
@@ -33,14 +28,13 @@ namespace {
 using haste::util::Json;
 
 /// name -> benchmark entry, from a google-benchmark JSON dump. For a
-/// benchmark captured with repetitions, the median aggregate stands in for
-/// the run (keyed by the repetition-free run_name, so twin lookups by name
-/// substitution keep working): single-process timings flap a few percent on
-/// heap/code layout alone, and the wall-clock pins below sit close enough to
-/// their thresholds that one unlucky draw fails a healthy capture. The
-/// deterministic counters are identical across repetitions, so their median
-/// is the value itself. Mean/stddev/cv aggregates are skipped.
-std::map<std::string, const Json*> index_benchmarks(const Json& doc) {
+/// benchmark captured with repetitions, its `aggregate` aggregate (the
+/// median unless asked otherwise) stands in for the run, keyed by the
+/// repetition-free run_name so that twin lookups by name substitution keep
+/// working. The deterministic counters are identical across repetitions, so
+/// any aggregate of them is the value itself. Other aggregates are skipped.
+std::map<std::string, const Json*> index_benchmarks(const Json& doc,
+                                                    const std::string& aggregate = "median") {
   std::map<std::string, const Json*> entries;
   const Json& list = doc.at("benchmarks");
   for (std::size_t i = 0; i < list.size(); ++i) {
@@ -48,16 +42,16 @@ std::map<std::string, const Json*> index_benchmarks(const Json& doc) {
     const std::string run_type = entry.string_or("run_type", "iteration");
     if (run_type == "iteration") {
       // Repetition entries share one name; any single repetition would do,
-      // but a median aggregate (seen later in the file) overrides it.
+      // but the aggregate (seen later in the file) overrides it.
       entries.emplace(entry.at("name").as_string(), &entry);
     } else if (run_type == "aggregate" &&
-               entry.string_or("aggregate_name", "") == "median") {
+               entry.string_or("aggregate_name", "") == aggregate) {
       std::string key = entry.string_or("run_name", "");
       if (key.empty()) {
         // Old library without run_name: the aggregate's name carries the
-        // "_median" suffix — strip it to recover the run key.
+        // aggregate suffix — strip it to recover the run key.
         key = entry.at("name").as_string();
-        const std::string suffix = "_median";
+        const std::string suffix = "_" + aggregate;
         if (key.size() > suffix.size() &&
             key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0) {
           key.resize(key.size() - suffix.size());
@@ -103,88 +97,28 @@ int check_invariants(const std::string& path) {
                  "constants are inflated but comparisons within the file hold\n";
   }
 
-  // Every differential counter recorded 1 (schedules reproduced exactly).
-  // The offline families must carry matches_scalar: a capture without it
-  // never checked the kernel path against the scalar one.
-  for (const auto& [name, entry] : entries) {
-    const bool offline = name.rfind("BM_OfflineTabular", 0) == 0 ||
-                         name.rfind("BM_DeadlineSweep", 0) == 0;
-    if (offline && !entry->contains("matches_scalar")) {
-      std::cerr << "FAIL " << name << ": no matches_scalar counter\n";
-      ++failures;
-    }
-    if (entry->contains("matches_scalar") && entry->at("matches_scalar").as_number() != 1.0) {
-      std::cerr << "FAIL " << name << ": matches_scalar = "
-                << entry->at("matches_scalar").as_number() << " (expected 1)\n";
-      ++failures;
-    }
-  }
-
-  // Kernel wall-clock pin: at the largest swept scale the data-oriented
-  // kernel path must hold a >= 1.8x real-time win over the scalar path —
-  // the marginal-engine hot path the kernels exist for. Observed ratios run
-  // 2.0-2.3x across capture hosts; the original 2.0x bound sat exactly on
-  // the low end of that range and flaked on slower machines, so the gate
-  // keeps 10% headroom below the worst observed healthy capture while still
-  // failing loudly if the kernel layer stops paying for itself. Pinned only
-  // at the top scale — small instances are setup-dominated and noisy, and a
-  // committed baseline should gate on the regime the optimization exists
-  // for.
-  double top_scale = -1.0;
-  for (const auto& [name, entry] : entries) {
-    if (name.rfind("BM_OfflineTabular", 0) != 0) continue;
-    top_scale = std::max(top_scale, name_arg(name, "n", -1.0));
-  }
-  bool pinned_any = false;
-  for (const auto& [name, entry] : entries) {
-    if (name.rfind("BM_OfflineTabular", 0) != 0) continue;
-    if (name_arg(name, "kernels", -1.0) != 1.0) continue;
-    if (name_arg(name, "n", -1.0) != top_scale) continue;
-    // dl:1 rows exist to price the deadline plumbing (next check), not the
-    // kernel layer; pinning the 2x there would double-count one noisy row.
-    if (name_arg(name, "dl", 0.0) == 1.0) continue;
-    std::string scalar_name = name;
-    scalar_name.replace(scalar_name.rfind("kernels:1"), 9, "kernels:0");
-    const auto scalar_it = entries.find(scalar_name);
-    if (scalar_it == entries.end()) {
-      std::cerr << "FAIL " << name << ": no scalar twin " << scalar_name << "\n";
-      ++failures;
-      continue;
-    }
-    const double kernel_time = entry->number_or("real_time", -1.0);
-    const double scalar_time = scalar_it->second->number_or("real_time", -1.0);
-    if (kernel_time <= 0.0 || scalar_time <= 0.0) {
-      std::cerr << "FAIL " << name << ": missing real_time\n";
-      ++failures;
-      continue;
-    }
-    pinned_any = true;
-    if (scalar_time < 1.8 * kernel_time) {
-      std::cerr << "FAIL " << name << ": kernel real_time " << kernel_time
-                << " not >= 1.8x faster than scalar " << scalar_time << " ("
-                << scalar_time / kernel_time << "x)\n";
-      ++failures;
-    }
-  }
-  if (!pinned_any) {
-    std::cerr << "FAIL: no BM_OfflineTabular kernels:1 entries at the top scale in "
-              << path << " — re-capture with the kernel axis\n";
-    ++failures;
-  }
-
   // Deadline plumbing pin: a dl:1 entry runs the inert-deadline twin of its
   // dl:0 sibling — same schedules, same counters, every tardiness factor
   // exactly 1 — so its real_time may exceed the sibling's by at most 5%.
   // This caps what the deadline shape costs instances that don't use it.
+  // Host drift only ever adds time, so the pin compares the minimum over
+  // the family's interleaved repetitions.
+  const auto minima = index_benchmarks(doc, "min");
   bool deadline_pinned = false;
-  for (const auto& [name, entry] : entries) {
+  for (const auto& [name, entry] : minima) {
     if (name.rfind("BM_OfflineTabular", 0) != 0) continue;
     if (name_arg(name, "dl", -1.0) != 1.0) continue;
     std::string base_name = name;
     base_name.replace(base_name.rfind("dl:1"), 4, "dl:0");
-    const auto base_it = entries.find(base_name);
-    if (base_it == entries.end()) {
+    const auto base_it = minima.find(base_name);
+    if (base_it == minima.end()) {
       std::cerr << "FAIL " << name << ": no deadline-free twin " << base_name << "\n";
+      ++failures;
+      continue;
+    }
+    if (entry->string_or("aggregate_name", "") != "min" ||
+        base_it->second->string_or("aggregate_name", "") != "min") {
+      std::cerr << "FAIL " << name << ": no min aggregate over repetitions; re-capture\n";
       ++failures;
       continue;
     }
