@@ -15,7 +15,6 @@
 #include "core/evaluate.hpp"
 #include "core/global_greedy.hpp"
 #include "core/offline.hpp"
-#include "dist/bus.hpp"
 #include "dist/event_queue.hpp"
 #include "dist/online.hpp"
 #include "io/scenario_io.hpp"
@@ -341,40 +340,6 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_EventQueueThroughput);
-
-/// A bus endpoint that only counts deliveries.
-struct CountingNode {
-  std::uint64_t received = 0;
-  void receive(const dist::Message&) { ++received; }
-};
-
-void BM_BusBroadcast(benchmark::State& state) {
-  dist::BroadcastBus<CountingNode> bus;
-  constexpr int kNodes = 50;
-  std::vector<CountingNode> nodes(kNodes);
-  for (model::ChargerIndex i = 0; i < kNodes; ++i) {
-    bus.register_node(i, &nodes[static_cast<std::size_t>(i)]);
-  }
-  for (model::ChargerIndex i = 0; i < kNodes; ++i) {
-    std::vector<model::ChargerIndex> neighbors;
-    for (model::ChargerIndex j = 0; j < kNodes; ++j) {
-      if (j != i && (j - i + kNodes) % kNodes <= 5) neighbors.push_back(j);
-    }
-    bus.set_neighbors(i, neighbors);
-  }
-  dist::Message msg;
-  msg.sender = 0;
-  msg.command = dist::Command::kValue;
-  for (auto _ : state) {
-    for (model::ChargerIndex i = 0; i < kNodes; ++i) {
-      msg.sender = i;
-      bus.broadcast(msg);
-    }
-    benchmark::DoNotOptimize(bus.flush_round());
-  }
-  state.SetItemsProcessed(state.iterations() * kNodes);
-}
-BENCHMARK(BM_BusBroadcast);
 
 }  // namespace
 

@@ -11,24 +11,54 @@ constexpr double kTieSlack = 1e-12;
 
 }  // namespace
 
+Board::Board(const model::Network& net, const std::vector<bool>& alive) : net_(&net) {
+  const auto n = static_cast<std::size_t>(net.charger_count());
+  alive_degree_.assign(n, 0);
+  for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+    for (const model::ChargerIndex j : net.neighbors(i)) {
+      if (alive[static_cast<std::size_t>(j)]) ++alive_degree_[static_cast<std::size_t>(i)];
+    }
+  }
+  hello_range_.assign(n, {0, 0});
+  works_.assign(n, 0);
+  entries_.assign(n, Entry{});
+}
+
+void Board::count(model::ChargerIndex sender, std::size_t tasks) {
+  ++traffic_.broadcasts;
+  traffic_.deliveries += alive_degree_[static_cast<std::size_t>(sender)];
+  traffic_.bytes += wire_bytes(tasks);
+}
+
+void Board::announce(model::ChargerIndex sender, std::span<const model::TaskIndex> tasks) {
+  hello_range_[static_cast<std::size_t>(sender)] = {hello_tasks_.size(),
+                                                    hello_tasks_.size() + tasks.size()};
+  hello_tasks_.insert(hello_tasks_.end(), tasks.begin(), tasks.end());
+  count(sender, tasks.size());
+}
+
+void Board::load_slot(model::SlotIndex slot) {
+  for (std::size_t i = 0; i < works_.size(); ++i) {
+    const auto [begin, end] = hello_range_[i];
+    works_[i] = std::any_of(hello_tasks_.begin() + static_cast<std::ptrdiff_t>(begin),
+                            hello_tasks_.begin() + static_cast<std::ptrdiff_t>(end),
+                            [&](model::TaskIndex t) {
+                              return net_->tasks()[static_cast<std::size_t>(t)].active(slot) &&
+                                     net_->tardiness_factor(t, slot) > 0.0;
+                            });
+  }
+}
+
 ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id)
     : net_(&net), id_(id), neighbors_(net.neighbors(id)) {
-  neighbor_position_.assign(static_cast<std::size_t>(net.charger_count()), -1);
-  for (std::size_t p = 0; p < neighbors_.size(); ++p) {
-    neighbor_position_[static_cast<std::size_t>(neighbors_[p])] = static_cast<std::int32_t>(p);
-  }
-  neighbor_tasks_.resize(neighbors_.size());
-  neighbor_value_.assign(neighbors_.size(), 0.0);
-  neighbor_heard_.assign(neighbors_.size(), 0);
-  neighbor_decided_.assign(neighbors_.size(), 0);
   const auto m = static_cast<std::size_t>(net.task_count());
   term_cache_base_.assign(m, 0);
   term_cache_term_.assign(m, 0.0);
   term_cache_valid_.assign(m, 0);
 }
 
-Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks,
-                                core::MarginalEngine& ledger) {
+std::span<const model::TaskIndex> ChargerNode::begin_plan(
+    const std::vector<model::TaskIndex>& known_tasks, core::MarginalEngine& ledger) {
   // Dominant sets are a pure function of (net, id, known_tasks); consecutive
   // re-plans of a reused node usually extend `known_tasks` (recompute) but
   // failure-triggered re-plans repeat it verbatim (hit).
@@ -39,39 +69,33 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
   }
   ledger_ = &ledger;
   const auto colors = static_cast<std::size_t>(ledger.colors());
+  const auto samples = static_cast<std::size_t>(ledger.samples());
   selections_.assign(static_cast<std::size_t>(net_->horizon()) * colors, std::nullopt);
-  for (std::vector<model::TaskIndex>& tasks : neighbor_tasks_) tasks.clear();
   loaded_slot_ = -1;
   previous_orientation_.assign(colors, std::nullopt);
-
-  // HELLO: announce which known tasks this charger can cover, with the
-  // per-slot energy it would deliver (lets neighbors predict participation).
-  Message hello;
-  hello.sender = id_;
-  hello.command = Command::kHello;
-  for (model::TaskIndex j : known_tasks) {
-    const double p = net_->potential_power(id_, j);
-    if (p > 0.0) {
-      hello.policy.tasks.push_back(j);
-      hello.policy.slot_energy.push_back(p * net_->time().slot_seconds);
-    }
+  if (panel_.colors != ledger.colors() || panel_.samples != ledger.samples() ||
+      panel_.seed != ledger.seed()) {
+    panel_ = {ledger.colors(), ledger.samples(), ledger.seed()};
+    panel_colors_.assign(static_cast<std::size_t>(net_->horizon()) * samples, -1);
   }
 
-  // Plan-level column cache: one column per coverable task, shared by every
-  // policy of every stage (the per-slot energy is orientation- and
-  // slot-independent). All samples share the initial energies, so one
-  // row_term per column is exact for the whole panel (replication), and
-  // version 0 matches the ledger's untouched counters.
+  // Plan-level column cache: one column per coverable known task (the
+  // HELLO), shared by every policy of every stage (the per-slot energy is
+  // orientation- and slot-independent). All samples share the initial
+  // energies, so one row_term per column is exact for the whole panel
+  // (replication), and version 0 matches the ledger's untouched counters.
   plan_col_task_.clear();
   plan_col_delta_.clear();
   plan_col_of_.assign(static_cast<std::size_t>(net_->task_count()), -1);
-  for (std::size_t t = 0; t < hello.policy.tasks.size(); ++t) {
-    plan_col_of_[static_cast<std::size_t>(hello.policy.tasks[t])] =
-        static_cast<std::ptrdiff_t>(plan_col_task_.size());
-    plan_col_task_.push_back(hello.policy.tasks[t]);
-    plan_col_delta_.push_back(hello.policy.slot_energy[t]);
+  for (const model::TaskIndex j : known_tasks) {
+    const double p = net_->potential_power(id_, j);
+    if (p > 0.0) {
+      plan_col_of_[static_cast<std::size_t>(j)] =
+          static_cast<std::ptrdiff_t>(plan_col_task_.size());
+      plan_col_task_.push_back(j);
+      plan_col_delta_.push_back(p * net_->time().slot_seconds);
+    }
   }
-  const auto samples = static_cast<std::size_t>(ledger.samples());
   plan_terms_.assign(plan_col_task_.size() * samples, 0.0);
   plan_versions_.assign(plan_col_task_.size() * samples, 0);
   for (std::size_t col = 0; col < plan_col_task_.size(); ++col) {
@@ -93,22 +117,26 @@ Message ChargerNode::begin_plan(const std::vector<model::TaskIndex>& known_tasks
     }
     for (std::size_t s = 0; s < samples; ++s) plan_terms_[col * samples + s] = term;
   }
-  return hello;
+  return plan_col_task_;
 }
 
-void ChargerNode::load_slot(model::SlotIndex slot) {
+bool ChargerNode::load_slot(model::SlotIndex slot) {
+  decided_ = true;
+  if (slot == loaded_slot_) return slot_policies_.size() > 0;
   loaded_slot_ = slot;
   core::make_slot_policies(*net_, id_, dominant_, slot, slot_policies_);
-  slot_colors_.resize(static_cast<std::size_t>(ledger_->samples()));
-  for (int s = 0; s < ledger_->samples(); ++s) {
-    slot_colors_[static_cast<std::size_t>(s)] = core::MarginalEngine::panel_color(
-        ledger_->seed(), s, id_, slot, ledger_->colors());
+  const auto samples = static_cast<std::size_t>(ledger_->samples());
+  int* colors = panel_colors_.data() + static_cast<std::size_t>(slot) * samples;
+  if (colors[0] < 0) {
+    for (int s = 0; s < ledger_->samples(); ++s) {
+      colors[s] = core::MarginalEngine::panel_color(ledger_->seed(), s, id_, slot,
+                                                    ledger_->colors());
+    }
   }
   // Row -> plan-column map for the slot's policies. Dominant-set tasks are
   // always in the HELLO coverable set, but register stragglers defensively
   // with never-priced stamps (ledger versions can be anything by now).
   slot_row_col_.clear();
-  const auto samples = static_cast<std::size_t>(ledger_->samples());
   for (std::size_t row = 0; row < slot_policies_.tasks.size(); ++row) {
     const model::TaskIndex task = slot_policies_.tasks[row];
     const double delta = slot_policies_.energy[row];
@@ -140,38 +168,27 @@ void ChargerNode::load_slot(model::SlotIndex slot) {
     }
     slot_row_col_.push_back(static_cast<std::size_t>(col));
   }
+  return slot_policies_.size() > 0;
+}
+
+void ChargerNode::list_slot_neighbors(const Board& board) {
   slot_neighbors_.clear();
-  for (std::size_t p = 0; p < neighbors_.size(); ++p) {
-    const std::vector<model::TaskIndex>& tasks = neighbor_tasks_[p];
-    const bool participates =
-        std::any_of(tasks.begin(), tasks.end(), [&](model::TaskIndex t) {
-          return net_->tasks()[static_cast<std::size_t>(t)].active(slot) &&
-                 net_->tardiness_factor(t, slot) > 0.0;
-        });
-    if (participates) slot_neighbors_.push_back(static_cast<std::int32_t>(p));
+  for (const model::ChargerIndex j : neighbors_) {
+    if (board.works(j)) slot_neighbors_.push_back(j);
   }
 }
 
-bool ChargerNode::begin_stage(model::SlotIndex slot, int color) {
-  if (slot != loaded_slot_) load_slot(slot);
-  stage_slot_ = slot;
+void ChargerNode::begin_stage(int color) {
   stage_color_ = color;
   stage_cache_.assign(slot_policies_.size(), PolicyTermCache{});
   stage_samples_.clear();
+  const auto samples = static_cast<std::size_t>(ledger_->samples());
+  const int* colors = panel_colors_.data() + static_cast<std::size_t>(loaded_slot_) * samples;
   for (int s = 0; s < ledger_->samples(); ++s) {
-    if (slot_colors_[static_cast<std::size_t>(s)] == color) stage_samples_.push_back(s);
-  }
-  std::fill(neighbor_heard_.begin(), neighbor_heard_.end(), 0);
-  std::fill(neighbor_decided_.begin(), neighbor_decided_.end(), 0);
-  if (slot_policies_.size() == 0) {
-    decided_ = true;
-    best_policy_ = -1;
-    best_marginal_ = 0.0;
-    return false;
+    if (colors[s] == color) stage_samples_.push_back(s);
   }
   decided_ = false;
-  recompute_best();
-  return true;
+  reprice();
 }
 
 double ChargerNode::refresh_policy(std::size_t q) {
@@ -198,7 +215,7 @@ double ChargerNode::refresh_policy(std::size_t q) {
   return total / static_cast<double>(ledger_->samples());
 }
 
-void ChargerNode::recompute_best() {
+void ChargerNode::reprice() {
   best_policy_ = -1;
   best_marginal_ = 0.0;
   const std::optional<double>& previous =
@@ -243,102 +260,57 @@ void ChargerNode::recompute_best() {
   }
 }
 
-std::optional<Message> ChargerNode::make_value_message() {
-  if (decided_) return std::nullopt;
-  Message msg;
-  msg.sender = id_;
-  msg.slot = stage_slot_;
-  msg.color = stage_color_;
-  msg.command = Command::kValue;
-  msg.marginal = best_policy_ >= 0 ? best_marginal_ : 0.0;
-  if (best_policy_ < 0) {
-    // Nothing worth selecting: announce zero so neighbors stop waiting, then
-    // go passive for this stage.
-    decided_ = true;
-  }
-  return msg;
-}
-
-void ChargerNode::receive(const Message& message) {
-  switch (message.command) {
-    case Command::kHello: {
-      const std::int32_t p = neighbor_position(message.sender);
-      if (p >= 0) neighbor_tasks_[static_cast<std::size_t>(p)] = message.policy.tasks;
-      loaded_slot_ = -1;  // slot participation reads the announcements
-      return;
-    }
-    case Command::kValue: {
-      if (message.slot != stage_slot_ || message.color != stage_color_) return;
-      const std::int32_t p = neighbor_position(message.sender);
-      if (p < 0) return;
-      neighbor_value_[static_cast<std::size_t>(p)] = message.marginal;
-      neighbor_heard_[static_cast<std::size_t>(p)] = 1;
-      if (message.marginal <= 0.0) neighbor_decided_[static_cast<std::size_t>(p)] = 1;
-      return;
-    }
-    case Command::kUpdate: {
-      // The tuple is in the ledger already; re-evaluate against it. The
-      // stage check matters because UPDATEs always concern the current
-      // stage, but be defensive.
-      const std::int32_t p = neighbor_position(message.sender);
-      if (p >= 0) neighbor_decided_[static_cast<std::size_t>(p)] = 1;
-      if (!decided_ && message.slot == stage_slot_ && message.color == stage_color_) {
-        recompute_best();
-      }
-      return;
-    }
-  }
-}
-
-std::optional<Message> ChargerNode::try_commit() {
-  if (decided_ || best_policy_ < 0) return std::nullopt;
-  for (const std::int32_t p : slot_neighbors_) {
-    const auto index = static_cast<std::size_t>(p);
-    if (neighbor_decided_[index] != 0) continue;
-    if (neighbor_heard_[index] == 0) return std::nullopt;  // not heard yet
-    const double theirs = neighbor_value_[index];
-    // Tie-break by id: the lower id wins equal marginals.
-    if (theirs > best_marginal_ || (theirs == best_marginal_ && neighbors_[index] < id_)) {
-      return std::nullopt;
-    }
-  }
-
-  // Local maximum: commit the S-C tuple.
-  return commit_current();
-}
-
-std::optional<Message> ChargerNode::force_commit() {
-  if (decided_) return std::nullopt;
+double ChargerNode::value() {
+  if (best_policy_ >= 0) return best_marginal_;
+  // Nothing worth selecting: announce zero so neighbors stop waiting, then
+  // go passive for this stage.
   decided_ = true;
-  if (best_policy_ < 0) return std::nullopt;
-  return commit_current();
+  return 0.0;
 }
 
-Message ChargerNode::commit_current() {
+bool ChargerNode::try_commit(const Board& board) {
+  if (decided_ || best_policy_ < 0) return false;
+  for (const model::ChargerIndex j : slot_neighbors_) {
+    const Board::Entry& entry = board.entry(j);
+    if (entry.decided == board.stage()) continue;
+    if (entry.heard != board.stage()) return false;  // not heard yet
+    // Tie-break by id: the lower id wins equal marginals.
+    if (entry.value > best_marginal_ || (entry.value == best_marginal_ && j < id_)) {
+      return false;
+    }
+  }
+  // Local maximum: commit the S-C tuple.
+  commit_current();
+  return true;
+}
+
+bool ChargerNode::force_commit() {
+  if (decided_) return false;
+  decided_ = true;
+  if (best_policy_ < 0) return false;
+  commit_current();
+  return true;
+}
+
+void ChargerNode::commit_current() {
   const auto best = static_cast<std::size_t>(best_policy_);
-  const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(best);
-  const std::span<const double> energy = slot_policies_.policy_energy(best);
   const double orientation = slot_policies_.orientation[best];
-  // best_marginal_ came from an exactly-refreshed cache (recompute_best runs
-  // after every ledger change this node can see), so the realized gain is
+  // best_marginal_ came from an exactly-refreshed cache (reprice runs after
+  // every ledger change this node can see), so the realized gain is
   // already known and commit can skip re-evaluating it.
-  ledger_->commit_no_gain(id_, stage_slot_, tasks, energy, stage_color_);
-  selections_[static_cast<std::size_t>(stage_slot_) *
+  ledger_->commit_no_gain(id_, loaded_slot_, slot_policies_.policy_tasks(best),
+                          slot_policies_.policy_energy(best), stage_color_);
+  selections_[static_cast<std::size_t>(loaded_slot_) *
                   static_cast<std::size_t>(ledger_->colors()) +
               static_cast<std::size_t>(stage_color_)] = orientation;
   previous_orientation_[static_cast<std::size_t>(stage_color_)] = orientation;
   decided_ = true;
+}
 
-  Message msg;
-  msg.sender = id_;
-  msg.slot = stage_slot_;
-  msg.color = stage_color_;
-  msg.command = Command::kUpdate;
-  msg.marginal = best_marginal_;
-  msg.policy.orientation = orientation;
-  msg.policy.tasks.assign(tasks.begin(), tasks.end());
-  msg.policy.slot_energy.assign(energy.begin(), energy.end());
-  return msg;
+ChargerNode::Update ChargerNode::last_update() const {
+  const auto best = static_cast<std::size_t>(best_policy_);
+  return {best_marginal_, slot_policies_.orientation[best], slot_policies_.policy_tasks(best),
+          slot_policies_.policy_energy(best)};
 }
 
 void ChargerNode::write_schedule(model::Schedule& schedule,

@@ -1,18 +1,19 @@
-// Per-charger state machine of the distributed online algorithm (Alg. 3).
+// Per-charger state machine of the distributed online algorithm (Alg. 3),
+// and the board its elections run on.
 //
 // A node plans with purely local knowledge: its own dominant task sets over
 // the tasks it has heard of, the coverable-task lists its neighbors announced
-// (HELLO messages), the VALUE announcements of undecided neighbors, and the
-// UPDATE messages of committed ones. The shared color panel is derived by
-// hashing the common seed (see MarginalEngine::panel_color), so no randomness
-// is exchanged.
+// (HELLO), the VALUE announcements of undecided neighbors, and the commits
+// (UPDATEs) of decided ones. The shared color panel is derived by hashing the
+// common seed (see MarginalEngine::panel_color), so no randomness is
+// exchanged.
 //
 // The negotiation for one (slot, color) stage proceeds in synchronous rounds
 // driven by the orchestrator (dist/online.cpp):
-//   1. every undecided participant broadcasts its best marginal (VALUE);
+//   1. every undecided participant announces its best marginal (VALUE);
 //   2. a node whose (marginal, id) beats every undecided participating
-//      neighbor commits: it adds the S-C tuple and broadcasts UPDATE;
-//   3. receivers of UPDATE mark the sender decided and recompute.
+//      neighbor commits: it adds the S-C tuple (UPDATE);
+//   3. the committers' neighbors mark them decided and re-price.
 // Marginals only shrink as commits accumulate (submodularity), so acting on
 // a one-round-old neighbor value is safe — exactly the argument the paper
 // uses to order the asynchronous executions.
@@ -25,19 +26,104 @@
 // chargers in the same token turn), so for each of those tasks the ledger
 // holds exactly the commits the node made or heard of in UPDATEs, summed in
 // the same order a private copy would sum them.
+//
+// Messages are posted on a Board instead of delivered (DESIGN §3.22). A
+// broadcast reaches every alive neighbor of its sender at once, and a
+// receiver only ever reads the latest VALUE and the decided flag of each
+// neighbor, so one entry per sender serves all its receivers. The Fig. 16
+// counters are kept by counting: each broadcast makes as many deliveries as
+// its sender has alive neighbors.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/objective.hpp"
-#include "dist/protocol.hpp"
 #include "model/network.hpp"
 #include "model/schedule.hpp"
 
 namespace haste::dist {
+
+/// Wire size of one control message msg(ID, TIM, COL, CMD, dF*_i(Q_i),
+/// e^{k*}_i) carrying `tasks` task entries: sender(4) + slot(4) + color(2) +
+/// command(1) + marginal(8) + orientation(8) + count(2), plus id(4) +
+/// energy(8) per entry. A VALUE carries none, an UPDATE its policy's rows,
+/// and a HELLO its sender's coverable known tasks.
+constexpr std::uint64_t wire_bytes(std::size_t tasks) {
+  return 29 + 12 * static_cast<std::uint64_t>(tasks);
+}
+
+/// Broadcasts of one plan and what delivering them would cost.
+struct Traffic {
+  std::uint64_t broadcasts = 0;  ///< HELLO + VALUE + UPDATE
+  std::uint64_t deliveries = 0;  ///< per-neighbor receptions
+  std::uint64_t bytes = 0;       ///< sum of wire sizes of broadcasts
+};
+
+/// The medium of one plan over the chargers alive for it: each charger's
+/// HELLO, and per stage its latest VALUE and whether it is decided.
+class Board {
+ public:
+  /// One packed entry per charger. A stamp equal to the board's stage means
+  /// "this stage", so opening a stage resets nothing.
+  struct Entry {
+    double value = 0.0;          ///< latest VALUE
+    std::uint32_t heard = 0;     ///< stage of that VALUE
+    std::uint32_t decided = 0;   ///< stage in which the charger decided
+  };
+
+  Board(const model::Network& net, const std::vector<bool>& alive);
+
+  /// Counts one broadcast from `sender` carrying `tasks` task entries.
+  void count(model::ChargerIndex sender, std::size_t tasks);
+  const Traffic& traffic() const { return traffic_; }
+
+  /// HELLO: posts and counts the coverable known tasks of `sender`.
+  void announce(model::ChargerIndex sender, std::span<const model::TaskIndex> tasks);
+
+  /// Marks which chargers announced work at `slot`: a task active there
+  /// and not dropped by the deadline discount (zero tardiness factor =
+  /// hard-tardy or infeasible), the row rule of make_slot_policies. Waiting
+  /// on an `active`-only basis deadlocked stages on deadline instances: a
+  /// fully-pruned neighbor never speaks.
+  void load_slot(model::SlotIndex slot);
+  bool works(model::ChargerIndex charger) const {
+    return works_[static_cast<std::size_t>(charger)] != 0;
+  }
+
+  /// Opens the next (slot, color) stage.
+  void next_stage() { ++stage_; }
+  std::uint32_t stage() const { return stage_; }
+
+  /// VALUE of `sender` for this stage; a non-positive one also decides it
+  /// (a passive node).
+  void post_value(model::ChargerIndex sender, double marginal) {
+    Entry& entry = entries_[static_cast<std::size_t>(sender)];
+    entry.value = marginal;
+    entry.heard = stage_;
+    if (marginal <= 0.0) entry.decided = stage_;
+  }
+  /// `sender`'s UPDATE arrived: it is decided for the rest of the stage.
+  void post_decided(model::ChargerIndex sender) {
+    entries_[static_cast<std::size_t>(sender)].decided = stage_;
+  }
+  const Entry& entry(model::ChargerIndex charger) const {
+    return entries_[static_cast<std::size_t>(charger)];
+  }
+
+ private:
+  const model::Network* net_;
+  std::vector<std::uint32_t> alive_degree_;  // [charger]: alive neighbors
+  std::vector<model::TaskIndex> hello_tasks_;
+  std::vector<std::pair<std::size_t, std::size_t>> hello_range_;  // [charger]
+  std::vector<std::uint8_t> works_;  // [charger], see load_slot
+  std::vector<Entry> entries_;       // [charger]
+  std::uint32_t stage_ = 0;
+  Traffic traffic_;
+};
 
 /// One charger participating in the distributed negotiation.
 class ChargerNode {
@@ -56,39 +142,59 @@ class ChargerNode {
   /// pricing against `ledger`: the plan's shared energy state, holding the
   /// already-harvested energies and no commits yet. The node reads and
   /// commits to it until write_schedule and never after, so the ledger only
-  /// has to outlive the plan. Returns the HELLO message announcing this
-  /// node's coverable tasks.
-  Message begin_plan(const std::vector<model::TaskIndex>& known_tasks,
-                     core::MarginalEngine& ledger);
+  /// has to outlive the plan. Returns the node's HELLO, the known tasks it
+  /// can cover, valid until the next load_slot.
+  std::span<const model::TaskIndex> begin_plan(const std::vector<model::TaskIndex>& known_tasks,
+                                               core::MarginalEngine& ledger);
 
   /// True if this node can cover at least one known task (otherwise it takes
   /// no part in the negotiation).
   bool has_work() const { return !dominant_.empty(); }
 
-  /// Prepares the (slot, color) stage. Returns true if the node participates
+  /// Loads the policies of `slot`, which its C color stages share, and
+  /// leaves the node decided. Returns true if it takes part in those stages
   /// (has at least one policy with active tasks in the slot).
-  bool begin_stage(model::SlotIndex slot, int color);
+  bool load_slot(model::SlotIndex slot);
+
+  /// Lists the neighbors `board` (loaded at the same slot) marks as working:
+  /// the ones whose VALUE or decision try_commit waits for.
+  void list_slot_neighbors(const Board& board);
+
+  /// Starts the stage of `color` at the loaded slot, where the node must
+  /// take part, and prices it.
+  void begin_stage(int color);
 
   /// True once this node has committed or gone passive for the stage.
   bool decided() const { return decided_; }
 
-  /// The VALUE broadcast for this round; nullopt once decided. A node whose
-  /// best marginal is not positive announces 0 and goes passive.
-  std::optional<Message> make_value_message();
+  /// The marginal this round's VALUE announces. A node whose best marginal
+  /// is not positive announces 0 and goes passive.
+  double value();
 
-  /// Handles a received message (HELLO, VALUE, or UPDATE). The committer
-  /// already applied an UPDATE's tuple to the ledger, so receiving one only
-  /// marks the sender decided and re-prices the stage.
-  void receive(const Message& message);
+  /// Commits if this node's VALUE beats the VALUE of every undecided slot
+  /// neighbor on `board` (the lower id wins equal marginals). Returns true
+  /// when it committed, i.e. broadcasts an UPDATE.
+  bool try_commit(const Board& board);
 
-  /// Attempts to commit; returns the UPDATE broadcast on success.
-  std::optional<Message> try_commit();
+  /// Re-prices the stage after neighbors committed into the ledger. Once
+  /// per round is exact however many of them committed (DESIGN §3.22).
+  void reprice();
 
   /// Commits the current best unconditionally (no neighbor comparison):
   /// the sequential/ordered protocol of Theorem 6.1's proof, where chargers
-  /// decide in a fixed global order and only announce. Returns the UPDATE
-  /// broadcast, or nullopt when no policy has positive marginal.
-  std::optional<Message> force_commit();
+  /// decide in a fixed global order and only announce. Returns true when it
+  /// committed, false when no policy has a positive marginal.
+  bool force_commit();
+
+  /// The UPDATE of this stage's commit: the committed policy's rows and
+  /// marginal. Valid until the next begin_stage or load_slot.
+  struct Update {
+    double marginal = 0.0;
+    double orientation = 0.0;
+    std::span<const model::TaskIndex> tasks;
+    std::span<const double> slot_energy;
+  };
+  Update last_update() const;
 
   /// Writes this node's sampled selections (final color per slot, hashed
   /// from `seed`) into `schedule` for slots in [first_slot, horizon),
@@ -96,19 +202,8 @@ class ChargerNode {
   void write_schedule(model::Schedule& schedule, model::SlotIndex first_slot) const;
 
  private:
-  /// Builds the per-(plan, slot) state that the slot's C color stages share:
-  /// the stage policies, their row -> plan-column map, and the neighbors
-  /// that take part at the slot.
-  void load_slot(model::SlotIndex slot);
-  void recompute_best();
   double refresh_policy(std::size_t q);  ///< lazily refreshed marginal
-  Message commit_current();  ///< commits best_policy_ and builds the UPDATE
-  /// Position of charger `j` in neighbors_, or -1 when it is no neighbor.
-  std::int32_t neighbor_position(model::ChargerIndex j) const {
-    return j >= 0 && static_cast<std::size_t>(j) < neighbor_position_.size()
-               ? neighbor_position_[static_cast<std::size_t>(j)]
-               : -1;
-  }
+  void commit_current();                 ///< commits best_policy_ to the ledger
 
   const model::Network* net_;
   model::ChargerIndex id_;
@@ -117,34 +212,27 @@ class ChargerNode {
   core::MarginalEngine* ledger_ = nullptr;  // the current plan's, see begin_plan
 
   // The neighborhood, fixed for the node's life: Network::neighbors(id_) in
-  // ascending id order. A neighbor's position p in it indexes every
-  // per-neighbor array below.
+  // ascending id order.
   std::span<const model::ChargerIndex> neighbors_;
-  std::vector<std::int32_t> neighbor_position_;  // [charger] -> p, or -1
-
-  // Per plan: the coverable known tasks each neighbor announced in its HELLO
-  // (empty = silent or dead).
-  std::vector<std::vector<model::TaskIndex>> neighbor_tasks_;  // [p]
 
   // Per (plan, slot), shared by the slot's color stages; loaded_slot_ is the
   // slot they describe (-1: none loaded this plan).
   model::SlotIndex loaded_slot_ = -1;
   core::SlotPolicies slot_policies_;
   std::vector<std::size_t> slot_row_col_;  // [row] -> plan column
-  std::vector<int> slot_colors_;           // [s]: this node's panel color at the slot
-  // Positions p of the neighbors with a policy at the slot: a neighbor takes
-  // part iff some task it announced is active AND not dropped by the
-  // deadline discount (zero tardiness factor = hard-tardy or infeasible),
-  // mirroring the row-construction rule in make_slot_policies. Waiting on an
-  // `active`-only basis deadlocked the stage on deadline instances — a
-  // fully-pruned neighbor never speaks, everyone else kept waiting for its
-  // value, and the round cap fired.
-  std::vector<std::int32_t> slot_neighbors_;
+  // The neighbors with a policy at the slot, by the HELLO rule of
+  // Board::load_slot (ascending ids).
+  std::vector<model::ChargerIndex> slot_neighbors_;
+
+  // This node's panel colors, hashed once per session: [slot * S + s] is its
+  // color in sample s at the slot, -1 until the slot is first loaded. `panel_`
+  // is the (colors, samples, seed) they were hashed for.
+  std::vector<int> panel_colors_;
+  core::MarginalEngine::Config panel_{0, 0, 0};
 
   // Stage state.
-  model::SlotIndex stage_slot_ = 0;
   int stage_color_ = 0;
-  // Panel samples whose color at (id_, stage_slot_) matches stage_color_ —
+  // Panel samples whose color at (id_, loaded_slot_) matches stage_color_ —
   // the only samples a stage marginal depends on (ascending, so lazy
   // refreshes re-sum in the ledger's evaluation order).
   std::vector<int> stage_samples_;
@@ -159,9 +247,6 @@ class ChargerNode {
   int best_policy_ = -1;
   double best_marginal_ = 0.0;
   bool decided_ = true;
-  std::vector<double> neighbor_value_;          // [p]: latest VALUE this stage
-  std::vector<std::uint8_t> neighbor_heard_;    // [p]: a VALUE arrived this stage
-  std::vector<std::uint8_t> neighbor_decided_;  // [p]: committed or passive
 
   // Column pricing, shared across policies AND stages of one plan: the
   // per-slot energy a task would receive is orientation- and

@@ -10,7 +10,6 @@
 
 #include "baseline/greedy_cover.hpp"
 #include "baseline/greedy_utility.hpp"
-#include "dist/bus.hpp"
 #include "dist/event_queue.hpp"
 #include "dist/node.hpp"
 #include "obs/obs.hpp"
@@ -37,27 +36,38 @@ void splice_plan(model::Schedule& target, const model::Schedule& source,
   }
 }
 
-using Bus = BroadcastBus<ChargerNode>;
+/// Starts every node's plan on `ledger` and posts its HELLO on `board`.
+/// Returns the nodes with work, ascending ids like `nodes`.
+std::vector<ChargerNode*> hello(const std::vector<ChargerNode*>& nodes,
+                                const std::vector<model::TaskIndex>& known,
+                                core::MarginalEngine& ledger, Board& board) {
+  std::vector<ChargerNode*> workers;
+  for (ChargerNode* node : nodes) {
+    board.announce(node->id(), node->begin_plan(known, ledger));
+    if (node->has_work()) workers.push_back(node);
+  }
+  return workers;
+}
 
-/// Wires the alive fleet onto a fresh bus (alive-restricted neighborhoods)
-/// and runs the plan-start HELLO round, starting every node's plan on
-/// `ledger`.
-void wire_and_hello(const model::Network& net, const std::vector<ChargerNode*>& nodes,
-                    const std::vector<bool>& alive,
-                    const std::vector<model::TaskIndex>& known,
-                    core::MarginalEngine& ledger, Bus& bus) {
+/// Writes the agreed plan into `executed` from `plan_start` on and adds the
+/// plan's traffic to the Fig. 16 counters. Chargers without work keep
+/// (persist) their previous orientation: their rows are cleared so stale
+/// plans do not execute.
+void finish_plan(const std::vector<ChargerNode*>& nodes, const Board& board,
+                 model::SlotIndex plan_start, model::Schedule& executed,
+                 OnlineResult& result) {
   for (ChargerNode* node : nodes) {
-    bus.register_node(node->id(), node);
-    std::vector<model::ChargerIndex> neighbors;
-    for (model::ChargerIndex j : net.neighbors(node->id())) {
-      if (alive[static_cast<std::size_t>(j)]) neighbors.push_back(j);
+    if (node->has_work()) {
+      node->write_schedule(executed, plan_start);
+    } else {
+      for (model::SlotIndex k = plan_start; k < executed.horizon(); ++k) {
+        executed.clear(node->id(), k);
+      }
     }
-    bus.set_neighbors(node->id(), std::move(neighbors));
   }
-  for (ChargerNode* node : nodes) {
-    bus.broadcast(node->begin_plan(known, ledger));
-  }
-  bus.flush_round();
+  result.messages += board.traffic().broadcasts;
+  result.deliveries += board.traffic().deliveries;
+  result.message_bytes += board.traffic().bytes;
 }
 
 /// Runs the ordered token protocol for one re-plan: each charger, in
@@ -74,37 +84,20 @@ void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
                           core::MarginalEngine& ledger, model::SlotIndex plan_start,
                           const std::vector<bool>& alive, model::Schedule& executed,
                           OnlineResult& result) {
-  Bus bus;
-  wire_and_hello(net, nodes, alive, known, ledger, bus);
-
+  Board board(net, alive);
+  const std::vector<ChargerNode*> workers = hello(nodes, known, ledger, board);
   const int colors = std::max(1, config.colors);
-  std::vector<ChargerNode*> workers;
-  for (ChargerNode* node : nodes) {
-    if (node->has_work()) workers.push_back(node);
-  }
-
   for (int c = 0; c < colors; ++c) {
     for (ChargerNode* node : workers) {  // ascending id: nodes are built in order
       ++result.rounds;                   // one token turn
       for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-        if (!node->begin_stage(k, c)) continue;
-        if (auto msg = node->force_commit()) bus.broadcast(std::move(*msg));
-      }
-      bus.flush_round();  // successors see this node's selections
-    }
-  }
-
-  for (ChargerNode* node : workers) node->write_schedule(executed, plan_start);
-  for (ChargerNode* node : nodes) {
-    if (!node->has_work()) {
-      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-        executed.clear(node->id(), k);
+        if (!node->load_slot(k)) continue;
+        node->begin_stage(c);
+        if (node->force_commit()) board.count(node->id(), node->last_update().tasks.size());
       }
     }
   }
-  result.messages += bus.stats().broadcasts;
-  result.deliveries += bus.stats().deliveries;
-  result.message_bytes += bus.stats().bytes;
+  finish_plan(nodes, board, plan_start, executed, result);
 }
 
 /// Runs the full HASTE negotiation for one re-plan. Writes the agreed plan
@@ -117,65 +110,64 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
                      core::MarginalEngine& ledger, model::SlotIndex plan_start,
                      const std::vector<bool>& alive, model::Schedule& executed,
                      OnlineResult& result) {
-  Bus bus;
-  // Plan start: everyone announces its coverable known tasks (HELLO).
-  wire_and_hello(net, nodes, alive, known, ledger, bus);
-
+  Board board(net, alive);
+  const std::vector<ChargerNode*> workers = hello(nodes, known, ledger, board);
   // The engine's color count may have been clamped (colors < 1 -> 1).
   const int colors = std::max(1, config.colors);
 
-  std::vector<ChargerNode*> workers;
-  for (ChargerNode* node : nodes) {
-    if (node->has_work()) workers.push_back(node);
-  }
-
   std::vector<ChargerNode*> participants;
+  std::vector<ChargerNode*> undecided;
+  std::vector<ChargerNode*> committers;
+  // [charger]: the last round in which a neighbor of it committed.
+  std::vector<std::uint64_t> touched(static_cast<std::size_t>(net.charger_count()), 0);
+  std::uint64_t round = 0;
   for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-    for (int c = 0; c < colors; ++c) {
-      participants.clear();
-      for (ChargerNode* node : workers) {
-        if (node->begin_stage(k, c)) participants.push_back(node);
-      }
-      if (participants.empty()) continue;
+    participants.clear();
+    for (ChargerNode* node : workers) {
+      if (node->load_slot(k)) participants.push_back(node);
+    }
+    if (participants.empty()) continue;
+    board.load_slot(k);
+    for (ChargerNode* node : participants) node->list_slot_neighbors(board);
 
+    for (int c = 0; c < colors; ++c) {
+      board.next_stage();
+      for (ChargerNode* node : participants) node->begin_stage(c);
+      undecided = participants;
       const std::size_t round_cap = participants.size() + 3;
-      std::size_t stage_rounds = 0;
-      for (;;) {
-        bool any_undecided = false;
-        for (ChargerNode* node : participants) {
-          if (!node->decided()) any_undecided = true;
-        }
-        if (!any_undecided) break;
+      for (std::size_t stage_rounds = 0; !undecided.empty();) {
         if (++stage_rounds > round_cap) {
           throw std::logic_error("online negotiation failed to converge");
         }
         ++result.rounds;
-        for (ChargerNode* node : participants) {
-          if (auto msg = node->make_value_message()) bus.broadcast(std::move(*msg));
+        ++round;
+        for (ChargerNode* node : undecided) {
+          board.post_value(node->id(), node->value());
+          board.count(node->id(), 0);
         }
-        bus.flush_round();
-        for (ChargerNode* node : participants) {
-          if (auto msg = node->try_commit()) bus.broadcast(std::move(*msg));
+        committers.clear();
+        for (ChargerNode* node : undecided) {
+          if (!node->try_commit(board)) continue;
+          committers.push_back(node);
+          board.count(node->id(), node->last_update().tasks.size());
         }
-        bus.flush_round();
+        // The UPDATEs arrive after the whole commit phase: only now do the
+        // committers turn decided, and each undecided neighbor re-prices
+        // once against the ledger that holds all of this round's commits.
+        for (ChargerNode* node : committers) {
+          board.post_decided(node->id());
+          for (const model::ChargerIndex j : net.neighbors(node->id())) {
+            touched[static_cast<std::size_t>(j)] = round;
+          }
+        }
+        std::erase_if(undecided, [](const ChargerNode* node) { return node->decided(); });
+        for (ChargerNode* node : undecided) {
+          if (touched[static_cast<std::size_t>(node->id())] == round) node->reprice();
+        }
       }
     }
   }
-
-  for (ChargerNode* node : workers) node->write_schedule(executed, plan_start);
-  // Chargers without work keep (persist) their previous orientation — their
-  // schedule rows beyond plan_start are cleared so stale plans do not execute.
-  for (ChargerNode* node : nodes) {
-    if (!node->has_work()) {
-      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-        executed.clear(node->id(), k);
-      }
-    }
-  }
-
-  result.messages += bus.stats().broadcasts;
-  result.deliveries += bus.stats().deliveries;
-  result.message_bytes += bus.stats().bytes;
+  finish_plan(nodes, board, plan_start, executed, result);
 }
 
 }  // namespace
@@ -373,6 +365,7 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   }
 
   record.messages = result_.messages - messages_before;
+  record.deliveries = result_.deliveries - deliveries_before;
   record.rounds = result_.rounds - rounds_before;
   const core::MarginalEngine::Stats plan_stats =
       ledger.has_value() ? ledger->stats() : core::MarginalEngine::Stats{};
@@ -387,10 +380,16 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   HASTE_OBS_COUNTER_ADD("online.marginal_evals", plan_stats.marginals);
   HASTE_OBS_COUNTER_ADD("online.commits", plan_stats.commits);
   HASTE_OBS_COUNTER_ADD("bus.broadcasts", record.messages);
-  HASTE_OBS_COUNTER_ADD("bus.deliveries", result_.deliveries - deliveries_before);
+  HASTE_OBS_COUNTER_ADD("bus.deliveries", record.deliveries);
   HASTE_OBS_COUNTER_ADD("bus.bytes", result_.message_bytes - bytes_before);
   HASTE_OBS_HISTOGRAM_RECORD("online.replan.latency_us",
                              static_cast<double>(obs::Tracer::now_us() - started_us));
+  if (negotiated) {
+    HASTE_OBS_HISTOGRAM_RECORD("online.replan.messages", static_cast<double>(record.messages));
+    HASTE_OBS_HISTOGRAM_RECORD("online.replan.deliveries",
+                               static_cast<double>(record.deliveries));
+    HASTE_OBS_HISTOGRAM_RECORD("online.replan.rounds", static_cast<double>(record.rounds));
+  }
   if (predictor_ != nullptr) {
     // Feed the negotiated plan value back so the cadence controller can
     // escalate (predictions held) or reset on a utility shortfall. The

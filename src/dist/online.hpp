@@ -2,7 +2,7 @@
 //
 // Tasks arrive at their release slots; each arrival batch triggers a
 // re-plan: chargers exchange HELLOs, negotiate every (slot, color) stage of
-// the remaining horizon over the broadcast bus, and the new plan takes
+// the remaining horizon on a per-plan board, and the new plan takes
 // effect tau slots after the arrival (the rescheduling delay). Slots before
 // that keep executing the previous plan. The same driver also runs the
 // distributed baselines (GreedyUtility / GreedyCover recomputed per arrival
@@ -69,6 +69,7 @@ struct NegotiationRecord {
   std::size_t known_tasks = 0;       ///< tasks released so far
   std::size_t alive_chargers = 0;    ///< chargers still operational
   std::uint64_t messages = 0;        ///< broadcasts spent on this re-plan
+  std::uint64_t deliveries = 0;      ///< per-neighbor receptions of them
   std::uint64_t rounds = 0;          ///< negotiation rounds of this re-plan
   std::uint64_t row_evals = 0;       ///< engine row_term evaluations spent
 };

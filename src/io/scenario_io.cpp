@@ -1,10 +1,26 @@
 #include "io/scenario_io.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "geom/angle.hpp"
 
 namespace haste::io {
 
 using util::Json;
+
+namespace {
+
+/// Throws when `chargers` x `horizon` spans more than kMaxScheduleCells.
+void check_cells(std::int64_t chargers, std::int64_t horizon, const std::string& fields) {
+  if (std::max<std::int64_t>(chargers, 1) * horizon > kMaxScheduleCells) {
+    throw std::invalid_argument(fields + " = " + std::to_string(chargers) + " x " +
+                                std::to_string(horizon) + " exceeds the limit of " +
+                                std::to_string(kMaxScheduleCells) + " charger-slot cells");
+  }
+}
+
+}  // namespace
 
 Json network_to_json(const model::Network& net) {
   Json root = Json::object();
@@ -105,6 +121,10 @@ model::Network network_from_json(const Json& json) {
     }
     tasks.push_back(task);
   }
+  std::int64_t horizon = 0;  // as model::Network derives it
+  for (const model::Task& task : tasks) horizon = std::max<std::int64_t>(horizon, task.end_slot);
+  check_cells(static_cast<std::int64_t>(chargers.size()), horizon,
+              "chargers x the largest task end_slot");
 
   model::DeadlinePolicy deadline;
   if (json.contains("deadline")) {
@@ -164,6 +184,7 @@ Json schedule_to_json(const model::Schedule& schedule) {
 model::Schedule schedule_from_json(const Json& json) {
   const model::ChargerIndex chargers = util::index_from(json.at("chargers"), "chargers");
   const model::SlotIndex horizon = util::index_from(json.at("horizon"), "horizon");
+  check_cells(chargers, horizon, "chargers x horizon");
   model::Schedule schedule(chargers, horizon);
   const Json& assignments = json.at("assignments");
   for (std::size_t idx = 0; idx < assignments.size(); ++idx) {

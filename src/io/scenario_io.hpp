@@ -21,6 +21,7 @@
 // task's coverage and change what a loaded schedule harvests.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "model/network.hpp"
@@ -29,15 +30,23 @@
 
 namespace haste::io {
 
+/// The most charger-slot cells (chargers x horizon, counting at least one
+/// charger) an input may span. The schedule and the negotiation's per-slot
+/// state grow with it, so both parsers reject a larger input, naming the
+/// fields, before allocating any of it. Paper-scale 100/400 instances span
+/// ~18k cells.
+inline constexpr std::int64_t kMaxScheduleCells = std::int64_t{1} << 20;
+
 /// Serializes a problem instance.
 util::Json network_to_json(const model::Network& net);
 
 /// Parses a problem instance; throws util::JsonError / std::invalid_argument
-/// on malformed input.
+/// on malformed input or one above kMaxScheduleCells.
 model::Network network_from_json(const util::Json& json);
 
 /// Serializes / parses a schedule. Parsing validates charger/slot bounds
-/// against the stored dimensions.
+/// against the stored dimensions and the dimensions against
+/// kMaxScheduleCells.
 util::Json schedule_to_json(const model::Schedule& schedule);
 model::Schedule schedule_from_json(const util::Json& json);
 

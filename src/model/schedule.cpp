@@ -1,54 +1,52 @@
 #include "model/schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace haste::model {
 
+namespace {
+
+constexpr double kUnassigned = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
+
 Schedule::Schedule(ChargerIndex chargers, SlotIndex horizon) : horizon_(horizon) {
   if (chargers < 0 || horizon < 0) {
     throw std::invalid_argument("Schedule: negative dimensions");
   }
-  slots_.assign(static_cast<std::size_t>(chargers),
-                std::vector<SlotAssignment>(static_cast<std::size_t>(horizon)));
+  angles_.assign(static_cast<std::size_t>(chargers) * static_cast<std::size_t>(horizon),
+                 kUnassigned);
   disabled_from_.assign(static_cast<std::size_t>(chargers), horizon);
 }
 
-void Schedule::check_bounds(ChargerIndex i, SlotIndex k) const {
-  if (i < 0 || static_cast<std::size_t>(i) >= slots_.size() || k < 0 || k >= horizon_) {
-    throw std::out_of_range("Schedule: index (" + std::to_string(i) + ", " +
-                            std::to_string(k) + ") out of range");
-  }
+void Schedule::out_of_range(ChargerIndex i, SlotIndex k) {
+  throw std::out_of_range("Schedule: index (" + std::to_string(i) + ", " +
+                          std::to_string(k) + ") out of range");
 }
 
 void Schedule::assign(ChargerIndex i, SlotIndex k, double theta) {
-  check_bounds(i, k);
-  slots_[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)] = theta;
+  const std::size_t at = cell(i, k);
+  if (std::isnan(theta)) throw std::invalid_argument("Schedule: orientation is NaN");
+  angles_[at] = theta;
 }
 
-void Schedule::clear(ChargerIndex i, SlotIndex k) {
-  check_bounds(i, k);
-  slots_[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)].reset();
-}
-
-SlotAssignment Schedule::assignment(ChargerIndex i, SlotIndex k) const {
-  check_bounds(i, k);
-  return slots_[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)];
-}
+void Schedule::clear(ChargerIndex i, SlotIndex k) { angles_[cell(i, k)] = kUnassigned; }
 
 SlotAssignment Schedule::resolved_orientation(ChargerIndex i, SlotIndex k) const {
-  check_bounds(i, k);
   if (disabled_at(i, k)) return std::nullopt;
-  const auto& row = slots_[static_cast<std::size_t>(i)];
+  const std::size_t row = cell(i, 0);
   for (SlotIndex s = k; s >= 0; --s) {
-    if (row[static_cast<std::size_t>(s)].has_value()) return row[static_cast<std::size_t>(s)];
+    const double angle = angles_[row + static_cast<std::size_t>(s)];
+    if (!std::isnan(angle)) return angle;
   }
   return std::nullopt;
 }
 
 bool Schedule::switches_at(ChargerIndex i, SlotIndex k) const {
-  check_bounds(i, k);
   if (disabled_at(i, k)) return false;
   const SlotAssignment current = assignment(i, k);
   if (!current.has_value()) return false;  // persisting costs nothing
@@ -60,16 +58,11 @@ bool Schedule::switches_at(ChargerIndex i, SlotIndex k) const {
 
 void Schedule::disable_from(ChargerIndex i, SlotIndex k) {
   if (k < 0) k = 0;
-  if (i < 0 || static_cast<std::size_t>(i) >= slots_.size()) {
+  if (i < 0 || i >= charger_count()) {
     throw std::out_of_range("Schedule: disable_from charger out of range");
   }
   auto& from = disabled_from_[static_cast<std::size_t>(i)];
   from = std::min(from, k);
-}
-
-bool Schedule::disabled_at(ChargerIndex i, SlotIndex k) const {
-  check_bounds(i, k);
-  return k >= disabled_from_[static_cast<std::size_t>(i)];
 }
 
 int Schedule::total_switches() const {

@@ -7,6 +7,8 @@
 // that was never assigned idles (the paper's Phi state, emitting nothing).
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -28,19 +30,25 @@ class Schedule {
   Schedule(ChargerIndex chargers, SlotIndex horizon);
 
   /// Number of chargers.
-  ChargerIndex charger_count() const { return static_cast<ChargerIndex>(slots_.size()); }
+  ChargerIndex charger_count() const {
+    return static_cast<ChargerIndex>(disabled_from_.size());
+  }
 
   /// Number of slots.
   SlotIndex horizon() const { return horizon_; }
 
-  /// Assigns charger `i` to angle `theta` in slot `k`.
+  /// Assigns charger `i` to angle `theta` in slot `k`; a NaN angle throws
+  /// std::invalid_argument.
   void assign(ChargerIndex i, SlotIndex k, double theta);
 
   /// Clears the assignment of charger `i` in slot `k`.
   void clear(ChargerIndex i, SlotIndex k);
 
   /// Raw assignment (nullopt if unassigned).
-  SlotAssignment assignment(ChargerIndex i, SlotIndex k) const;
+  SlotAssignment assignment(ChargerIndex i, SlotIndex k) const {
+    const double angle = angles_[cell(i, k)];
+    return std::isnan(angle) ? std::nullopt : SlotAssignment(angle);
+  }
 
   /// The orientation the charger actually holds in slot `k` after resolving
   /// persistence: the most recent assignment at or before `k`, or nullopt if
@@ -63,12 +71,25 @@ class Schedule {
   void disable_from(ChargerIndex i, SlotIndex k);
 
   /// True if charger `i` is off in slot `k` due to disable_from.
-  bool disabled_at(ChargerIndex i, SlotIndex k) const;
+  bool disabled_at(ChargerIndex i, SlotIndex k) const {
+    cell(i, k);  // bounds check
+    return k >= disabled_from_[static_cast<std::size_t>(i)];
+  }
 
  private:
-  void check_bounds(ChargerIndex i, SlotIndex k) const;
+  /// Index of (i, k) in angles_; throws std::out_of_range outside the
+  /// schedule.
+  std::size_t cell(ChargerIndex i, SlotIndex k) const {
+    if (i < 0 || i >= charger_count() || k < 0 || k >= horizon_) out_of_range(i, k);
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(horizon_) +
+           static_cast<std::size_t>(k);
+  }
+  [[noreturn]] static void out_of_range(ChargerIndex i, SlotIndex k);
 
-  std::vector<std::vector<SlotAssignment>> slots_;
+  // [i * horizon_ + k]: the assigned angle, NaN when unassigned. Eight bytes
+  // a cell where an optional takes sixteen: every online result and serve
+  // session holds a schedule.
+  std::vector<double> angles_;
   std::vector<SlotIndex> disabled_from_;  // per charger; horizon_ = never
   SlotIndex horizon_ = 0;
 };

@@ -1,10 +1,12 @@
-// The broadcast medium connecting neighboring chargers.
+// The broadcast medium connecting neighboring chargers, as a test oracle.
 //
 // The paper assumes each charger's communication range covers all its
 // neighbors (chargers sharing a coverable task), so one broadcast reaches
 // every neighbor. The bus delivers queued broadcasts in deterministic FIFO
 // order and keeps the counters behind the paper's Fig. 16 (messages and
-// rounds per time slot).
+// rounds per time slot). The library counts those deliveries on its
+// dist::Board instead of making them; oracle::negotiate_checked routes every
+// message of a plan through this bus as an independent count.
 //
 // Delivery is a direct call of `Node::receive(const Message&)` on the
 // registered node object, resolved by index: no type-erased handler sits on
@@ -16,9 +18,9 @@
 #include <utility>
 #include <vector>
 
-#include "dist/protocol.hpp"
+#include "oracle/protocol.hpp"
 
-namespace haste::dist {
+namespace haste::oracle {
 
 /// Statistics accumulated by the bus.
 struct BusStats {
@@ -108,4 +110,4 @@ class BroadcastBus {
   BusStats stats_;
 };
 
-}  // namespace haste::dist
+}  // namespace haste::oracle

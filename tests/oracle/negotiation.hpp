@@ -9,11 +9,16 @@
 // term cache and no version stamps, so dist::ChargerNode's cached kernel
 // pricing must reproduce it bit for bit.
 //
-// negotiate_checked drives production nodes through one plan as
-// dist/online.cpp does (the HELLO round, then the election rounds or the
-// ordered token protocol) and checks every VALUE marginal and every UPDATE
-// against one NodePricer per node. run_online_checked repeats that for each
-// arrival batch of an online run with a freshly built fleet per plan: the
+// negotiate_checked drives production nodes through one plan (the HELLO
+// round, then the election rounds or the ordered token protocol) and checks
+// every VALUE marginal and every UPDATE against one NodePricer per node. It
+// routes every message through the BroadcastBus (oracle/bus.hpp), whose
+// receivers act on each delivery the way the paper's nodes do: a committer
+// turns decided when its UPDATE is delivered, and each delivered UPDATE
+// re-prices an undecided receiver. The library's dist/online.cpp counts
+// deliveries instead and re-prices once per round, so the bus is an
+// independent count of the Fig. 16 traffic. run_online_checked repeats that
+// for each event of an online run with a freshly built fleet per plan: the
 // reference that the session's persistent fleet must match.
 #pragma once
 
@@ -26,6 +31,7 @@
 #include "dist/node.hpp"
 #include "dist/online.hpp"
 #include "oracle/pricing.hpp"
+#include "oracle/protocol.hpp"
 
 namespace haste::oracle {
 
@@ -44,7 +50,7 @@ class NodePricer {
     bool participates = false;  ///< the slot has at least one policy
     bool positive = false;      ///< some policy has a positive marginal
     double marginal = 0.0;      ///< the best marginal (0 when none is positive)
-    dist::PolicyAnnouncement policy;  ///< the best policy's rows
+    PolicyAnnouncement policy;  ///< the best policy's rows
   };
   Choice choose(const core::MarginalEngine& ledger, model::SlotIndex slot, int color);
 
@@ -68,18 +74,19 @@ enum class Protocol {
 
 /// What one checked plan produced.
 struct PlanCheck {
-  std::vector<dist::Message> transcript;  ///< every broadcast, in send order
-  std::uint64_t rounds = 0;               ///< election rounds or token turns
-  std::uint64_t deliveries = 0;
-  std::uint64_t bytes = 0;
-  std::vector<std::string> mismatches;    ///< disagreements with the pricers
+  std::vector<Message> transcript;      ///< every broadcast, in send order
+  std::uint64_t rounds = 0;             ///< election rounds or token turns
+  std::uint64_t deliveries = 0;         ///< as the bus made them
+  std::uint64_t bytes = 0;              ///< as the bus summed them
+  std::vector<std::string> mismatches;  ///< disagreements with the pricers
+                                        ///< and the bus
 };
 
 /// Runs one plan over `nodes` (the alive fleet, ascending ids) on `ledger`,
 /// which holds the harvested energies, and writes the agreed plan into
 /// `executed` from `plan_start` on. Neighborhoods are restricted to
 /// `alive`. Every VALUE and UPDATE is checked against a NodePricer of its
-/// sender.
+/// sender, and the plan's dist::Board traffic against the bus's counts.
 PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int colors,
                             const std::vector<dist::ChargerNode*>& nodes,
                             const std::vector<bool>& alive,
@@ -94,15 +101,19 @@ struct CheckedRun {
 };
 
 /// Reference form of dist::run_online for the kHaste and kHasteSequential
-/// strategies without failures or predictor (anything else throws
-/// std::invalid_argument). Each arrival batch re-plans on a fresh ledger
-/// with a freshly built fleet; the result carries the same schedule,
-/// evaluation, Fig. 16 counters and log. Its row evaluations count the
-/// nodes' row terms, which the ledger keeps; the pricers count their own.
+/// strategies with the predictor off (anything else throws
+/// std::invalid_argument). Events replay as OnlineSession::on_arrival and
+/// on_failure take them from run_online: arrival batches by release slot
+/// and the failures of chargers in range, arrivals first on slot ties; a
+/// failure disables its charger from its slot on, and later plans run on the
+/// alive fleet and bus. Each re-plan negotiates on a fresh ledger with a
+/// freshly built fleet; the result carries the same schedule, evaluation,
+/// Fig. 16 counters and log. Its row evaluations count the nodes' row
+/// terms, which the ledger keeps; the pricers count their own.
 CheckedRun run_online_checked(const model::Network& net, const dist::OnlineConfig& config);
 
 /// True when two messages agree in every field, floating-point bits
 /// included.
-bool same_message(const dist::Message& a, const dist::Message& b);
+bool same_message(const Message& a, const Message& b);
 
 }  // namespace haste::oracle

@@ -1,8 +1,8 @@
-#include "dist/protocol.hpp"
+#include "oracle/protocol.hpp"
 
 #include <sstream>
 
-namespace haste::dist {
+namespace haste::oracle {
 
 std::size_t Message::wire_size() const {
   // sender(4) + slot(4) + color(2) + command(1) + marginal(8) +
@@ -20,4 +20,4 @@ std::string Message::describe() const {
   return out.str();
 }
 
-}  // namespace haste::dist
+}  // namespace haste::oracle

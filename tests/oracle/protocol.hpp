@@ -1,10 +1,13 @@
-// Control messages of the distributed online algorithm (Section 6.1):
+// Control messages of the distributed online algorithm (Section 6.1), as
+// the oracle's bus carries them:
 //
 //   msg(ID, TIM, COL, CMD, dF*_i(Q_i), e^{k*}_i)
 //
 // VALUE messages announce a charger's best marginal for the current
 // (slot, color) stage; UPDATE messages announce a committed scheduling
-// policy so neighbors can refresh their local views.
+// policy so neighbors can refresh their local views. The library posts
+// these on a dist::Board and only counts their wire size (dist::wire_bytes);
+// the oracle builds each one, so its byte count is independent.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +17,7 @@
 #include "model/charger.hpp"
 #include "model/task.hpp"
 
-namespace haste::dist {
+namespace haste::oracle {
 
 /// CMD field of a control message.
 enum class Command {
@@ -50,4 +53,4 @@ struct Message {
   std::string describe() const;
 };
 
-}  // namespace haste::dist
+}  // namespace haste::oracle

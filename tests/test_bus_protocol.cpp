@@ -1,14 +1,15 @@
-// Tests for dist/protocol.hpp and dist/bus.hpp — the message substrate.
+// Tests for oracle/protocol.hpp and oracle/bus.hpp — the message substrate
+// that the negotiation oracle routes every plan's messages through.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <stdexcept>
 #include <vector>
 
-#include "dist/bus.hpp"
-#include "dist/protocol.hpp"
+#include "oracle/bus.hpp"
+#include "oracle/protocol.hpp"
 
-namespace haste::dist {
+namespace haste::oracle {
 namespace {
 
 Message value_msg(model::ChargerIndex sender, double marginal = 1.0) {
@@ -150,4 +151,4 @@ TEST(Bus, NeighborsOfUnknownNodeRejected) {
 }
 
 }  // namespace
-}  // namespace haste::dist
+}  // namespace haste::oracle

@@ -5,6 +5,8 @@
 #include "core/evaluate.hpp"
 #include "dist/online.hpp"
 #include "geom/angle.hpp"
+#include "io/scenario_io.hpp"
+#include "oracle/negotiation.hpp"
 #include "test_helpers.hpp"
 
 namespace haste::dist {
@@ -203,6 +205,52 @@ TEST(OnlineFailures, Deterministic) {
   const OnlineResult b = run_online(net, config);
   EXPECT_EQ(a.evaluation.weighted_utility, b.evaluation.weighted_utility);
   EXPECT_EQ(a.messages, b.messages);
+}
+
+// The library counts each plan's deliveries as its senders' alive degrees;
+// the checked run replays the same failures (arrivals first on slot ties,
+// disable_from, an alive-restricted fleet) and makes every delivery on its
+// bus. Both protocols must agree with it on the schedule and on every
+// Fig. 16 counter, with no pricing mismatch.
+TEST(OnlineFailures, CheckedRunMatchesSession) {
+  std::size_t failure_plans = 0;
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    util::Rng rng(seed);
+    const model::Network net = random_network(rng, 6, 16, 6);
+    for (const OnlineStrategy strategy :
+         {OnlineStrategy::kHaste, OnlineStrategy::kHasteSequential}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " "
+                   << (strategy == OnlineStrategy::kHaste ? "election" : "token"));
+      OnlineConfig config;
+      config.strategy = strategy;
+      config.colors = 2;
+      config.samples = 8;
+      config.seed = seed;
+      config.failures = {{1, 2}, {4, 3}};
+      const OnlineResult session = run_online(net, config);
+      const oracle::CheckedRun checked = oracle::run_online_checked(net, config);
+      const OnlineResult& reference = checked.result;
+
+      EXPECT_TRUE(checked.mismatches.empty())
+          << checked.mismatches.size() << " mismatches, first: " << checked.mismatches.front();
+      EXPECT_EQ(io::schedule_to_json(session.schedule).dump(),
+                io::schedule_to_json(reference.schedule).dump());
+      EXPECT_EQ(session.messages, reference.messages);
+      EXPECT_EQ(session.deliveries, reference.deliveries);
+      EXPECT_EQ(session.message_bytes, reference.message_bytes);
+      EXPECT_EQ(session.rounds, reference.rounds);
+      ASSERT_EQ(session.log.size(), reference.log.size());
+      for (std::size_t r = 0; r < session.log.size(); ++r) {
+        EXPECT_EQ(session.log[r].trigger, reference.log[r].trigger) << "plan " << r;
+        EXPECT_EQ(session.log[r].alive_chargers, reference.log[r].alive_chargers) << "plan " << r;
+        EXPECT_EQ(session.log[r].deliveries, reference.log[r].deliveries) << "plan " << r;
+        if (session.log[r].trigger == ReplanTrigger::kFailure) ++failure_plans;
+      }
+    }
+  }
+  // Failures must actually re-plan around a shrunken fleet.
+  EXPECT_GE(failure_plans, 6u);
 }
 
 }  // namespace

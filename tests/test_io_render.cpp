@@ -1,8 +1,11 @@
 // Tests for io/scenario_io.hpp and sim/render.hpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/evaluate.hpp"
@@ -215,6 +218,32 @@ TEST(ScenarioIo, IndicesOutsideInt32AreRejectedNotNarrowed) {
   // The unmodified texts load.
   EXPECT_NO_THROW(network_from_json(util::Json::parse(scenario)));
   EXPECT_NO_THROW(schedule_from_json(util::Json::parse(plan)));
+}
+
+TEST(ScenarioIo, ScheduleAboveTheCellLimitIsRejected) {
+  // Just past the limit, so a regressed check costs a modest allocation.
+  // Without chargers a schedule allocates no slots, and the limit still
+  // counts one charger's row.
+  const std::string plan = schedule_to_json(model::Schedule(0, 3)).dump();
+  const auto load = [&](std::int64_t chargers, std::int64_t horizon) {
+    return schedule_from_json(util::Json::parse(
+        with_field(with_field(plan, "{", "chargers", std::to_string(chargers)), "{",
+                   "horizon", std::to_string(horizon))));
+  };
+  EXPECT_EQ(load(0, kMaxScheduleCells).horizon(), kMaxScheduleCells);
+  for (const auto& [chargers, horizon] :
+       {std::pair<std::int64_t, std::int64_t>{0, kMaxScheduleCells + 1},
+        {2, kMaxScheduleCells / 2 + 1}}) {
+    SCOPED_TRACE(std::to_string(chargers) + " x " + std::to_string(horizon));
+    try {
+      load(chargers, horizon);
+      ADD_FAILURE() << "loaded";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("horizon"), std::string::npos) << message;
+      EXPECT_NE(message.find(std::to_string(kMaxScheduleCells)), std::string::npos) << message;
+    }
+  }
 }
 
 }  // namespace

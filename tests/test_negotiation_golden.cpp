@@ -266,9 +266,9 @@ TEST(NegotiationGolden, PredictorShortfallResetsCadence) {
 
 TEST(NegotiationGolden, NodeEngineEnergiesFollowEveryRemoteCommit) {
   // The plan ledger sums the utility of EVERY task, so every commit must
-  // land in it exactly once. Every charger commits in turn and every node
-  // hears every UPDATE, also from chargers far outside its neighborhood;
-  // the ledger's final expected value is pinned bit for bit.
+  // land in it exactly once. Every charger commits in turn into the one
+  // ledger all nodes price against, also chargers far outside each other's
+  // neighborhoods; the ledger's final expected value is pinned bit for bit.
   const model::Network net = make(scaled_paper(), 17);
   const core::MarginalEngine::Config engine{2, 8, 17};
   std::vector<model::TaskIndex> known(static_cast<std::size_t>(net.task_count()));
@@ -284,12 +284,9 @@ TEST(NegotiationGolden, NodeEngineEnergiesFollowEveryRemoteCommit) {
   for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
     for (int c = 0; c < engine.colors; ++c) {
       for (const auto& node : nodes) {
-        if (!node->begin_stage(k, c)) continue;
-        const auto update = node->force_commit();
-        if (!update) continue;
-        for (const auto& other : nodes) {
-          if (other->id() != node->id()) other->receive(*update);
-        }
+        if (!node->load_slot(k)) continue;
+        node->begin_stage(c);
+        node->force_commit();
       }
     }
   }

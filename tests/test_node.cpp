@@ -6,6 +6,7 @@
 // reused node.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,7 +34,7 @@ std::vector<model::TaskIndex> all_tasks(const model::Network& net) {
 // commits into the same ledger before each of its decisions, and checks
 // every announced marginal and every committed policy against the
 // fresh-marginal pricer, bit for bit: the node must re-price exactly the
-// columns the remote UPDATEs dirtied.
+// columns the remote commits dirtied.
 TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     util::Rng rng(seed);
@@ -51,35 +52,36 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
 
     int commits_heard = 0;
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
+      const bool participates = node.load_slot(k);
+      const bool remote_participates = remote.load_slot(k);
       for (int c = 0; c < 2; ++c) {
         SCOPED_TRACE(::testing::Message() << "seed " << seed << " slot " << k << " color " << c);
-        const bool participates = node.begin_stage(k, c);
         const oracle::NodePricer::Choice announced = pricer.choose(ledger, k, c);
         ASSERT_EQ(participates, announced.participates);
         if (participates) {
-          const auto value = node.make_value_message();
-          ASSERT_TRUE(value.has_value());
-          EXPECT_EQ(value->marginal, announced.positive ? announced.marginal : 0.0);
+          node.begin_stage(c);
+          EXPECT_EQ(node.value(), announced.positive ? announced.marginal : 0.0);
         }
 
         // A neighbor commits into the ledger and the node hears the UPDATE.
-        if (remote.begin_stage(k, c)) {
-          if (const auto update = remote.force_commit()) {
-            node.receive(*update);
+        if (remote_participates) {
+          remote.begin_stage(c);
+          if (remote.force_commit()) {
+            if (participates && !node.decided()) node.reprice();
             ++commits_heard;
           }
         }
 
         if (participates) {
           const oracle::NodePricer::Choice expected = pricer.choose(ledger, k, c);
-          const auto commit = node.force_commit();
-          ASSERT_EQ(commit.has_value(), expected.positive);
-          if (commit) {
-            EXPECT_EQ(commit->marginal, expected.marginal);
-            EXPECT_EQ(commit->policy.orientation, expected.policy.orientation);
-            EXPECT_EQ(commit->policy.tasks, expected.policy.tasks);
-            EXPECT_EQ(commit->policy.slot_energy, expected.policy.slot_energy);
-            pricer.committed(c, commit->policy.orientation);
+          ASSERT_EQ(node.force_commit(), expected.positive);
+          if (expected.positive) {
+            const dist::ChargerNode::Update commit = node.last_update();
+            EXPECT_EQ(commit.marginal, expected.marginal);
+            EXPECT_EQ(commit.orientation, expected.policy.orientation);
+            EXPECT_TRUE(std::ranges::equal(commit.tasks, expected.policy.tasks));
+            EXPECT_TRUE(std::ranges::equal(commit.slot_energy, expected.policy.slot_energy));
+            pricer.committed(c, commit.orientation);
           }
         }
       }
@@ -94,11 +96,11 @@ TEST(ChargerNodeModes, NodeWithoutWorkStaysPassive) {
   const model::Network net = random_network(rng, 2, 6, 3);
   core::MarginalEngine ledger(net, core::MarginalEngine::Config{2, 4, 4});
   dist::ChargerNode node(net, 0);
-  node.begin_plan({}, ledger);
+  EXPECT_TRUE(node.begin_plan({}, ledger).empty());
   EXPECT_FALSE(node.has_work());
-  EXPECT_FALSE(node.begin_stage(0, 0));
+  EXPECT_FALSE(node.load_slot(0));
   EXPECT_TRUE(node.decided());
-  EXPECT_EQ(node.make_value_message(), std::nullopt);
+  EXPECT_FALSE(node.force_commit());
 }
 
 /// A small paper-preset field, optionally with deadlines on 70% of its
@@ -218,7 +220,7 @@ TEST(ChargerNodeFleet, ConsecutivePlansMatchFreshMarginalPricer) {
             ASSERT_TRUE(oracle::same_message(kept_check.transcript[t], fresh_check.transcript[t]))
                 << "message " << t << ": " << kept_check.transcript[t].describe() << " vs "
                 << fresh_check.transcript[t].describe();
-            if (kept_check.transcript[t].command == dist::Command::kUpdate) ++updates;
+            if (kept_check.transcript[t].command == oracle::Command::kUpdate) ++updates;
           }
           EXPECT_EQ(kept_check.rounds, fresh_check.rounds);
           EXPECT_EQ(kept_ledger.expected_value(), fresh_ledger.expected_value());

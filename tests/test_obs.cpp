@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "dist/online.hpp"
+#include "test_helpers.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -707,6 +709,39 @@ TEST(MetricsFlusher, PeriodicThreadSamplesWithoutExplicitFlushes) {
     if (events.at(e).at("name").as_string() == "flusher_test.periodic") ++samples;
   }
   EXPECT_GE(samples, 2u);
+}
+
+// Every negotiated re-plan records one sample of its broadcasts,
+// deliveries and rounds beside its latency. No other case of this suite
+// runs an online session, so the cumulative extrema are this run's.
+TEST(OnlineReplanHistograms, OneSamplePerNegotiatedPlan) {
+  const MetricsSnapshot before = MetricsRegistry::instance().snapshot();
+  util::Rng rng(5);
+  const model::Network net = testing_helpers::random_network(rng, 5, 14, 5);
+  dist::OnlineConfig config;
+  config.colors = 2;
+  config.samples = 4;
+  const dist::OnlineResult result = dist::run_online(net, config);
+  ASSERT_GT(result.negotiations, 1u);
+  const MetricsSnapshot after = MetricsRegistry::instance().snapshot();
+  const MetricsSnapshot window = after.delta(before);
+  const auto check = [&](const char* name, std::uint64_t dist::NegotiationRecord::*field) {
+    SCOPED_TRACE(name);
+    std::uint64_t low = ~std::uint64_t{0};
+    std::uint64_t high = 0;
+    for (const dist::NegotiationRecord& record : result.log) {
+      low = std::min(low, record.*field);
+      high = std::max(high, record.*field);
+    }
+    ASSERT_EQ(window.histograms.count(name), 1u);
+    EXPECT_EQ(window.histograms.at(name).stats.count(), result.negotiations);
+    const util::RunningStats& stats = after.histograms.at(name).stats;
+    EXPECT_EQ(stats.min(), static_cast<double>(low));
+    EXPECT_EQ(stats.max(), static_cast<double>(high));
+  };
+  check("online.replan.messages", &dist::NegotiationRecord::messages);
+  check("online.replan.deliveries", &dist::NegotiationRecord::deliveries);
+  check("online.replan.rounds", &dist::NegotiationRecord::rounds);
 }
 
 }  // namespace

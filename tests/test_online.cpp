@@ -222,6 +222,8 @@ TEST(Online, NodeReuseIsBitIdenticalAndCheaper) {
     EXPECT_EQ(reuse.evaluation.weighted_utility, fresh.evaluation.weighted_utility)
         << "seed " << seed;
     EXPECT_EQ(reuse.messages, fresh.messages) << "seed " << seed;
+    EXPECT_EQ(reuse.deliveries, fresh.deliveries) << "seed " << seed;
+    EXPECT_EQ(reuse.message_bytes, fresh.message_bytes) << "seed " << seed;
     EXPECT_EQ(reuse.rounds, fresh.rounds) << "seed " << seed;
     ASSERT_EQ(reuse.schedule.charger_count(), fresh.schedule.charger_count());
     ASSERT_EQ(reuse.schedule.horizon(), fresh.schedule.horizon());

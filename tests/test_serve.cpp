@@ -545,6 +545,26 @@ TEST(ServeSession, IndicesOutsideInt32AreErrorsNotNarrowed) {
   EXPECT_FALSE(late.bool_or("replanned", true));
 }
 
+TEST(ServeSession, OpenBeyondTheCellLimitIsAnError) {
+  // One task ending just past the limit for four chargers: accepted, the
+  // session would allocate a schedule and node state per charger and slot.
+  util::Rng rng(62);
+  const model::Network base = testing_helpers::random_network(rng, 4, 6, 4);
+  std::vector<model::Task> tasks = base.tasks();
+  tasks[0].end_slot = static_cast<model::SlotIndex>(io::kMaxScheduleCells / 4 + 1);
+  const model::Network wide(base.chargers(), tasks, base.power_model(), base.time());
+  Session session;
+  const Reply reply = session.handle_line(open_line(wide, small_config(62)));
+  const Json parsed = Json::parse(reply.line);
+  EXPECT_FALSE(parsed.bool_or("ok", true));
+  EXPECT_EQ(parsed.string_or("op", ""), "error");
+  const std::string message = parsed.string_or("message", "");
+  EXPECT_NE(message.find("end_slot"), std::string::npos) << reply.line;
+  EXPECT_NE(message.find(std::to_string(io::kMaxScheduleCells)), std::string::npos)
+      << reply.line;
+  EXPECT_TRUE(reply.close);
+}
+
 TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
   dist::OnlineConfig config;
   config.strategy = dist::OnlineStrategy::kHasteSequential;

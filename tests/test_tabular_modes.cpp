@@ -124,11 +124,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TabularModeDifferential,
 class SaturationSkip : public ::testing::TestWithParam<std::uint64_t> {};
 
 /// `base` with the given shape and deadline decay; ~70% of its tasks get a
-/// deadline release + U{1..duration} when the decay is active.
+/// deadline release + U{1..duration} when the decay is active. Weights are
+/// redrawn around `base`'s 1/m, which is a power of two for m = 16: a
+/// multiply by a power of two is exact, so such weights would hide where a
+/// term's weight multiply rounds.
 model::Network saturation_instance(const model::Network& base, util::Rng& rng,
                                    std::shared_ptr<const model::UtilityShape> shape,
                                    model::DeadlinePolicy policy) {
   std::vector<model::Task> tasks = base.tasks();
+  for (model::Task& task : tasks) task.weight *= rng.uniform(0.6, 1.4);
   if (policy.active()) {
     for (model::Task& task : tasks) {
       const auto duration = task.end_slot - task.release_slot;

@@ -1,6 +1,8 @@
 // Tests for model/task.hpp, model/timegrid.hpp, and model/schedule.hpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "model/schedule.hpp"
@@ -100,6 +102,13 @@ TEST(Schedule, AssignClearRoundTrip) {
   EXPECT_DOUBLE_EQ(*s.assignment(1, 2), 1.5);
   s.clear(1, 2);
   EXPECT_FALSE(s.assignment(1, 2).has_value());
+  // An unassigned slot is stored as NaN, so a NaN angle is rejected; any
+  // other angle keeps its bits.
+  EXPECT_THROW(s.assign(1, 2, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_FALSE(s.assignment(1, 2).has_value());
+  s.assign(0, 3, -0.0);
+  EXPECT_TRUE(std::signbit(*s.assignment(0, 3)));
 }
 
 TEST(Schedule, BoundsChecked) {
