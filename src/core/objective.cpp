@@ -17,10 +17,7 @@ void make_slot_policies(const model::Network& net, model::ChargerIndex i,
                         SlotPolicies& out) {
   const double slot_seconds = net.time().slot_seconds;
   const bool deadlines = net.has_deadlines();
-  out.orientation.clear();
-  out.tasks.clear();
-  out.energy.clear();
-  out.row_offsets.assign(1, 0);
+  out.clear();
   for (const DominantTaskSet& set : dominant) {
     const std::size_t begin = out.tasks.size();
     for (model::TaskIndex j : set.tasks) {
@@ -352,11 +349,16 @@ MarginalEngine::MarginalEngine(const model::Network& net, Config config,
   const auto n = static_cast<std::size_t>(net.charger_count());
   panel_colors_.assign(n * static_cast<std::size_t>(config_.samples), 0);
   panel_slot_.assign(n, -1);
+  saturated_samples_.assign(m, 0);
   if (!initial_energy.empty()) {
     for (int s = 0; s < config_.samples; ++s) {
       for (std::size_t j = 0; j < m; ++j) {
         energy_[static_cast<std::size_t>(s) * m + j] = initial_energy[j];
       }
+    }
+    // Every sample starts from the same energies.
+    for (std::size_t j = 0; j < m; ++j) {
+      if (initial_energy[j] >= table_->required[j]) saturated_samples_[j] = config_.samples;
     }
   }
 }
@@ -509,6 +511,8 @@ void MarginalEngine::commit_no_gain(model::ChargerIndex i, model::SlotIndex k,
       const double before = energy[j];
       const double after = before + slot_energy[t];
       energy[j] = after;
+      saturated_samples_[j] += static_cast<int>(after >= table.required[j]) -
+                               static_cast<int>(before >= table.required[j]);
       // Only rows whose *utility* moved in this sample de-certify cached
       // marginals. Utility shapes are concave and non-decreasing, so
       // u(before) == u(after) with before < after means u is flat on

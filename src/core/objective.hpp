@@ -130,6 +130,13 @@ struct SlotPolicies {
   std::vector<double> energy;             ///< per row: P_r(s_i, o_j) * T_s (J)
 
   std::size_t size() const { return orientation.size(); }
+  /// Empties the slot: no policy, and row_offsets holds its one leading 0.
+  void clear() {
+    orientation.clear();
+    row_offsets.assign(1, 0);
+    tasks.clear();
+    energy.clear();
+  }
   std::span<const model::TaskIndex> policy_tasks(std::size_t q) const {
     const auto begin = static_cast<std::size_t>(row_offsets[q]);
     return {tasks.data() + begin, static_cast<std::size_t>(row_offsets[q + 1]) - begin};
@@ -282,6 +289,17 @@ class MarginalEngine {
                    static_cast<std::size_t>(j)];
   }
 
+  /// True when the shape is a built-in (UtilityTable::fast()) and task `j`
+  /// holds at least its required energy E_j in every panel sample. Every
+  /// term the task can add is then exactly +0.0 (DESIGN §3.19), and it stays
+  /// saturated: energies only grow. The per-task count of such samples is
+  /// set from the initial energies and kept by commit_no_gain (and so by
+  /// commit); commit_energy leaves it alone, so after an energy-only commit
+  /// this can only under-report. Never true for a kCustom shape.
+  bool saturated(model::TaskIndex j) const {
+    return table_->fast() && saturated_samples_[static_cast<std::size_t>(j)] == config_.samples;
+  }
+
   /// One row of a marginal in sample `s`: the utility delta of task `j` when
   /// `delta` energy is added on top of its current accumulation. Summing
   /// row_term over a policy's rows in row order reproduces `gain_in_sample`
@@ -314,6 +332,7 @@ class MarginalEngine {
   // energy_[s * m + j]: accumulated relaxed energy of task j in sample s.
   std::vector<double> energy_;
   std::vector<std::uint64_t> sample_version_;  // [s * m + j] dirty counters
+  std::vector<int> saturated_samples_;  // [j]: samples with energy >= E_j, see saturated
   std::uint64_t commit_count_ = 0;
   std::vector<int> panel_colors_;             // [i * S + s], see commit_panel
   std::vector<model::SlotIndex> panel_slot_;  // [i]: slot of panel_colors_, -1 none

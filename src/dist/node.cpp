@@ -11,7 +11,7 @@ constexpr double kTieSlack = 1e-12;
 
 }  // namespace
 
-Board::Board(const model::Network& net, const std::vector<bool>& alive) : net_(&net) {
+Board::Board(const model::Network& net, const std::vector<bool>& alive) {
   const auto n = static_cast<std::size_t>(net.charger_count());
   alive_degree_.assign(n, 0);
   for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
@@ -19,8 +19,7 @@ Board::Board(const model::Network& net, const std::vector<bool>& alive) : net_(&
       if (alive[static_cast<std::size_t>(j)]) ++alive_degree_[static_cast<std::size_t>(i)];
     }
   }
-  hello_range_.assign(n, {0, 0});
-  works_.assign(n, 0);
+  enlisted_.assign(n, 0);
   entries_.assign(n, Entry{});
 }
 
@@ -28,25 +27,6 @@ void Board::count(model::ChargerIndex sender, std::size_t tasks) {
   ++traffic_.broadcasts;
   traffic_.deliveries += alive_degree_[static_cast<std::size_t>(sender)];
   traffic_.bytes += wire_bytes(tasks);
-}
-
-void Board::announce(model::ChargerIndex sender, std::span<const model::TaskIndex> tasks) {
-  hello_range_[static_cast<std::size_t>(sender)] = {hello_tasks_.size(),
-                                                    hello_tasks_.size() + tasks.size()};
-  hello_tasks_.insert(hello_tasks_.end(), tasks.begin(), tasks.end());
-  count(sender, tasks.size());
-}
-
-void Board::load_slot(model::SlotIndex slot) {
-  for (std::size_t i = 0; i < works_.size(); ++i) {
-    const auto [begin, end] = hello_range_[i];
-    works_[i] = std::any_of(hello_tasks_.begin() + static_cast<std::ptrdiff_t>(begin),
-                            hello_tasks_.begin() + static_cast<std::ptrdiff_t>(end),
-                            [&](model::TaskIndex t) {
-                              return net_->tasks()[static_cast<std::size_t>(t)].active(slot) &&
-                                     net_->tardiness_factor(t, slot) > 0.0;
-                            });
-  }
 }
 
 ChargerNode::ChargerNode(const model::Network& net, model::ChargerIndex id)
@@ -66,6 +46,12 @@ std::span<const model::TaskIndex> ChargerNode::begin_plan(
     dominant_ = core::extract_dominant_sets(*net_, id_, known_tasks);
     cached_known_ = known_tasks;
     dominant_cached_ = true;
+    row_tasks_.clear();
+    for (const core::DominantTaskSet& set : dominant_) {
+      row_tasks_.insert(row_tasks_.end(), set.tasks.begin(), set.tasks.end());
+    }
+    std::sort(row_tasks_.begin(), row_tasks_.end());
+    row_tasks_.erase(std::unique(row_tasks_.begin(), row_tasks_.end()), row_tasks_.end());
   }
   ledger_ = &ledger;
   const auto colors = static_cast<std::size_t>(ledger.colors());
@@ -120,10 +106,25 @@ std::span<const model::TaskIndex> ChargerNode::begin_plan(
   return plan_col_task_;
 }
 
-bool ChargerNode::load_slot(model::SlotIndex slot) {
+SlotState ChargerNode::load_slot(model::SlotIndex slot) {
   decided_ = true;
-  if (slot == loaded_slot_) return slot_policies_.size() > 0;
   loaded_slot_ = slot;
+  slot_policies_.clear();
+  bool participates = false;
+  bool live = false;
+  for (const model::TaskIndex j : row_tasks_) {
+    if (!net_->tasks()[static_cast<std::size_t>(j)].active(slot) ||
+        net_->tardiness_factor(j, slot) == 0.0) {
+      continue;
+    }
+    participates = true;
+    if (!ledger_->saturated(j)) {
+      live = true;
+      break;
+    }
+  }
+  if (!live) return participates ? SlotState::kDead : SlotState::kIdle;
+
   core::make_slot_policies(*net_, id_, dominant_, slot, slot_policies_);
   const auto samples = static_cast<std::size_t>(ledger_->samples());
   int* colors = panel_colors_.data() + static_cast<std::size_t>(slot) * samples;
@@ -133,48 +134,55 @@ bool ChargerNode::load_slot(model::SlotIndex slot) {
                                                     ledger_->colors());
     }
   }
-  // Row -> plan-column map for the slot's policies. Dominant-set tasks are
-  // always in the HELLO coverable set, but register stragglers defensively
-  // with never-priced stamps (ledger versions can be anything by now).
-  slot_row_col_.clear();
-  for (std::size_t row = 0; row < slot_policies_.tasks.size(); ++row) {
-    const model::TaskIndex task = slot_policies_.tasks[row];
-    const double delta = slot_policies_.energy[row];
-    std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
-    if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
-      // Tardy rows carry a deadline-discounted slot_energy that deviates
-      // from the HELLO column's base delta; a column's cached terms are
-      // only reusable at the delta they were priced with, so mismatched
-      // rows get overflow columns keyed (task, delta). Linear scan: only
-      // tardy rows reach here, and each tardy (task, slot) pair
-      // contributes at most one distinct delta per plan.
-      col = -1;
-      for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
-        if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
-          col = static_cast<std::ptrdiff_t>(c);
-          break;
+  // The priced rows and their plan columns. Dominant-set tasks are always in
+  // the HELLO coverable set, but register stragglers defensively with
+  // never-priced stamps (ledger versions can be anything by now).
+  priced_offsets_.assign(1, 0);
+  priced_cols_.clear();
+  for (std::size_t q = 0; q < slot_policies_.size(); ++q) {
+    const auto tasks = slot_policies_.policy_tasks(q);
+    const auto energy = slot_policies_.policy_energy(q);
+    for (std::size_t row = 0; row < tasks.size(); ++row) {
+      const model::TaskIndex task = tasks[row];
+      if (ledger_->saturated(task)) continue;
+      const double delta = energy[row];
+      std::ptrdiff_t col = plan_col_of_[static_cast<std::size_t>(task)];
+      if (col >= 0 && plan_col_delta_[static_cast<std::size_t>(col)] != delta) {
+        // Tardy rows carry a deadline-discounted slot_energy that deviates
+        // from the HELLO column's base delta; a column's cached terms are
+        // only reusable at the delta they were priced with, so mismatched
+        // rows get overflow columns keyed (task, delta). Linear scan: only
+        // tardy rows reach here, and each tardy (task, slot) pair
+        // contributes at most one distinct delta per plan.
+        col = -1;
+        for (std::size_t c = 0; c < plan_col_task_.size(); ++c) {
+          if (plan_col_task_[c] == task && plan_col_delta_[c] == delta) {
+            col = static_cast<std::ptrdiff_t>(c);
+            break;
+          }
         }
       }
-    }
-    if (col < 0) {
-      col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
-      if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
-        plan_col_of_[static_cast<std::size_t>(task)] = col;
+      if (col < 0) {
+        col = static_cast<std::ptrdiff_t>(plan_col_task_.size());
+        if (plan_col_of_[static_cast<std::size_t>(task)] < 0) {
+          plan_col_of_[static_cast<std::size_t>(task)] = col;
+        }
+        plan_col_task_.push_back(task);
+        plan_col_delta_.push_back(delta);
+        plan_terms_.resize(plan_terms_.size() + samples, 0.0);
+        plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
       }
-      plan_col_task_.push_back(task);
-      plan_col_delta_.push_back(delta);
-      plan_terms_.resize(plan_terms_.size() + samples, 0.0);
-      plan_versions_.resize(plan_versions_.size() + samples, ~std::uint64_t{0});
+      priced_cols_.push_back(static_cast<std::int32_t>(col));
     }
-    slot_row_col_.push_back(static_cast<std::size_t>(col));
+    priced_offsets_.push_back(static_cast<std::int32_t>(priced_cols_.size()));
   }
-  return slot_policies_.size() > 0;
+  return SlotState::kLive;
 }
 
 void ChargerNode::list_slot_neighbors(const Board& board) {
   slot_neighbors_.clear();
   for (const model::ChargerIndex j : neighbors_) {
-    if (board.works(j)) slot_neighbors_.push_back(j);
+    if (board.enlisted(j)) slot_neighbors_.push_back(j);
   }
 }
 
@@ -192,20 +200,20 @@ void ChargerNode::begin_stage(int color) {
 }
 
 double ChargerNode::refresh_policy(std::size_t q) {
-  const std::span<const model::TaskIndex> tasks = slot_policies_.policy_tasks(q);
-  const std::span<const double> energy = slot_policies_.policy_energy(q);
   const auto samples = static_cast<std::size_t>(ledger_->samples());
-  const std::size_t* row_col =
-      slot_row_col_.data() + static_cast<std::size_t>(slot_policies_.row_offsets[q]);
+  const std::int32_t* first = priced_cols_.data() + priced_offsets_[q];
+  const std::int32_t* last = priced_cols_.data() + priced_offsets_[q + 1];
   double total = 0.0;
   for (std::size_t si = 0; si < stage_samples_.size(); ++si) {
     const int s = stage_samples_[si];
     double inner = 0.0;
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const std::size_t idx = row_col[t] * samples + static_cast<std::size_t>(s);
-      const std::uint64_t version = ledger_->sample_version(s, tasks[t]);
+    for (const std::int32_t* col = first; col != last; ++col) {
+      const auto c = static_cast<std::size_t>(*col);
+      const model::TaskIndex task = plan_col_task_[c];
+      const std::size_t idx = c * samples + static_cast<std::size_t>(s);
+      const std::uint64_t version = ledger_->sample_version(s, task);
       if (plan_versions_[idx] != version) {
-        plan_terms_[idx] = ledger_->row_term(s, tasks[t], energy[t]);
+        plan_terms_[idx] = ledger_->row_term(s, task, plan_col_delta_[c]);
         plan_versions_[idx] = version;
       }
       inner += plan_terms_[idx];

@@ -33,12 +33,17 @@
 // neighbor, so one entry per sender serves all its receivers. The Fig. 16
 // counters are kept by counting: each broadcast makes as many deliveries as
 // its sender has alive neighbors.
+//
+// A charger whose rows at a slot all belong to tasks saturated in every
+// panel sample is dead there (DESIGN §3.23): each of its stage marginals is
+// exactly +0.0, so it would announce a VALUE of 0 in the stage's first round
+// and go passive. It is neither loaded nor priced, and its VALUEs are only
+// counted.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -63,8 +68,16 @@ struct Traffic {
   std::uint64_t bytes = 0;       ///< sum of wire sizes of broadcasts
 };
 
-/// The medium of one plan over the chargers alive for it: each charger's
-/// HELLO, and per stage its latest VALUE and whether it is decided.
+/// What a charger does at one slot of a plan (ChargerNode::load_slot).
+enum class SlotState {
+  kIdle,  ///< no policy at the slot: takes no part
+  kDead,  ///< every row's task is saturated: announces 0, prices nothing
+  kLive,  ///< prices the slot's policies in its C color stages
+};
+
+/// The medium of one plan over the chargers alive for it: which chargers
+/// take part in the loaded slot's elections, and per stage each one's latest
+/// VALUE and whether it is decided.
 class Board {
  public:
   /// One packed entry per charger. A stamp equal to the board's stage means
@@ -81,17 +94,15 @@ class Board {
   void count(model::ChargerIndex sender, std::size_t tasks);
   const Traffic& traffic() const { return traffic_; }
 
-  /// HELLO: posts and counts the coverable known tasks of `sender`.
-  void announce(model::ChargerIndex sender, std::span<const model::TaskIndex> tasks);
-
-  /// Marks which chargers announced work at `slot`: a task active there
-  /// and not dropped by the deadline discount (zero tardiness factor =
-  /// hard-tardy or infeasible), the row rule of make_slot_policies. Waiting
-  /// on an `active`-only basis deadlocked stages on deadline instances: a
-  /// fully-pruned neighbor never speaks.
-  void load_slot(model::SlotIndex slot);
-  bool works(model::ChargerIndex charger) const {
-    return works_[static_cast<std::size_t>(charger)] != 0;
+  /// Opens the next slot: no charger is enlisted in it yet.
+  void open_slot() { ++slot_; }
+  /// Enlists `charger` in the open slot's elections: its neighbors wait for
+  /// its VALUE or decision. Only a charger that loaded the slot may be.
+  void enlist(model::ChargerIndex charger) {
+    enlisted_[static_cast<std::size_t>(charger)] = slot_;
+  }
+  bool enlisted(model::ChargerIndex charger) const {
+    return enlisted_[static_cast<std::size_t>(charger)] == slot_;
   }
 
   /// Opens the next (slot, color) stage.
@@ -115,12 +126,10 @@ class Board {
   }
 
  private:
-  const model::Network* net_;
   std::vector<std::uint32_t> alive_degree_;  // [charger]: alive neighbors
-  std::vector<model::TaskIndex> hello_tasks_;
-  std::vector<std::pair<std::size_t, std::size_t>> hello_range_;  // [charger]
-  std::vector<std::uint8_t> works_;  // [charger], see load_slot
-  std::vector<Entry> entries_;       // [charger]
+  std::vector<std::uint32_t> enlisted_;      // [charger]: slot of its enlistment
+  std::vector<Entry> entries_;               // [charger]
+  std::uint32_t slot_ = 0;
   std::uint32_t stage_ = 0;
   Traffic traffic_;
 };
@@ -151,17 +160,24 @@ class ChargerNode {
   /// no part in the negotiation).
   bool has_work() const { return !dominant_.empty(); }
 
-  /// Loads the policies of `slot`, which its C color stages share, and
-  /// leaves the node decided. Returns true if it takes part in those stages
-  /// (has at least one policy with active tasks in the slot).
-  bool load_slot(model::SlotIndex slot);
+  /// Decides what the node does at `slot` against the ledger as it stands,
+  /// and leaves the node decided. Idle: none of its dominant-set tasks is
+  /// active there with a non-zero tardiness factor (the row rule of
+  /// make_slot_policies), so it has no policy. Dead: every such task is
+  /// saturated in every sample (MarginalEngine::saturated); nothing is
+  /// loaded. Live: loads the policies its C color stages share, and prices
+  /// only the rows whose task is not saturated, since a saturated row only
+  /// adds +0.0 to a fold whose partial sums are never -0.0. Commits and
+  /// UPDATEs keep every row. This is the one place that tells the three
+  /// apart.
+  SlotState load_slot(model::SlotIndex slot);
 
-  /// Lists the neighbors `board` (loaded at the same slot) marks as working:
-  /// the ones whose VALUE or decision try_commit waits for.
+  /// Lists the neighbors enlisted on `board` (opened at the same slot): the
+  /// ones whose VALUE or decision try_commit waits for.
   void list_slot_neighbors(const Board& board);
 
   /// Starts the stage of `color` at the loaded slot, where the node must
-  /// take part, and prices it.
+  /// take part, and prices it. A dead node prices nothing and announces 0.
   void begin_stage(int color);
 
   /// True once this node has committed or gone passive for the stage.
@@ -209,19 +225,24 @@ class ChargerNode {
   model::ChargerIndex id_;
 
   std::vector<core::DominantTaskSet> dominant_;
-  core::MarginalEngine* ledger_ = nullptr;  // the current plan's, see begin_plan
+  std::vector<model::TaskIndex> row_tasks_;  // distinct tasks of dominant_, ascending
+  core::MarginalEngine* ledger_ = nullptr;   // the current plan's, see begin_plan
 
   // The neighborhood, fixed for the node's life: Network::neighbors(id_) in
   // ascending id order.
   std::span<const model::ChargerIndex> neighbors_;
 
   // Per (plan, slot), shared by the slot's color stages; loaded_slot_ is the
-  // slot they describe (-1: none loaded this plan).
+  // slot they describe (-1: none loaded this plan). The policies are empty
+  // unless the slot is live.
   model::SlotIndex loaded_slot_ = -1;
   core::SlotPolicies slot_policies_;
-  std::vector<std::size_t> slot_row_col_;  // [row] -> plan column
-  // The neighbors with a policy at the slot, by the HELLO rule of
-  // Board::load_slot (ascending ids).
+  // The priced rows, those whose task was not saturated at load: policy q's
+  // plan columns are [priced_offsets_[q], priced_offsets_[q + 1]) of
+  // priced_cols_, in row order. A column names its (task, delta).
+  std::vector<std::int32_t> priced_offsets_;
+  std::vector<std::int32_t> priced_cols_;
+  // The neighbors enlisted at the slot (ascending ids).
   std::vector<model::ChargerIndex> slot_neighbors_;
 
   // This node's panel colors, hashed once per session: [slot * S + s] is its

@@ -36,14 +36,21 @@ void splice_plan(model::Schedule& target, const model::Schedule& source,
   }
 }
 
-/// Starts every node's plan on `ledger` and posts its HELLO on `board`.
+/// Participating (charger, slot) loads of one plan: the live ones were
+/// priced, the dead ones only counted (election) or skipped (token).
+struct SlotTally {
+  std::uint64_t live = 0;
+  std::uint64_t dead = 0;
+};
+
+/// Starts every node's plan on `ledger` and counts its HELLO on `board`.
 /// Returns the nodes with work, ascending ids like `nodes`.
 std::vector<ChargerNode*> hello(const std::vector<ChargerNode*>& nodes,
                                 const std::vector<model::TaskIndex>& known,
                                 core::MarginalEngine& ledger, Board& board) {
   std::vector<ChargerNode*> workers;
   for (ChargerNode* node : nodes) {
-    board.announce(node->id(), node->begin_plan(known, ledger));
+    board.count(node->id(), node->begin_plan(known, ledger).size());
     if (node->has_work()) workers.push_back(node);
   }
   return workers;
@@ -77,8 +84,40 @@ void finish_plan(const std::vector<ChargerNode*>& nodes, const Board& board,
 /// order of a locally greedy run does not affect its 1/2 bound), but with
 /// one broadcast per selection instead of repeated VALUE elections.
 /// `nodes` is the alive fleet in ascending id order, owned by the caller and
-/// persistent across re-plans, and `ledger` the plan's energy state.
-void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
+/// persistent across re-plans, and `ledger` the plan's energy state. A dead
+/// (charger, slot) would commit nothing, so it sends nothing.
+SlotTally negotiate_sequential(const model::Network& net, const OnlineConfig& config,
+                               const std::vector<ChargerNode*>& nodes,
+                               const std::vector<model::TaskIndex>& known,
+                               core::MarginalEngine& ledger, model::SlotIndex plan_start,
+                               const std::vector<bool>& alive, model::Schedule& executed,
+                               OnlineResult& result) {
+  Board board(net, alive);
+  const std::vector<ChargerNode*> workers = hello(nodes, known, ledger, board);
+  const int colors = std::max(1, config.colors);
+  SlotTally tally;
+  for (int c = 0; c < colors; ++c) {
+    for (ChargerNode* node : workers) {  // ascending id: nodes are built in order
+      ++result.rounds;                   // one token turn
+      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+        const SlotState state = node->load_slot(k);
+        if (state == SlotState::kDead) ++tally.dead;
+        if (state != SlotState::kLive) continue;
+        ++tally.live;
+        node->begin_stage(c);
+        if (node->force_commit()) board.count(node->id(), node->last_update().tasks.size());
+      }
+    }
+  }
+  finish_plan(nodes, board, plan_start, executed, result);
+  return tally;
+}
+
+/// Runs the full HASTE negotiation for one re-plan. Writes the agreed plan
+/// into `executed` from `plan_start` on and accumulates counters. `nodes` is
+/// the alive fleet in ascending id order, owned by the caller, and `ledger`
+/// the plan's energy state.
+SlotTally negotiate_haste(const model::Network& net, const OnlineConfig& config,
                           const std::vector<ChargerNode*>& nodes,
                           const std::vector<model::TaskIndex>& known,
                           core::MarginalEngine& ledger, model::SlotIndex plan_start,
@@ -86,36 +125,12 @@ void negotiate_sequential(const model::Network& net, const OnlineConfig& config,
                           OnlineResult& result) {
   Board board(net, alive);
   const std::vector<ChargerNode*> workers = hello(nodes, known, ledger, board);
-  const int colors = std::max(1, config.colors);
-  for (int c = 0; c < colors; ++c) {
-    for (ChargerNode* node : workers) {  // ascending id: nodes are built in order
-      ++result.rounds;                   // one token turn
-      for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-        if (!node->load_slot(k)) continue;
-        node->begin_stage(c);
-        if (node->force_commit()) board.count(node->id(), node->last_update().tasks.size());
-      }
-    }
-  }
-  finish_plan(nodes, board, plan_start, executed, result);
-}
-
-/// Runs the full HASTE negotiation for one re-plan. Writes the agreed plan
-/// into `executed` from `plan_start` on and accumulates counters. `nodes` is
-/// the alive fleet in ascending id order, owned by the caller, and `ledger`
-/// the plan's energy state.
-void negotiate_haste(const model::Network& net, const OnlineConfig& config,
-                     const std::vector<ChargerNode*>& nodes,
-                     const std::vector<model::TaskIndex>& known,
-                     core::MarginalEngine& ledger, model::SlotIndex plan_start,
-                     const std::vector<bool>& alive, model::Schedule& executed,
-                     OnlineResult& result) {
-  Board board(net, alive);
-  const std::vector<ChargerNode*> workers = hello(nodes, known, ledger, board);
   // The engine's color count may have been clamped (colors < 1 -> 1).
   const int colors = std::max(1, config.colors);
 
-  std::vector<ChargerNode*> participants;
+  SlotTally tally;
+  std::vector<ChargerNode*> participants;  // the live ones
+  std::vector<model::ChargerIndex> dead;
   std::vector<ChargerNode*> undecided;
   std::vector<ChargerNode*> committers;
   // [charger]: the last round in which a neighbor of it committed.
@@ -123,14 +138,34 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
   std::uint64_t round = 0;
   for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
     participants.clear();
+    dead.clear();
+    board.open_slot();
     for (ChargerNode* node : workers) {
-      if (node->load_slot(k)) participants.push_back(node);
+      switch (node->load_slot(k)) {
+        case SlotState::kIdle:
+          break;
+        case SlotState::kDead:
+          dead.push_back(node->id());
+          break;
+        case SlotState::kLive:
+          participants.push_back(node);
+          board.enlist(node->id());
+          break;
+      }
     }
-    if (participants.empty()) continue;
-    board.load_slot(k);
+    tally.live += participants.size();
+    tally.dead += dead.size();
+    if (participants.empty() && dead.empty()) continue;
     for (ChargerNode* node : participants) node->list_slot_neighbors(board);
 
     for (int c = 0; c < colors; ++c) {
+      // A dead charger announces 0 in the stage's first round and goes
+      // passive, so no neighbor waits for it: its VALUE is only counted.
+      for (const model::ChargerIndex id : dead) board.count(id, 0);
+      if (participants.empty()) {
+        ++result.rounds;  // the round in which the dead announced
+        continue;
+      }
       board.next_stage();
       for (ChargerNode* node : participants) node->begin_stage(c);
       undecided = participants;
@@ -168,6 +203,7 @@ void negotiate_haste(const model::Network& net, const OnlineConfig& config,
     }
   }
   finish_plan(nodes, board, plan_start, executed, result);
+  return tally;
 }
 
 }  // namespace
@@ -341,14 +377,15 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
     }
   }
 
+  SlotTally slots;
   switch (config_.strategy) {
     case OnlineStrategy::kHaste:
-      negotiate_haste(net_, config_, fleet, known_, *ledger, plan_start, alive_,
-                      result_.schedule, result_);
+      slots = negotiate_haste(net_, config_, fleet, known_, *ledger, plan_start, alive_,
+                              result_.schedule, result_);
       break;
     case OnlineStrategy::kHasteSequential:
-      negotiate_sequential(net_, config_, fleet, known_, *ledger, plan_start, alive_,
-                           result_.schedule, result_);
+      slots = negotiate_sequential(net_, config_, fleet, known_, *ledger, plan_start, alive_,
+                                   result_.schedule, result_);
       break;
     case OnlineStrategy::kGreedyUtility: {
       const model::Schedule plan = baseline::schedule_greedy_utility_over(
@@ -385,6 +422,8 @@ const NegotiationRecord* OnlineSession::replan(model::SlotIndex event_slot,
   HASTE_OBS_HISTOGRAM_RECORD("online.replan.latency_us",
                              static_cast<double>(obs::Tracer::now_us() - started_us));
   if (negotiated) {
+    HASTE_OBS_COUNTER_ADD("online.slots.live", slots.live);
+    HASTE_OBS_COUNTER_ADD("online.slots.dead", slots.dead);
     HASTE_OBS_HISTOGRAM_RECORD("online.replan.messages", static_cast<double>(record.messages));
     HASTE_OBS_HISTOGRAM_RECORD("online.replan.deliveries",
                                static_cast<double>(record.deliveries));

@@ -37,6 +37,17 @@ namespace haste::io {
 /// ~18k cells.
 inline constexpr std::int64_t kMaxScheduleCells = std::int64_t{1} << 20;
 
+/// The largest color panel an online config may ask for: S samples, and C
+/// colors (a color beyond S matches no sample). Each re-plan's ledger holds
+/// 16 bytes per (sample, task), each charger node 4 bytes per (slot,
+/// sample) and 16 per (slot, color). The paper's panel is C = 4, S = 16.
+inline constexpr int kMaxPanelSamples = 64;
+
+/// The largest arrival-model lattice side G an online config may ask for:
+/// the model keeps G x G cell rates of 8 bytes and indexes them in int.
+/// The predictor's default is G = 8.
+inline constexpr int kMaxPredictorGrid = 1024;
+
 /// Serializes a problem instance.
 util::Json network_to_json(const model::Network& net);
 

@@ -1,6 +1,7 @@
 #include "predict/cadence.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace haste::predict {
 
@@ -22,12 +23,12 @@ CadenceAction CadenceController::decide(model::SlotIndex slot,
   // re-plans ran out. Both scale with the trust level.
   const auto task_budget =
       static_cast<std::uint64_t>(config_.batch_tasks) * static_cast<std::uint64_t>(level_);
-  const auto slot_budget =
-      static_cast<model::SlotIndex>(config_.batch_slots) * static_cast<model::SlotIndex>(level_);
+  // 64-bit: a config's batch_slots may be any int.
+  const std::int64_t slot_budget = std::int64_t{config_.batch_slots} * level_;
   const auto non_hot = static_cast<std::uint64_t>(
       obs.observed * (1.0 - obs.hot_fraction) + 0.5);
   if (pressure_ + non_hot >= task_budget) return CadenceAction::kReplanNow;
-  if (replanned_once_ && slot - last_replan_slot_ >= slot_budget) {
+  if (replanned_once_ && std::int64_t{slot} - last_replan_slot_ >= slot_budget) {
     return CadenceAction::kReplanNow;
   }
 

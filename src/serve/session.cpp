@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,6 +34,27 @@ std::uint64_t u64_from(const Json& json) {
   if (consumed != text.size()) throw util::JsonError("malformed u64: " + text);
   return value;
 }
+
+/// `key` of `json` as an int in [low, high], or `fallback` when absent.
+/// Throws JsonError naming the field otherwise: these fields size
+/// allocations and loops, and a cast past the int range is undefined.
+int int_field(const Json& json, const char* key, int fallback, int low, int high) {
+  if (!json.contains(key)) return fallback;
+  std::int64_t value = 0;
+  try {
+    value = json.at(key).as_int();
+  } catch (const util::JsonError& error) {
+    throw util::JsonError(std::string(key) + ": " + error.what());
+  }
+  if (value < low || value > high) {
+    throw util::JsonError(std::string(key) + " " + std::to_string(value) + " is outside [" +
+                          std::to_string(low) + ", " + std::to_string(high) + "]");
+  }
+  return static_cast<int>(value);
+}
+
+constexpr int kIntMin = std::numeric_limits<int>::min();
+constexpr int kIntMax = std::numeric_limits<int>::max();
 
 const char* strategy_name(dist::OnlineStrategy strategy) {
   switch (strategy) {
@@ -117,21 +139,21 @@ Json online_config_to_json(const dist::OnlineConfig& config) {
 dist::OnlineConfig online_config_from_json(const Json& json) {
   dist::OnlineConfig config;
   config.strategy = parse_strategy(json.string_or("strategy", "haste"));
-  config.colors = static_cast<int>(json.number_or("colors", config.colors));
-  config.samples = static_cast<int>(json.number_or("samples", config.samples));
+  config.colors = int_field(json, "colors", config.colors, 1, io::kMaxPanelSamples);
+  config.samples = int_field(json, "samples", config.samples, 1, io::kMaxPanelSamples);
   if (json.contains("seed")) config.seed = u64_from(json.at("seed"));
   if (json.contains("predictor")) {
     const Json& predictor = json.at("predictor");
     predict::PredictorConfig& p = config.predictor;
     p.enabled = predictor.bool_or("enabled", p.enabled);
-    p.grid = static_cast<int>(predictor.number_or("grid", p.grid));
+    p.grid = int_field(predictor, "grid", p.grid, 1, io::kMaxPredictorGrid);
     p.discount = predictor.number_or("discount", p.discount);
     p.hot_rate = predictor.number_or("hot_rate", p.hot_rate);
     p.min_confidence = predictor.number_or("min_confidence", p.min_confidence);
     p.surprise_factor = predictor.number_or("surprise_factor", p.surprise_factor);
-    p.max_level = static_cast<int>(predictor.number_or("max_level", p.max_level));
-    p.batch_slots = static_cast<int>(predictor.number_or("batch_slots", p.batch_slots));
-    p.batch_tasks = static_cast<int>(predictor.number_or("batch_tasks", p.batch_tasks));
+    p.max_level = int_field(predictor, "max_level", p.max_level, kIntMin, kIntMax);
+    p.batch_slots = int_field(predictor, "batch_slots", p.batch_slots, kIntMin, kIntMax);
+    p.batch_tasks = int_field(predictor, "batch_tasks", p.batch_tasks, kIntMin, kIntMax);
     p.shortfall_factor = predictor.number_or("shortfall_factor", p.shortfall_factor);
   }
   return config;

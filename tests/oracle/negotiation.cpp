@@ -177,7 +177,7 @@ PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int co
       hello.policy.slot_energy.push_back(net.potential_power(hello.sender, j) *
                                          net.time().slot_seconds);
     }
-    board.announce(hello.sender, tasks);
+    board.count(hello.sender, tasks.size());
     send(std::move(hello));
     pricers[i].begin_plan(known, ledger.colors());
   }
@@ -206,7 +206,7 @@ PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int co
       for (const std::size_t i : workers) {
         ++check.rounds;
         for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
-          if (!nodes[i]->load_slot(k)) continue;
+          if (nodes[i]->load_slot(k) == dist::SlotState::kIdle) continue;
           nodes[i]->begin_stage(c);
           const NodePricer::Choice expected = pricers[i].choose(ledger, k, c);
           committed(i, k, c, expected, nodes[i]->force_commit());
@@ -218,11 +218,16 @@ PlanCheck negotiate_checked(const model::Network& net, Protocol protocol, int co
     std::vector<std::size_t> participants;
     std::vector<NodePricer::Choice> expected(nodes.size());
     for (model::SlotIndex k = plan_start; k < net.horizon(); ++k) {
+      // Every participant takes part, dead or live: a dead one is driven
+      // through its stages like any other, so its VALUE of 0 is checked
+      // against the pricer, sent and delivered.
       participants.clear();
+      board.open_slot();
       for (const std::size_t i : workers) {
-        if (nodes[i]->load_slot(k)) participants.push_back(i);
+        if (nodes[i]->load_slot(k) == dist::SlotState::kIdle) continue;
+        participants.push_back(i);
+        board.enlist(nodes[i]->id());
       }
-      board.load_slot(k);
       for (const std::size_t i : participants) nodes[i]->list_slot_neighbors(board);
       for (int c = 0; c < color_count; ++c) {
         board.next_stage();

@@ -284,7 +284,7 @@ TEST(NegotiationGolden, NodeEngineEnergiesFollowEveryRemoteCommit) {
   for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
     for (int c = 0; c < engine.colors; ++c) {
       for (const auto& node : nodes) {
-        if (!node->load_slot(k)) continue;
+        if (node->load_slot(k) == dist::SlotState::kIdle) continue;
         node->begin_stage(c);
         node->force_commit();
       }

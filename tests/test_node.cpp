@@ -52,8 +52,8 @@ TEST(ChargerNodeModes, TwinNodesAgreeAcrossRemoteCommits) {
 
     int commits_heard = 0;
     for (model::SlotIndex k = 0; k < net.horizon(); ++k) {
-      const bool participates = node.load_slot(k);
-      const bool remote_participates = remote.load_slot(k);
+      const bool participates = node.load_slot(k) != dist::SlotState::kIdle;
+      const bool remote_participates = remote.load_slot(k) != dist::SlotState::kIdle;
       for (int c = 0; c < 2; ++c) {
         SCOPED_TRACE(::testing::Message() << "seed " << seed << " slot " << k << " color " << c);
         const oracle::NodePricer::Choice announced = pricer.choose(ledger, k, c);
@@ -98,7 +98,7 @@ TEST(ChargerNodeModes, NodeWithoutWorkStaysPassive) {
   dist::ChargerNode node(net, 0);
   EXPECT_TRUE(node.begin_plan({}, ledger).empty());
   EXPECT_FALSE(node.has_work());
-  EXPECT_FALSE(node.load_slot(0));
+  EXPECT_EQ(node.load_slot(0), dist::SlotState::kIdle);
   EXPECT_TRUE(node.decided());
   EXPECT_FALSE(node.force_commit());
 }

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "oracle/submodular.hpp"
 #include "test_helpers.hpp"
@@ -207,6 +212,96 @@ TEST(MarginalEngine, ColorsPartitionTheSamples) {
   MarginalEngine exact(net, {1, 1, 11});
   const double expected = exact.commit(partition.charger, partition.slot, policy, 0);
   EXPECT_NEAR(total, expected, 1e-9);
+}
+
+// The saturation count behind the online negotiation's dead (charger,
+// slot)s: saturated(j) holds exactly when every panel sample holds at least
+// E_j, and never for a kCustom shape. Initial energies sit exactly at E_j,
+// one ulp below it, at 1.5 E_j or at 0, and the commits of one policy per
+// partition under cycling colors cross E_j in some samples only. Energies
+// and version counters must follow the scalar rules the engine kept before
+// it counted: energy += delta, and a version bump exactly when the weighted
+// utility moved.
+TEST(MarginalEngine, SaturatedExactlyWhenEverySampleHoldsItsRequiredEnergy) {
+  const std::vector<std::shared_ptr<const model::UtilityShape>> shapes = {
+      std::make_shared<model::LinearBoundedShape>(),
+      std::make_shared<model::SqrtBoundedShape>(),
+      std::make_shared<model::LogBoundedShape>(),
+      std::make_shared<testing_helpers::PowShape>()};
+  for (const auto& shape : shapes) {
+    for (const auto& [colors, samples] : {std::pair{1, 1}, std::pair{4, 16}}) {
+      SCOPED_TRACE(::testing::Message() << shape->name() << " C=" << colors);
+      util::Rng rng(12);
+      const model::Network base = random_network(rng, 4, 12, 4);
+      const model::Network net(base.chargers(), base.tasks(), base.power_model(), base.time(),
+                               shape);
+      const bool fast = shape->kind() != model::UtilityShapeKind::kCustom;
+      const auto m = static_cast<std::size_t>(net.task_count());
+      std::vector<double> initial(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        const double required = net.tasks()[j].required_energy;
+        const double starts[] = {required, std::nextafter(required, 0.0), 1.5 * required, 0.0};
+        initial[j] = starts[j % 4];
+      }
+      const MarginalEngine::Config config{colors, samples, 21};
+      MarginalEngine engine(net, config, initial);
+
+      // The scalar model: [s][j] energies and versions.
+      std::vector<std::vector<double>> energy(static_cast<std::size_t>(samples), initial);
+      std::vector<std::vector<std::uint64_t>> versions(
+          static_cast<std::size_t>(samples), std::vector<std::uint64_t>(m, 0));
+      std::size_t everywhere = 0;  // checks that found a task saturated in every sample
+      std::size_t partly = 0;      // ... in some samples only
+      const auto check = [&] {
+        for (std::size_t j = 0; j < m; ++j) {
+          const auto task = static_cast<model::TaskIndex>(j);
+          std::size_t at_or_above = 0;
+          for (int s = 0; s < samples; ++s) {
+            const auto si = static_cast<std::size_t>(s);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(engine.energy(s, task)),
+                      std::bit_cast<std::uint64_t>(energy[si][j]))
+                << "task " << j << " sample " << s;
+            ASSERT_EQ(engine.sample_version(s, task), versions[si][j])
+                << "task " << j << " sample " << s;
+            if (energy[si][j] >= net.tasks()[j].required_energy) ++at_or_above;
+          }
+          const bool all = at_or_above == static_cast<std::size_t>(samples);
+          ASSERT_EQ(engine.saturated(task), fast && all) << "task " << j;
+          if (all) ++everywhere;
+          if (at_or_above > 0 && !all) ++partly;
+        }
+      };
+      check();
+      int color = 0;
+      for (const PolicyPartition& partition : build_partitions(net)) {
+        const Policy policy = owned_policy(partition, partition.policies.size() - 1);
+        color = (color + 1) % colors;
+        engine.commit_no_gain(partition.charger, partition.slot, policy.tasks,
+                              policy.slot_energy, color);
+        for (int s = 0; s < samples; ++s) {
+          if (MarginalEngine::panel_color(config.seed, s, partition.charger, partition.slot,
+                                          colors) != color) {
+            continue;
+          }
+          for (std::size_t t = 0; t < policy.tasks.size(); ++t) {
+            const auto j = static_cast<std::size_t>(policy.tasks[t]);
+            double& e = energy[static_cast<std::size_t>(s)][j];
+            const double after = e + policy.slot_energy[t];
+            if (net.weighted_task_utility(policy.tasks[t], after) !=
+                net.weighted_task_utility(policy.tasks[t], e)) {
+              ++versions[static_cast<std::size_t>(s)][j];
+            }
+            e = after;
+          }
+        }
+        check();
+      }
+      EXPECT_GT(everywhere, 0u);
+      if (samples > 1) {
+        EXPECT_GT(partly, 0u);
+      }
+    }
+  }
 }
 
 TEST(MarginalEngine, ClampsDegenerateConfig) {

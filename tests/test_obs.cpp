@@ -15,8 +15,11 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/dominant_sets.hpp"
+#include "core/objective.hpp"
 #include "dist/online.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
@@ -742,6 +745,66 @@ TEST(OnlineReplanHistograms, OneSamplePerNegotiatedPlan) {
   check("online.replan.messages", &dist::NegotiationRecord::messages);
   check("online.replan.deliveries", &dist::NegotiationRecord::deliveries);
   check("online.replan.rounds", &dist::NegotiationRecord::rounds);
+}
+
+// online.slots.live and online.slots.dead split the participating (charger,
+// slot)s of each plan, added once per plan: in the election protocol each
+// pair loads once, so live + dead is every (charger, slot >= plan start)
+// with a policy over the plan's known tasks. Tasks that need a single joule
+// saturate in the first slot that charges them, so the later slots of their
+// windows are dead. The greedy strategies add to neither counter.
+TEST(OnlineSlotCounters, LiveAndDeadSplitTheParticipatingPairs) {
+  util::Rng rng(6);
+  const model::Network base = testing_helpers::random_network(rng, 5, 14, 6);
+  std::vector<model::Task> tasks = base.tasks();
+  for (model::Task& task : tasks) {
+    task.required_energy = 1.0;
+    task.end_slot = task.release_slot + 6;
+  }
+  const model::Network net(base.chargers(), std::move(tasks), base.power_model(), base.time());
+  const auto counters = [] {
+    auto& registry = MetricsRegistry::instance();
+    return std::pair{registry.counter("online.slots.live").value(),
+                     registry.counter("online.slots.dead").value()};
+  };
+  dist::OnlineConfig config;
+  config.colors = 2;
+  config.samples = 4;
+  const auto before = counters();
+  const dist::OnlineResult result = dist::run_online(net, config);
+  const auto after = counters();
+  const std::uint64_t live = after.first - before.first;
+  const std::uint64_t dead = after.second - before.second;
+
+  std::uint64_t participating = 0;
+  core::SlotPolicies policies;
+  for (const dist::NegotiationRecord& record : result.log) {
+    std::vector<model::TaskIndex> known;
+    for (model::TaskIndex j = 0; j < net.task_count(); ++j) {
+      if (net.tasks()[static_cast<std::size_t>(j)].release_slot <= record.event_slot) {
+        known.push_back(j);
+      }
+    }
+    ASSERT_EQ(known.size(), record.known_tasks);
+    for (model::ChargerIndex i = 0; i < net.charger_count(); ++i) {
+      const auto dominant = core::extract_dominant_sets(net, i, known);
+      for (model::SlotIndex k = record.plan_start; k < net.horizon(); ++k) {
+        core::make_slot_policies(net, i, dominant, k, policies);
+        if (policies.size() > 0) ++participating;
+      }
+    }
+  }
+  EXPECT_EQ(live + dead, participating);
+  EXPECT_GT(live, 0u);
+  EXPECT_GT(dead, 0u);
+
+  for (const dist::OnlineStrategy strategy :
+       {dist::OnlineStrategy::kGreedyUtility, dist::OnlineStrategy::kGreedyCover}) {
+    config.strategy = strategy;
+    const auto greedy_before = counters();
+    EXPECT_GT(dist::run_online(net, config).negotiations, 0u);
+    EXPECT_EQ(counters(), greedy_before);
+  }
 }
 
 }  // namespace

@@ -5,14 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <set>
-
 #include <stdexcept>
+#include <vector>
 
 #include "baseline/brute_force.hpp"
 #include "core/evaluate.hpp"
 #include "core/offline.hpp"
 #include "io/scenario_io.hpp"
+#include "model/deadline.hpp"
+#include "model/utility.hpp"
+#include "obs/metrics.hpp"
 #include "oracle/negotiation.hpp"
 #include "serve/client.hpp"
 #include "test_helpers.hpp"
@@ -250,6 +255,89 @@ TEST(Online, NodeReuseIsBitIdenticalAndCheaper) {
       EXPECT_LT(reuse.row_evaluations, fresh.row_evaluations) << "seed " << seed;
     } else {
       EXPECT_EQ(reuse.row_evaluations, fresh.row_evaluations) << "seed " << seed;
+    }
+  }
+}
+
+/// `base` with `shape` and `policy`; with an active policy ~70% of the tasks
+/// get a deadline within their window. Weights are redrawn around 1/m so
+/// they are not powers of two.
+model::Network saturation_network(const model::Network& base, util::Rng& rng,
+                                  std::shared_ptr<const model::UtilityShape> shape,
+                                  model::DeadlinePolicy policy) {
+  std::vector<model::Task> tasks = base.tasks();
+  for (model::Task& task : tasks) {
+    task.weight *= rng.uniform(0.6, 1.4);
+    const auto duration = task.end_slot - task.release_slot;
+    const auto grace = static_cast<model::SlotIndex>(rng.uniform_int(1, duration));
+    if (policy.active() && rng.uniform() < 0.7) task.deadline_slot = task.release_slot + grace;
+  }
+  return model::Network(base.chargers(), std::move(tasks), base.power_model(), base.time(),
+                        std::move(shape), policy);
+}
+
+std::uint64_t dead_slots_counted() {
+  return obs::MetricsRegistry::instance().counter("online.slots.dead").value();
+}
+
+// Dead (charger, slot)s and live slots that price unsaturated rows only,
+// against the checked run, which drives every participant, dead or live,
+// through its stages so the fresh scalar pricer checks each dead charger's
+// VALUE of 0, and makes every delivery on its bus. On every built-in shape
+// and a kCustom one, without and with linear, exp and hard deadlines, both
+// protocols must write the same schedule and count the same Fig. 16 traffic.
+TEST(OnlineSaturation, CheckedRunMatchesSession) {
+  const std::vector<std::shared_ptr<const model::UtilityShape>> shapes = {
+      std::make_shared<model::LinearBoundedShape>(),
+      std::make_shared<model::SqrtBoundedShape>(),
+      std::make_shared<model::LogBoundedShape>(),
+      std::make_shared<testing_helpers::PowShape>()};
+  const std::vector<model::DeadlinePolicy> policies = {
+      {},
+      {model::DeadlineDecay::kLinear, 2.0},
+      {model::DeadlineDecay::kExp, 3.0},
+      {model::DeadlineDecay::kHard, 0.0}};
+  for (const std::uint64_t seed : {51u, 52u, 53u}) {
+    util::Rng rng(seed);
+    const model::Network base = random_network(rng, 6, 16, 6);
+    for (const auto& shape : shapes) {
+      const bool custom = shape->kind() == model::UtilityShapeKind::kCustom;
+      std::uint64_t dead = 0;
+      for (const model::DeadlinePolicy& policy : policies) {
+        const model::Network net = saturation_network(base, rng, shape, policy);
+        for (const OnlineStrategy strategy :
+             {OnlineStrategy::kHaste, OnlineStrategy::kHasteSequential}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " " << shape->name() << " decay "
+                       << static_cast<int>(policy.decay) << " "
+                       << (strategy == OnlineStrategy::kHaste ? "election" : "token"));
+          OnlineConfig config;
+          config.strategy = strategy;
+          config.seed = seed;  // the paper's panel, C = 4 and S = 16
+          const std::uint64_t dead_before = dead_slots_counted();
+          const OnlineResult session = run_online(net, config);
+          dead += dead_slots_counted() - dead_before;
+          const oracle::CheckedRun checked = oracle::run_online_checked(net, config);
+          const OnlineResult& reference = checked.result;
+          EXPECT_TRUE(checked.mismatches.empty())
+              << checked.mismatches.size() << " mismatches, first: "
+              << checked.mismatches.front();
+          EXPECT_EQ(io::schedule_to_json(session.schedule).dump(),
+                    io::schedule_to_json(reference.schedule).dump());
+          EXPECT_EQ(session.messages, reference.messages);
+          EXPECT_EQ(session.deliveries, reference.deliveries);
+          EXPECT_EQ(session.message_bytes, reference.message_bytes);
+          EXPECT_EQ(session.rounds, reference.rounds);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(session.evaluation.weighted_utility),
+                    std::bit_cast<std::uint64_t>(reference.evaluation.weighted_utility));
+        }
+      }
+      // The dead path ran on every built-in shape, and never on kCustom.
+      if (custom) {
+        EXPECT_EQ(dead, 0u) << "seed " << seed;
+      } else {
+        EXPECT_GT(dead, 0u) << "seed " << seed << " " << shape->name();
+      }
     }
   }
 }

@@ -565,6 +565,198 @@ TEST(ServeSession, OpenBeyondTheCellLimitIsAnError) {
   EXPECT_TRUE(reply.close);
 }
 
+/// The first reply line a daemon at `address` sends to a connection that
+/// writes `line`; empty when none arrives within five seconds.
+std::string first_reply(const std::string& address, const std::string& line) {
+  util::TcpSocket raw = util::TcpSocket::connect(address);
+  if (!raw.write_all(line + "\n")) return "";
+  util::LineBuffer lines;
+  char chunk[4096];
+  const Clock::time_point start = Clock::now();
+  while (std::chrono::duration<double>(Clock::now() - start).count() < 5.0) {
+    if (util::poll_readable({raw.fd()}, 50).empty()) continue;
+    const ssize_t n = ::read(raw.fd(), chunk, sizeof(chunk));
+    if (n <= 0) return "";
+    const std::vector<std::string> got = lines.feed(chunk, static_cast<std::size_t>(n));
+    if (!got.empty()) return got.front();
+  }
+  return "";
+}
+
+// The config numbers that size a session's state are read as checked ints:
+// colors and samples up to io::kMaxPanelSamples, the predictor grid up to
+// io::kMaxPredictorGrid. Each oversized open is an error reply naming its
+// field, sized just above the cap, and the daemon opens the next connection
+// as usual.
+TEST(ServeSession, OversizedConfigNumbersAreErrorsNamingTheField) {
+  TestServer daemon{ServerOptions{}};
+  util::Rng rng(63);
+  const model::Network net = testing_helpers::random_network(rng, 3, 6, 4);
+  const auto open_with = [&](const char* key, double value, bool predictor) {
+    Json config = online_config_to_json(small_config(63));
+    if (predictor) {
+      Json nested = config.at("predictor");
+      nested.set(key, value);
+      config.set("predictor", std::move(nested));
+    } else {
+      config.set(key, value);
+    }
+    Json request = Json::object();
+    request.set("op", "open");
+    request.set("scenario", io::network_to_json(net));
+    request.set("config", std::move(config));
+    return request.dump();
+  };
+  const struct {
+    const char* field;
+    double value;
+    bool predictor;
+  } cases[] = {{"samples", 3e9, false},
+               {"samples", io::kMaxPanelSamples + 1.0, false},
+               {"grid", io::kMaxPredictorGrid + 1.0, true}};
+  for (const auto& oversized : cases) {
+    SCOPED_TRACE(::testing::Message() << oversized.field << " " << oversized.value);
+    const std::string line = first_reply(daemon.address(),
+                                         open_with(oversized.field, oversized.value,
+                                                   oversized.predictor));
+    ASSERT_FALSE(line.empty());
+    const Json reply = Json::parse(line);
+    EXPECT_FALSE(reply.bool_or("ok", true));
+    EXPECT_EQ(reply.string_or("op", ""), "error");
+    EXPECT_NE(reply.string_or("message", "").find(oversized.field), std::string::npos) << line;
+
+    Client client(daemon.address());
+    const Json opened = client.open(net, small_config(63));
+    EXPECT_TRUE(opened.bool_or("ok", false)) << opened.dump();
+  }
+}
+
+// Seeded mutation sweep over one fixture session's NDJSON, fed line by line
+// through Session::handle_line: an open of a 4-charger/10-task scenario with
+// the predictor on, then arrive, fail and finish lines. A mutant edits 1-4
+// bytes of one line, digits most often, so counts, slots and ids grow and
+// shrink; a third of the mutants edit only the digits of the open line's
+// config, whose caps bound what an open may allocate. Every reply must parse
+// with a boolean "ok", and every ok:false reply must carry a non-empty
+// message. A reply that closes the session ends the mutant's feed, as the
+// daemon ends the connection. Fixed seed and budget, so a failure
+// reproduces; the ctest TIMEOUT catches a hang.
+TEST(ServeSessionFuzz, MutatedSessionsGetWellFormedReplies) {
+  sim::ScenarioConfig scenario = sim::ScenarioConfig::paper_default();
+  scenario.chargers = 4;
+  scenario.tasks = 10;
+  util::Rng fixture_rng(7);
+  const model::Network net = sim::generate_scenario(scenario, fixture_rng);
+  dist::OnlineConfig config;  // the paper's panel, C = 4 and S = 16
+  config.seed = 7;
+  config.predictor.enabled = true;
+  config.predictor.grid = 64;
+  std::vector<std::string> fixture;
+  // The open line around its config object: a third of the mutants edit
+  // the config's digits, or the scenario's text would drown them.
+  const std::string config_text = online_config_to_json(config).dump();
+  std::size_t config_at = 0;
+  {
+    Json open = Json::object();
+    open.set("op", "open");
+    open.set("scenario", io::network_to_json(net));
+    open.set("config", online_config_to_json(config));
+    fixture.push_back(open.dump());
+    config_at = fixture.front().find(config_text);
+    ASSERT_NE(config_at, std::string::npos);
+  }
+  for (const ReplayEvent& event : build_replay_events(net, {{1, 3}})) {
+    Json line = Json::object();
+    line.set("op", event.is_failure ? "fail" : "arrive");
+    line.set("slot", static_cast<int>(event.slot));
+    if (event.is_failure) {
+      line.set("charger", static_cast<int>(event.charger));
+    } else {
+      Json tasks = Json::array();
+      for (const model::TaskIndex j : event.tasks) tasks.push_back(static_cast<int>(j));
+      line.set("tasks", std::move(tasks));
+    }
+    fixture.push_back(line.dump());
+  }
+  fixture.push_back(R"({"op":"finish"})");
+  ASSERT_GE(fixture.size(), 4u);
+
+  constexpr std::string_view kAlphabet = "0123456789012345678901234567890123456789{}[]:,\"\\ .-+eE";
+  util::Rng rng(20181019);
+  std::size_t replies = 0;
+  std::size_t errors = 0;
+  std::size_t capped = 0;  // errors from a bounded config number
+  for (int iteration = 0; iteration < 2000; ++iteration) {
+    std::vector<std::string> lines = fixture;
+    const int edits = static_cast<int>(rng.uniform_int(1, 4));
+    if (rng.uniform() < 1.0 / 3.0) {
+      // Digit edits of the config: its numbers grow and shrink.
+      std::string text = config_text;
+      for (int e = 0; e < edits; ++e) {
+        std::vector<std::size_t> digits;
+        for (std::size_t at = 0; at < text.size(); ++at) {
+          if (text[at] >= '0' && text[at] <= '9') digits.push_back(at);
+        }
+        const std::size_t at = digits[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(digits.size()) - 1))];
+        const auto digit = static_cast<char>('0' + rng.uniform_int(0, 9));
+        if (rng.uniform() < 0.5) {
+          text[at] = digit;
+        } else {
+          text.insert(at, 1, digit);
+        }
+      }
+      lines[0].replace(config_at, config_text.size(), text);
+    } else {
+      std::string& text = lines[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(lines.size()) - 1))];
+      for (int e = 0; e < edits && !text.empty(); ++e) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+        const char byte = kAlphabet[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kAlphabet.size()) - 1))];
+        switch (rng.uniform_int(0, 3)) {
+          case 0: text[at] = byte; break;
+          case 1: text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), byte); break;
+          case 2: text.erase(at, 1); break;
+          default: {
+            const auto length = static_cast<std::size_t>(rng.uniform_int(1, 8));
+            text.insert(at, text.substr(at, length));
+            break;
+          }
+        }
+      }
+    }
+    Session session;
+    for (const std::string& line : lines) {
+      const Reply reply = session.handle_line(line);
+      ++replies;
+      Json parsed;
+      try {
+        parsed = Json::parse(reply.line);
+      } catch (const util::JsonError&) {
+        ADD_FAILURE() << "iteration " << iteration << ": reply is not JSON: " << reply.line;
+        break;
+      }
+      ASSERT_TRUE(parsed.is_object()) << reply.line;
+      ASSERT_TRUE(parsed.contains("ok") && parsed.at("ok").is_bool())
+          << "iteration " << iteration << ": " << reply.line;
+      if (!parsed.at("ok").as_bool()) {
+        ++errors;
+        const std::string message = parsed.string_or("message", "");
+        EXPECT_FALSE(message.empty()) << "iteration " << iteration << ": " << reply.line;
+        if (message.find(" is outside [") != std::string::npos) ++capped;
+      }
+      if (reply.close) break;
+    }
+  }
+  // The sweep reaches past the open line, rejects some mutants, and some of
+  // those for a config number past its bounds.
+  EXPECT_GT(replies, 8000u);
+  EXPECT_GT(errors, 500u);
+  EXPECT_GT(capped, 20u);
+}
+
 TEST(ServeConfig, OnlineConfigJsonRoundTripsExactly) {
   dist::OnlineConfig config;
   config.strategy = dist::OnlineStrategy::kHasteSequential;
